@@ -19,7 +19,6 @@ Subpackages by responsibility:
 """
 
 from .exact import (
-    ExactRational,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
@@ -76,7 +75,6 @@ __all__ = [
     "Certificate",
     "CoefficientQuadruple",
     "DigitsResult",
-    "ExactRational",
     "InclusionReport",
     "KernelParts",
     "PartialFractionTable",

@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 from .acceleration import alternating_sum, terms_for_digits
 from .errors import PrecisionError, QuadratureError
 from .exact import Polynomial, decimal_string, horner_int, to_mpf
-from .sequences import FAMILIES, _values, catalan_p, catalan_q, zeta4_r
+from .sequences import FAMILIES, RECURRENCES, _values, recurrence_coefficients
 
 #: Decimal digits gained per recurrence step by the convergents v_n/u_n.
 DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
@@ -105,14 +105,6 @@ def reference_zeta4(digits: int) -> mpf:
         return +(pi**4 / 90)
 
 
-def reference_constant(family: str, digits: int) -> mpf:
-    if family == "catalan":
-        return reference_catalan(digits)
-    if family == "zeta4":
-        return reference_zeta4(digits)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 # -- digit extraction from the recurrences --------------------------------------
 
 
@@ -151,40 +143,23 @@ def zeta4_digits(digits: int) -> DigitsResult:
 # -- continued fractions ---------------------------------------------------------
 
 
-def _partial_numerator(family: str, m: int) -> Fraction:
-    if family == "catalan":
-        if m == 1:
-            return Fraction(13, 2)
-        k = m - 1  # depth index of the general term
-        return Fraction(
-            (2 * k - 1) ** 4 * (2 * k) ** 4
-        ) * catalan_p(k - 1) * catalan_p(k + 1)
-    if m == 1:
-        return Fraction(13)
-    k = m - 1
-    return Fraction(k**7 * (3 * k - 1) * (3 * k) * (3 * k + 1))
-
-
-def _partial_denominator(family: str, m: int) -> Fraction:
-    if family == "catalan":
-        return catalan_q(m - 1)
-    return zeta4_r(m - 1)
-
-
 def cf_convergent(family: str, n: int) -> CFConvergent:
-    """Depth-n convergent by exact backward recurrence.
+    """Depth-n convergent b_1/(a_1 + b_2/(a_2 + ...)) by exact backward recurrence.
 
-    The expansion is the equivalence transform of the recurrence, so the
-    depth-n value equals the exact ratio v_n/u_n; tests assert that identity.
+    The expansion is the equivalence transform of the family's recurrence
+    lead(k) x_{k+1} = mid(k) x_k + back(k) x_{k-1}: partial denominators
+    a_m = mid(m-1), partial numerators b_m = lead(m-2) back(m-1) for m >= 2
+    and b_1 = lead(0) v_1.  The depth-n value therefore equals the exact
+    ratio v_n/u_n; tests assert that identity.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n < 1:
         raise ValueError("convergent depth must be at least 1")
+    lead, mid, back = zip(*(recurrence_coefficients(family, k) for k in range(n)))
     tail = Fraction(0)
-    for m in range(n, 0, -1):
-        tail = _partial_numerator(family, m) / (_partial_denominator(family, m) + tail)
-    return CFConvergent(family=family, n=n, value=tail)
+    for m in range(n, 1, -1):
+        tail = lead[m - 2] * back[m - 1] / (mid[m - 1] + tail)
+    v_1 = RECURRENCES[family].initial[1][1]
+    return CFConvergent(family=family, n=n, value=lead[0] * v_1 / (mid[0] + tail))
 
 
 # -- the double-integral representation ------------------------------------------

@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 from .errors import PrecisionError
 from .exact import Polynomial, RationalFunction, poly_gcd
 from .hypergeom import build_kernel, f_numeric
-from .sequences import catalan_p, catalan_q
+from .sequences import recurrence_coefficients
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,6 @@ def build_certificate(n: int) -> Certificate:
     return Certificate(n=n, s=s, S=big_s)
 
 
-def _recurrence_weights(n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Weights (forward, middle, backward) of the three-term combination."""
-    forward = (2 * n + 1) ** 2 * (2 * n + 2) ** 2 * catalan_p(n)
-    middle = catalan_q(n)
-    backward = (2 * n - 1) ** 2 * (2 * n) ** 2 * catalan_p(n + 1)
-    return forward, middle, backward
-
-
 def verify_telescoping(n: int) -> bool:
     """Exact check that the weighted kernel combination telescopes to -S_n.
 
@@ -114,7 +106,7 @@ def verify_telescoping(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("the telescoping identity is stated for n >= 1")
-    forward, middle, backward = _recurrence_weights(n)
+    forward, middle, backward = recurrence_coefficients("catalan", n)
     r_next = build_kernel(n + 1).R
     r_cur = build_kernel(n).R
     r_prev = build_kernel(n - 1).R
@@ -149,7 +141,7 @@ def verify_recurrence_transfer(n: int, digits: int) -> bool:
         raise ValueError("the recurrence transfer is stated for n >= 1")
     if digits < 6:
         raise ValueError("digits must be at least 6")
-    forward, middle, backward = _recurrence_weights(n)
+    forward, middle, backward = recurrence_coefficients("catalan", n)
     working = digits + 10
     f_prev = f_numeric(n - 1, working)
     f_cur = f_numeric(n, working)

@@ -30,7 +30,7 @@ EXIT_CODES = {
     "precision_error": 3,
 }
 
-FAMILY_CHOICES = ("catalan", "zeta4")
+FAMILY_CHOICES = sequences.FAMILIES
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact generation and verification of the second-order recurrences "
             "for Catalan's constant and zeta(4)."
         ),
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress non-payload output"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

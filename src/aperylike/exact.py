@@ -25,9 +25,6 @@ from mpmath import mp, mpf
 
 from .errors import PoleAtCenterError
 
-#: The exact scalar type used throughout the package.
-ExactRational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -75,11 +72,6 @@ class Polynomial:
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
         return cls([value])
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The monomial t."""
-        return cls([0, 1])
 
     @classmethod
     def linear(cls, root: RationalLike) -> "Polynomial":

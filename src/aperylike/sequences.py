@@ -5,7 +5,7 @@ v_1 = 13/8, both solving
 
     (2n+1)^2 (2n+2)^2 p(n) x_{n+1} = q(n) x_n + (2n-1)^2 (2n)^2 p(n+1) x_{n-1}
 
-for n >= 1, where p and q are the sextic/quadratic coefficient polynomials
+for n >= 1, where p and q are the quadratic/sextic coefficient polynomials
 below.  The ratio v_n/u_n converges to Catalan's constant G at roughly 2.09
 decimal digits per step.
 
@@ -16,8 +16,11 @@ solving
 
 whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 
-Everything is generated bottom-up in exact rational arithmetic and memoized;
-the integrality checks multiply by the documented clearing factors and test
+RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
+back(n) and its initial pairs; stepping, the residual check, the telescoping
+certificate's weights and the continued fractions all read it.  Everything is
+generated bottom-up in exact rational arithmetic and memoized; the
+integrality checks multiply by the documented clearing factors and test
 for an integer exactly.
 """
 
@@ -27,13 +30,12 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from mpmath import mp, mpf
 
 from .errors import PrecisionError
 from .exact import RationalLike, as_fraction, lcm_upto
-
-FAMILIES = ("catalan", "zeta4")
 
 #: Integrality modes: "proved" uses the guaranteed clearing factors,
 #: "strong" the sharper experimentally observed ones.
@@ -111,47 +113,53 @@ def zeta4_r(n: RationalLike) -> Fraction:
     return 270 * x**5 + 675 * x**4 + 702 * x**3 + 378 * x**2 + 105 * x + 12
 
 
+# -- the recurrence table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Recurrence:
+    """lead(k) x_{k+1} = mid(k) x_k + back(k) x_{k-1} for k >= 1, started from
+    the pairs initial = ((u_0, v_0), (u_1, v_1))."""
+
+    lead: Callable[[int], Fraction]
+    mid: Callable[[int], Fraction]
+    back: Callable[[int], Fraction]
+    initial: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+
+
+#: The one copy of each family's coefficients; stepping, residuals, the
+#: certificate weights and the continued fractions all read it.
+RECURRENCES = {
+    "catalan": Recurrence(
+        lead=lambda k: (2 * k + 1) ** 2 * (2 * k + 2) ** 2 * catalan_p(k),
+        mid=catalan_q,
+        back=lambda k: (2 * k - 1) ** 2 * (2 * k) ** 2 * catalan_p(k + 1),
+        initial=((Fraction(1), Fraction(0)), (Fraction(7, 4), Fraction(13, 8))),
+    ),
+    "zeta4": Recurrence(
+        lead=lambda k: Fraction((k + 1) ** 5),
+        mid=zeta4_r,
+        back=lambda k: 3 * k**3 * (3 * k - 1) * (3 * k + 1),
+        initial=((Fraction(1), Fraction(0)), (Fraction(12), Fraction(13))),
+    ),
+}
+
+FAMILIES = tuple(RECURRENCES)
+
+
+def recurrence_coefficients(family: str, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(lead(k), mid(k), back(k)) of the family's recurrence."""
+    _check_family(family)
+    rec = RECURRENCES[family]
+    return rec.lead(k), rec.mid(k), rec.back(k)
+
+
 # -- exact generation ---------------------------------------------------------
 
 _cache_lock = threading.Lock()
 _pairs: dict[str, list[tuple[Fraction, Fraction]]] = {
-    "catalan": [
-        (Fraction(1), Fraction(0)),
-        (Fraction(7, 4), Fraction(13, 8)),
-    ],
-    "zeta4": [
-        (Fraction(1), Fraction(0)),
-        (Fraction(12), Fraction(13)),
-    ],
+    family: list(rec.initial) for family, rec in RECURRENCES.items()
 }
-
-
-def _step_catalan(
-    k: int, prev: tuple[Fraction, Fraction], cur: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    lead = (2 * k + 1) ** 2 * (2 * k + 2) ** 2 * catalan_p(k)
-    assert lead != 0  # p has negative discriminant
-    mid = catalan_q(k)
-    back = (2 * k - 1) ** 2 * (2 * k) ** 2 * catalan_p(k + 1)
-    return (
-        (mid * cur[0] + back * prev[0]) / lead,
-        (mid * cur[1] + back * prev[1]) / lead,
-    )
-
-
-def _step_zeta4(
-    k: int, prev: tuple[Fraction, Fraction], cur: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    lead = Fraction((k + 1) ** 5)
-    mid = zeta4_r(k)
-    back = 3 * k**3 * (3 * k - 1) * (3 * k + 1)
-    return (
-        (mid * cur[0] + back * prev[0]) / lead,
-        (mid * cur[1] + back * prev[1]) / lead,
-    )
-
-
-_STEPS = {"catalan": _step_catalan, "zeta4": _step_zeta4}
 
 
 def _values(family: str, n: int) -> tuple[Fraction, Fraction]:
@@ -161,11 +169,15 @@ def _values(family: str, n: int) -> tuple[Fraction, Fraction]:
     table = _pairs[family]
     if n < len(table):
         return table[n]
-    step = _STEPS[family]
     with _cache_lock:
         while len(table) <= n:
             k = len(table) - 1
-            table.append(step(k, table[k - 1], table[k]))
+            lead, mid, back = recurrence_coefficients(family, k)
+            assert lead != 0  # catalan_p has negative discriminant
+            (u_prev, v_prev), (u_cur, v_cur) = table[k - 1], table[k]
+            table.append(
+                ((mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead)
+            )
         return table[n]
 
 
@@ -195,15 +207,7 @@ def recurrence_residual(family: str, n: int) -> tuple[Fraction, Fraction]:
     if n < 1:
         raise ValueError("the recurrence holds for n >= 1")
     prev, cur, nxt = (_values(family, n - 1), _values(family, n), _values(family, n + 1))
-    if family == "catalan":
-        lead = (2 * n + 1) ** 2 * (2 * n + 2) ** 2 * catalan_p(n)
-        mid = catalan_q(n)
-        back = (2 * n - 1) ** 2 * (2 * n) ** 2 * catalan_p(n + 1)
-    else:
-        _check_family(family)
-        lead = Fraction((n + 1) ** 5)
-        mid = zeta4_r(n)
-        back = 3 * n**3 * (3 * n - 1) * (3 * n + 1)
+    lead, mid, back = recurrence_coefficients(family, n)
     return (
         lead * nxt[0] - mid * cur[0] - back * prev[0],
         lead * nxt[1] - mid * cur[1] - back * prev[1],

@@ -20,6 +20,7 @@ statement (see the "Tests" section of the README):
 
 from fractions import Fraction
 
+import pytest
 from mpmath import mp
 
 from aperylike.analytic import (
@@ -158,10 +159,9 @@ def test_a7_numeric_decomposition():
     report("A7", ok, f"|F_n - (U'_n G - V_n)| <= {mp.nstr(worst, 3)} < 1e-35 for n<=10")
 
 
-def test_a8_integral_identity_as_stated():
-    # The linear form equals (-1)^n/8 times the integral.  The printed
-    # statement has (-1)^n/4, which two positive series terms of the integrand
-    # exclude at n = 0 (4 + 8/9 > 4 G); the quarter is corrected to an eighth.
+@pytest.fixture(scope="module")
+def a8_worst_residual():
+    """max |(-1)^n I_n/8 - (u_n G - v_n)| over n = 0..3, I_n to 8 digits."""
     reference = reference_catalan(40)
     with mp.workdps(40):
         worst = mp.mpf(0)
@@ -171,6 +171,15 @@ def test_a8_integral_identity_as_stated():
             form = mpf_frac(item.u) * reference - mpf_frac(item.v)
             sign = 1 if n % 2 == 0 else -1
             worst = max(worst, abs(sign * integral / 8 - form))
+        return worst
+
+
+def test_a8_integral_identity_as_stated(a8_worst_residual):
+    # The linear form equals (-1)^n/8 times the integral.  The printed
+    # statement has (-1)^n/4, which two positive series terms of the integrand
+    # exclude at n = 0 (4 + 8/9 > 4 G); the quarter is corrected to an eighth.
+    worst = a8_worst_residual
+    with mp.workdps(40):
         ok = worst < mp.mpf(10) ** -7
     report(
         "A8",
@@ -180,16 +189,9 @@ def test_a8_integral_identity_as_stated():
     )
 
 
-def test_a8_corrected_integral_identity():
-    reference = reference_catalan(40)
+def test_a8_corrected_integral_identity(a8_worst_residual):
+    worst = a8_worst_residual
     with mp.workdps(40):
-        worst = mp.mpf(0)
-        for n in range(4):
-            integral = beukers_integral(n, 8)
-            item = catalan_pair(n)
-            form = mpf_frac(item.u) * reference - mpf_frac(item.v)
-            sign = 1 if n % 2 == 0 else -1
-            worst = max(worst, abs(sign * integral / 8 - form))
         ok = worst < mp.mpf(10) ** -7
     report(
         "A8-corrected",

@@ -125,6 +125,10 @@ class TestContinuedFractions:
         with pytest.raises(ValueError):
             cf_convergent("catalan", 0)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError):
+            cf_convergent("pi", 3)
+
 
 class TestCharacteristicRoots:
     def test_catalan_root(self):

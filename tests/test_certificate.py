@@ -101,12 +101,13 @@ class TestCheckerSensitivity:
 
     def test_detects_wrong_recurrence_weight(self):
         # same accumulation, one weight off by one: numerator must not vanish
-        from aperylike.certificate import _recurrence_weights, build_certificate
+        from aperylike.certificate import build_certificate
         from aperylike.exact import poly_gcd
         from aperylike.hypergeom import build_kernel
+        from aperylike.sequences import recurrence_coefficients
 
         n = 2
-        forward, middle, backward = _recurrence_weights(n)
+        forward, middle, backward = recurrence_coefficients("catalan", n)
         big_s = build_certificate(n).S
         shifted = big_s.shift(1)
         terms = [

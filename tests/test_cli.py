@@ -190,10 +190,10 @@ class TestDecompose:
 
 
 class TestQuietFlag:
-    def test_quiet_accepted(self, capsys):
+    def test_quiet_is_usage_error(self, capsys):
         result, lines = run_lines(capsys, ["--quiet", "pair", "--family", "catalan", "--n", "0"])
-        assert result.status == "ok"
-        assert json.loads(lines[0])["u"] == "1"
+        assert result.status == "usage_error" and result.exit_code == 2
+        assert lines == []
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from aperylike.sequences import (
     catalan_pair,
     catalan_q,
     check_inclusions,
+    recurrence_coefficients,
     recurrence_residual,
     zeta4_pair,
     zeta4_r,
@@ -41,6 +42,32 @@ class TestCoefficientPolynomials:
         # negative discriminant: 64 - 80 < 0
         for n in range(-50, 51):
             assert catalan_p(n) != 0
+
+
+class TestRecurrenceTable:
+    # The closed forms are written out here independently of the package's
+    # table.  Stepping, the residual and the continued fractions all read that
+    # table, so their agreement with each other cannot catch a transcription
+    # slip in it; this comparison can.
+    CLOSED_FORMS = {
+        "catalan": (
+            lambda k: 4 * (k + 1) ** 2 * (2 * k + 1) ** 2 * (20 * k**2 - 8 * k + 1),
+            lambda k: 3520 * k**6 + 5632 * k**5 + 2064 * k**4 - 384 * k**3
+            - 156 * k**2 + 16 * k + 7,
+            lambda k: 4 * k**2 * (2 * k - 1) ** 2 * (20 * k**2 + 32 * k + 13),
+        ),
+        "zeta4": (
+            lambda k: k**5 + 5 * k**4 + 10 * k**3 + 10 * k**2 + 5 * k + 1,
+            lambda k: 3 * (2 * k + 1) * (3 * k**2 + 3 * k + 1) * (15 * k**2 + 15 * k + 4),
+            lambda k: 27 * k**5 - 3 * k**3,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_coefficients_match_closed_forms(self, family):
+        lead, mid, back = self.CLOSED_FORMS[family]
+        for k in range(-2, 61):
+            assert recurrence_coefficients(family, k) == (lead(k), mid(k), back(k))
 
 
 class TestPairs:
