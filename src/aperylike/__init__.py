@@ -24,7 +24,6 @@ from .exact import (
     TruncatedSeries,
     lcm_upto,
     poly_gcd,
-    ratfun_equal,
     series_expand,
 )
 from .sequences import (
@@ -102,7 +101,6 @@ __all__ = [
     "partial_fractions",
     "poly_gcd",
     "q_residues",
-    "ratfun_equal",
     "reference_catalan",
     "reference_zeta4",
     "series_expand",

@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 
 from .acceleration import alternating_sum, terms_for_digits
 from .errors import PrecisionError, QuadratureError
-from .exact import Polynomial, decimal_string, horner_int, to_mpf
+from .exact import Polynomial, decimal_string, horner_int, integer_coefficients, to_mpf
 from .sequences import FAMILIES, RECURRENCES, _values, recurrence_coefficients
 
 #: Decimal digits gained per recurrence step by the convergents v_n/u_n.
@@ -320,8 +320,8 @@ def _zeta4_series_parts(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple
     den = Polynomial.from_roots([-i for i in range(n + 1)]) ** 4
     deriv_num = num.derivative() * den - num * den.derivative()
     deriv_den = den * den
-    to_ints = lambda poly: tuple(int(c) for c in poly.coeffs)
-    return to_ints(num), to_ints(den), to_ints(deriv_num), to_ints(deriv_den)
+    scaled = integer_coefficients(num, den, deriv_num, deriv_den)
+    return tuple(tuple(coeffs) for coeffs in scaled)
 
 
 def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
@@ -370,7 +370,7 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
     )
 
 
-# -- characteristic-root helpers (used by tests and the CLI) ----------------------
+# -- characteristic-root helpers (used by tests) -----------------------------------
 
 
 def characteristic_residual(family: str, digits: int) -> mpf:

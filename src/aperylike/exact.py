@@ -9,6 +9,9 @@ Representations:
 * a rational function is a reduced pair num/den with monic denominator;
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j.
 
+Taylor recentering has one routine, ``_taylor_coefficients`` (synthetic
+division), behind both ``Polynomial.shift`` and ``TruncatedSeries.from_polynomial``.
+
 Everything in this module is exact; nothing rounds.  The only floating-point
 code is the small group of helpers at the bottom that convert exact rationals
 to mpmath values or decimal strings at a caller-stated number of digits.
@@ -250,13 +253,9 @@ class Polynomial:
     def shift(self, offset: RationalLike) -> "Polynomial":
         """Compose with a translation: returns f(t + offset)."""
         a = as_fraction(offset)
-        if a == 0:
+        if a == 0 or not self.coeffs:
             return self
-        step = Polynomial([a, 1])
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * step + Polynomial.constant(c)
-        return acc
+        return Polynomial(_taylor_coefficients(self.coeffs, a, len(self.coeffs)))
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -267,15 +266,40 @@ class Polynomial:
         return Polynomial([c / lead for c in self.coeffs])
 
 
+def _taylor_coefficients(
+    coeffs: Sequence[Fraction], center: Fraction, order: int
+) -> list[Fraction]:
+    """The first `order` Taylor coefficients at `center` of the polynomial with
+    ascending coefficients `coeffs`, i.e. the coefficients of (t - center)^j."""
+    # Repeated synthetic division by (t - center): each pass peels off the
+    # next Taylor coefficient in O(degree) work, so a jet of `order` terms
+    # costs O(order * degree) and a full recentering O(degree^2).
+    work = list(coeffs)
+    out: list[Fraction] = []
+    for _ in range(order):
+        if not work:
+            out.append(Fraction(0))
+            continue
+        acc = work[-1]
+        quotient = [Fraction(0)] * (len(work) - 1)
+        for i in range(len(work) - 2, -1, -1):
+            quotient[i] = acc
+            acc = acc * center + work[i]
+        out.append(acc)
+        work = quotient
+    return out
+
+
+def integer_coefficients(*polys: Polynomial) -> list[list[int]]:
+    """Coefficients of all the polynomials times one common integer, the lcm of
+    their denominators; ratios between them are kept, and zero gives []."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [
+        [c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys
+    ]
+
+
 # -- gcd over the rationals (primitive PRS over the integers) ----------------
-
-
-def _integer_coefficients(poly: Polynomial) -> list[int]:
-    """Scale a rational polynomial to integer coefficients (content ignored)."""
-    den = 1
-    for c in poly.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in poly.coeffs]
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -317,8 +341,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    a = _primitive(_integer_coefficients(f))
-    b = _primitive(_integer_coefficients(g))
+    a, b = (_primitive(c) for c in integer_coefficients(f, g))
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -380,20 +403,11 @@ class RationalFunction:
             return Polynomial.constant(value)
         raise TypeError(f"cannot build a polynomial from {value!r}")
 
-    @classmethod
-    def from_fraction(cls, value: RationalLike) -> "RationalFunction":
-        return cls(Polynomial.constant(value))
-
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def degree_gap(self) -> int:
-        """deg(num) - deg(den); negative for proper fractions."""
-        return self.num.degree - self.den.degree
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
@@ -415,9 +429,6 @@ class RationalFunction:
 
     # -- field operations ---------------------------------------------------
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._from_normalized(-self.num, self.den)
-
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -429,15 +440,6 @@ class RationalFunction:
         return RationalFunction(num, self.den * db)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return -(self - other)
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -463,33 +465,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return self * RationalFunction(other.den, other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int) -> "RationalFunction":
-        if exponent < 0:
-            return (RationalFunction.from_fraction(1) / self) ** (-exponent)
-        result = RationalFunction.from_fraction(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     @classmethod
     def _coerce(cls, value):
         if isinstance(value, RationalFunction):
@@ -513,11 +488,6 @@ class RationalFunction:
         num = self.num.shift(offset)
         den = self.den.shift(offset)
         return RationalFunction._from_normalized(num, den)
-
-
-def ratfun_equal(f: RationalFunction, g: RationalFunction) -> bool:
-    """Exact equality of rational functions (canonical forms coincide)."""
-    return f.num == g.num and f.den == g.den
 
 
 # ---------------------------------------------------------------------------
@@ -552,24 +522,8 @@ class TruncatedSeries:
     def from_polynomial(
         cls, poly: Polynomial, center: RationalLike, order: int
     ) -> "TruncatedSeries":
-        # Repeated synthetic division by (t - center): each pass peels off the
-        # next Taylor coefficient in O(degree) work, so only `order` passes are
-        # needed instead of a full O(degree^2) recentering.
         c = as_fraction(center)
-        work = list(poly.coeffs)
-        out: list[Fraction] = []
-        for _ in range(order):
-            if not work:
-                out.append(Fraction(0))
-                continue
-            acc = work[-1]
-            quotient = [Fraction(0)] * (len(work) - 1)
-            for i in range(len(work) - 2, -1, -1):
-                quotient[i] = acc
-                acc = acc * c + work[i]
-            out.append(acc)
-            work = quotient
-        return cls(center, out)
+        return cls(c, _taylor_coefficients(poly.coeffs, c, order))
 
     @classmethod
     def constant(cls, value: RationalLike, center: RationalLike, order: int):

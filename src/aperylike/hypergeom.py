@@ -35,6 +35,7 @@ from .exact import (
     RationalFunction,
     TruncatedSeries,
     horner_int,
+    integer_coefficients,
     lcm_upto,
     to_mpf,
 )
@@ -269,13 +270,6 @@ def _is_integer(q: Fraction) -> bool:
     return q.denominator == 1
 
 
-def _poly_jet_at(poly: Polynomial, center: Fraction, order: int) -> list[Fraction]:
-    """Taylor coefficients [p(c), p'(c), p''(c)/2, ...] up to the given order."""
-    return list(
-        TruncatedSeries.from_polynomial(poly, center, order).coeffs
-    )
-
-
 def check_arith_lemmas(n: int) -> bool:
     """Exact verification of the auxiliary integrality statements for one n.
 
@@ -299,7 +293,7 @@ def check_arith_lemmas(n: int) -> bool:
 
     for poly in (kern.P1, kern.P2):
         for k in range(-2 * n, 2 * n + 1):
-            jet = _poly_jet_at(poly, _half(k), 3)
+            jet = TruncatedSeries.from_polynomial(poly, _half(k), 3).coeffs
             if not _is_integer(two_2n * jet[0]):
                 return False
             for j in (1, 2):
@@ -348,24 +342,12 @@ def f_numeric(n: int, digits: int) -> mpf:
         raise ValueError("index must be nonnegative")
     if digits < 1:
         raise ValueError("digits must be positive")
-    kern = build_kernel(n)
-    r = kern.R
     estimate = alternating_sum_adaptive(
-        lambda t: r(t),
+        build_kernel(n).R,
         digits + 5,
         initial_terms=terms_for_digits(digits + 5) + 4 * n + 12,
     )
     return to_mpf(estimate, digits + 15)
-
-
-def _integer_pair(r: RationalFunction) -> tuple[list[int], list[int]]:
-    """Integer coefficient lists (num, den) with the same ratio as r."""
-    scale = 1
-    for c in list(r.num.coeffs) + list(r.den.coeffs):
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    num = [int(c * scale) for c in r.num.coeffs]
-    den = [int(c * scale) for c in r.den.coeffs]
-    return num, den
 
 
 def f_numeric_partial_sums(
@@ -382,7 +364,8 @@ def f_numeric_partial_sums(
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    num, den = _integer_pair(build_kernel(n).R)
+    r = build_kernel(n).R
+    num, den = integer_coefficients(r.num, r.den)
     with mp.workdps(digits + 15):
         eps = mpf(10) ** (-(digits + 5))
         total = mpf(0)

@@ -7,7 +7,12 @@ import pytest
 from mpmath import mp
 
 from aperylike.errors import PrecisionError
-from aperylike.exact import Polynomial, RationalFunction, ratfun_equal
+from aperylike.exact import (
+    Polynomial,
+    RationalFunction,
+    horner_int,
+    integer_coefficients,
+)
 from aperylike.hypergeom import (
     build_kernel,
     check_arith_lemmas,
@@ -30,7 +35,7 @@ class TestKernel:
     def test_r0_is_two_over_square(self):
         r = build_kernel(0).R
         expected = RationalFunction(Polynomial([2]), pole_factor(0) ** 2)
-        assert ratfun_equal(r, expected)
+        assert r == expected
 
     def test_r1_partial_fraction_display(self):
         r = build_kernel(1).R
@@ -42,18 +47,20 @@ class TestKernel:
             + RationalFunction(Polynomial([Fraction(7, 4)]), f0**2)
             + RationalFunction(Polynomial([Fraction(-7, 4)]), f1**2)
         )
-        assert ratfun_equal(r, expected)
+        assert r == expected
 
     @pytest.mark.parametrize("n", range(7))
     def test_degree_gap(self, n):
-        assert build_kernel(n).R.degree_gap == -(n + 2)
+        r = build_kernel(n).R
+        assert r.num.degree - r.den.degree == -(n + 2)
 
     @pytest.mark.parametrize("n", range(7))
     def test_factorization_into_parts(self, n):
         parts = build_kernel(n)
         two_t = RationalFunction(Polynomial([n + 1, 2]))  # 2t + n + 1
-        assembled = two_t * RationalFunction(parts.P1) * RationalFunction(parts.P2) * parts.Q**3
-        assert ratfun_equal(parts.R, assembled)
+        q_cubed = parts.Q * parts.Q * parts.Q
+        assembled = two_t * RationalFunction(parts.P1) * RationalFunction(parts.P2) * q_cubed
+        assert parts.R == assembled
 
     @pytest.mark.parametrize("n", range(7))
     def test_construction_matches_public_constructor(self, n):
@@ -63,7 +70,7 @@ class TestKernel:
         num = num * Polynomial.from_roots(range(n))
         num = num * Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
         den = Polynomial.from_roots([Fraction(-(2 * k + 1), 2) for k in range(n + 1)]) ** 3
-        assert ratfun_equal(parts.R, RationalFunction(num, den))
+        assert parts.R == RationalFunction(num, den)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_kernel_vanishes_at_zero(self, n):
@@ -94,7 +101,7 @@ class TestResidues:
         total = RationalFunction(Polynomial())
         for k, a in enumerate(residues):
             total = total + RationalFunction(Polynomial([a]), pole_factor(k))
-        assert ratfun_equal(total, build_kernel(n).Q)
+        assert total == build_kernel(n).Q
 
 
 class TestPartialFractions:
@@ -110,7 +117,7 @@ class TestPartialFractions:
 
     @pytest.mark.parametrize("n", list(range(13)) + [20])
     def test_reconstruction_identity(self, n):
-        assert ratfun_equal(reconstruction(partial_fractions(n)), build_kernel(n).R)
+        assert reconstruction(partial_fractions(n)) == build_kernel(n).R
 
     @pytest.mark.parametrize("n", range(7))
     def test_jets_match_factored_product_form(self, n):
@@ -207,6 +214,14 @@ class TestKernelSum:
         for n in range(11):
             value = f_numeric(n, 25)
             assert (value > 0) == (n % 2 == 0), n
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_integer_scaled_kernel_keeps_its_values(self, n):
+        # f_numeric_partial_sums evaluates R_n as num(t)/den(t) on these lists
+        r = build_kernel(n).R
+        num, den = integer_coefficients(r.num, r.den)
+        for t in range(6):
+            assert Fraction(horner_int(num, t), horner_int(den, t)) == r(t)
 
     def test_partial_sum_route_agrees_where_feasible(self):
         # at n = 8 the tail decays like t^-10 and raw summation reaches 10 digits
