@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .acceleration import alternating_sum, terms_for_digits
@@ -164,109 +163,31 @@ def cf_convergent(family: str, n: int) -> CFConvergent:
 
 # -- the double-integral representation ------------------------------------------
 
-# The substituted integrand lives on the unit square in coordinates
-# (a, b) = (1 - sqrt(x), sqrt(1 - y)); the original endpoint singularities are
-# gone, and the remaining integrable corner at (a, b) = (0, 0) (that is,
-# (x, y) = (1, 1)) is handled by panels graded geometrically toward it.
-
-_GRADING_RATIO = 4.0
-_FLOAT_LEVELS = 48
-_MP_LEVELS = 40
-_FLOAT_NODE_COUNTS = (8, 16, 32, 64)
-_MP_NODE_COUNTS = (8, 16, 32, 64)
-_MAX_NODES_PER_AXIS = 4096
-
-
-def _panel_breaks(levels: int) -> list[float]:
-    breaks = [0.0] + [_GRADING_RATIO ** (-j) for j in range(levels - 1, 0, -1)]
-    breaks.append(1.0)
-    return breaks
-
-
-@lru_cache(maxsize=16)
-def _float_axis(m: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0,1], graded toward 0."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    breaks = _panel_breaks(levels)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        nodes.append(0.5 * (hi - lo) * (x + 1.0) + lo)
-        weights.append(0.5 * (hi - lo) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _integral_float(n: int, m: int, levels: int) -> float:
-    a, wa = _float_axis(m, levels)
-    b, wb = _float_axis(m, levels)
-    one_minus_s2 = a * (2.0 - a)      # 1 - s^2 with s = 1 - a
-    s_sq = (1.0 - a) ** 2
-    row = 4.0 * (1.0 - a) ** (2 * n) * one_minus_s2**n * wa
-    col = (1.0 - b * b) ** n * b ** (2 * n) * wb
-    base = one_minus_s2[:, None] + s_sq[:, None] * (b * b)[None, :]
-    return float(row @ (base ** (-(n + 1))) @ col)
-
-
-@lru_cache(maxsize=8)
-def _legendre_nodes_mp(m: int, dps: int) -> tuple[tuple, tuple]:
-    """Gauss-Legendre nodes/weights on [-1,1] at dps digits, via Newton."""
-    seeds, _ = np.polynomial.legendre.leggauss(m)
-    with mp.workdps(dps):
-        nodes, weights = [], []
-        for seed in seeds:
-            x = mpf(float(seed))
-            for _ in range(60):
-                p_prev, p_cur = mpf(1), x
-                for k in range(2, m + 1):
-                    p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
-                deriv = m * (x * p_cur - p_prev) / (x * x - 1)
-                step = p_cur / deriv
-                x -= step
-                if abs(step) < mpf(10) ** (-(dps + 5)):
-                    break
-            p_prev, p_cur = mpf(1), x
-            for k in range(2, m + 1):
-                p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
-            deriv = m * (x * p_cur - p_prev) / (x * x - 1)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * deriv * deriv))
-        return tuple(nodes), tuple(weights)
-
-
-def _integral_mp(n: int, m: int, levels: int, dps: int) -> mpf:
-    base_nodes, base_weights = _legendre_nodes_mp(m, dps)
-    with mp.workdps(dps):
-        ratio = mpf(1) / _GRADING_RATIO
-        breaks = [mpf(0)] + [ratio ** j for j in range(levels - 1, -1, -1)]
-        axis = []
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            half = (hi - lo) / 2
-            for x, w in zip(base_nodes, base_weights):
-                axis.append((half * (x + 1) + lo, half * w))
-        rows = []
-        for a, wa in axis:
-            one_minus_s2 = a * (2 - a)
-            rows.append(
-                (one_minus_s2, (1 - a) ** 2, 4 * (1 - a) ** (2 * n) * one_minus_s2**n * wa)
-            )
-        cols = [((1 - b * b) ** n * b ** (2 * n) * wb, b * b) for b, wb in axis]
-        total = mpf(0)
-        for one_minus_s2, s_sq, row_factor in rows:
-            inner = mpf(0)
-            for col_factor, b_sq in cols:
-                inner += col_factor / (one_minus_s2 + s_sq * b_sq) ** (n + 1)
-            total += row_factor * inner
-        return +total
-
 
 def beukers_integral(n: int, digits: int) -> mpf:
     """The double integral over the unit square representing the linear forms:
 
         I_n = int int x^(n-1/2) (1-x)^n y^n (1-y)^(n-1/2) / (1-xy)^(n+1) dx dy.
 
-    Substituting x = s^2, y = 1 - w^2 (Jacobian 4sw) removes both endpoint
-    singularities; the integrable corner left at (x, y) = (1, 1) is handled
-    by tensor Gauss-Legendre over panels graded geometrically toward it.
-    Node counts double until two successive values agree to 10^-(digits+2).
+    Euler's integral (DLMF 15.6.1) does the y-integral in closed form,
+    B(n+1, n+1/2) 2F1(n+1, n+1; 2n+3/2; x), and Euler's transformation
+    (DLMF 15.8.1) rewrites that 2F1 as (1-x)^(-1/2) 2F1(a, a; c; x) with
+    a = n+1/2, c = 2n+3/2, finite at x = 1.  With x = sin^2(theta) both
+    endpoint singularities go, leaving one smooth integral:
+
+        I_n = 2 B(n+1, n+1/2) 4^(-n) int_0^(pi/2) f(theta) dtheta,
+        f(theta) = (4x(1-x))^n 2F1(a, a; c; x).
+
+    f has one peak, of width about 1/sqrt(n), near sin^2(theta) = 1/phi
+    (phi the golden ratio): there x = y = 1/phi maximises
+    x(1-x)y(1-y)/(1-xy), at phi^-5, the decay rate of the linear forms.
+    The height of f moves exponentially with n (about 10^30 at n = 200),
+    but mpmath's stop test and error estimate are absolute, and the estimate
+    is capped at 1.  So f is divided by its value at that point, which keeps
+    the integrand of order one and the estimate meaningful, and the interval
+    is split there so that the nodes cluster on the peak.  The result is a
+    quadrature estimate: QuadratureError is raised when mpmath's error
+    estimate exceeds 10^-(digits+2), but that estimate is not a proved bound.
 
     Relation to the sequence pairs: I_n = 8 (-1)^n (u_n G - v_n), i.e. the
     linear form is (-1)^n/8 times I_n.  The factor 1/4 sometimes printed in
@@ -275,35 +196,30 @@ def beukers_integral(n: int, digits: int) -> mpf:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if not 1 <= digits <= 15:
-        raise ValueError("digits must lie in 1..15 (desk-scale quadrature)")
-    if digits <= 12:
-        tolerance = 10.0 ** (-(digits + 2))
-        previous = None
-        for m in _FLOAT_NODE_COUNTS:
-            if m * _FLOAT_LEVELS > _MAX_NODES_PER_AXIS:
-                break
-            value = _integral_float(n, m, _FLOAT_LEVELS)
-            if previous is not None and abs(value - previous) < tolerance:
-                return to_mpf(Fraction(value), digits + 15)
-            previous = value
-        raise QuadratureError(
-            f"quadrature did not reach {digits} digits within the node cap"
+    if not 1 <= digits <= 50:
+        raise ValueError("digits must lie in 1..50")
+    with mp.workdps(digits + 10):
+        a = n + mpf(1) / 2
+        c = 2 * n + mpf(3) / 2
+
+        def f(theta):
+            x = mp.sin(theta) ** 2
+            return (4 * x * (1 - x)) ** n * mp.hyp2f1(a, a, c, x)
+
+        crest = mp.asin(mp.sqrt(1 / mp.phi))
+        peak = f(crest)
+        value, err = mp.quad(
+            lambda theta: f(theta) / peak,
+            [0, crest, mp.pi / 2],
+            method="gauss-legendre",
+            error=True,
         )
-    dps = digits + 10
-    with mp.workdps(dps):
-        tolerance_mp = mpf(10) ** (-(digits + 2))
-        previous_mp = None
-        for m in _MP_NODE_COUNTS:
-            if m * _MP_LEVELS > _MAX_NODES_PER_AXIS:
-                break
-            value_mp = _integral_mp(n, m, _MP_LEVELS, dps)
-            if previous_mp is not None and abs(value_mp - previous_mp) < tolerance_mp:
-                return +value_mp
-            previous_mp = value_mp
-    raise QuadratureError(
-        f"quadrature did not reach {digits} digits within the node cap"
-    )
+        if err > mpf(10) ** (-(digits + 2)):
+            raise QuadratureError(
+                f"quadrature did not reach {digits} digits "
+                f"(error estimate {mp.nstr(err, 3)})"
+            )
+        return +(2 * mp.beta(n + 1, a) * peak * value / 4**n)
 
 
 # -- the derivative series for the zeta4 family ----------------------------------

@@ -167,8 +167,11 @@ def _cmd_digits(args) -> CommandResult:
 def _cmd_integral(args) -> CommandResult:
     value = analytic.beukers_integral(args.n, args.digits)
     item = sequences.pair("catalan", args.n)
-    with mp.workdps(args.digits + 15):
-        reference = analytic.reference_catalan(args.digits + 10)
+    # u_n G - v_n cancels about 2 log10(u_n) digits; carry them as guard digits
+    magnitude = max(sequences._decimal_magnitude(item.u), 1.0)
+    working = args.digits + 15 + int(2.2 * magnitude)
+    with mp.workdps(working):
+        reference = analytic.reference_catalan(working - 10)
         form = (
             mp.mpf(item.u.numerator) / item.u.denominator * reference
             - mp.mpf(item.v.numerator) / item.v.denominator
@@ -177,7 +180,7 @@ def _cmd_integral(args) -> CommandResult:
         residual_eighth = abs(sign * value / 8 - form)
         residual_quarter = abs(sign * value / 4 - form)
         tolerance = mp.mpf(10) ** (-(args.digits - 1))
-        ok = residual_eighth < tolerance
+        ok = residual_eighth < tolerance * abs(form)
     record = {
         "n": args.n,
         "digits": args.digits,

@@ -10,4 +10,4 @@ class PrecisionError(ArithmeticError):
 
 
 class QuadratureError(PrecisionError):
-    """Raised when quadrature refinement hits its node cap before converging."""
+    """Raised when a quadrature's error estimate misses the requested accuracy."""

@@ -163,12 +163,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -548,12 +542,6 @@ class TruncatedSeries:
         self._check_compatible(other)
         return TruncatedSeries(
             self.center, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.center, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __mul__(self, other) -> "TruncatedSeries":

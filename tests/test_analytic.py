@@ -186,18 +186,22 @@ class TestIntegral:
                 sign = 1 if n % 2 == 0 else -1
                 assert abs(sign * integral - kernel_sum) < mp.mpf(10) ** -7
 
-    def test_mp_path_smoke(self):
-        # the high-precision evaluator agrees with the float path on a small grid
-        from aperylike.analytic import _integral_float, _integral_mp
-
-        coarse_float = _integral_float(2, 8, 12)
-        coarse_mp = _integral_mp(2, 8, 12, 30)
-        with mp.workdps(30):
-            assert abs(coarse_mp - coarse_float) < mp.mpf(10) ** -12
+    @pytest.mark.parametrize(
+        "n, digits", [(0, 13), (5, 30), (60, 15), (200, 15), (300, 15)]
+    )
+    def test_matches_exact_linear_form(self, n, digits):
+        # reference 8 (-1)^n (u_n G - v_n) with guard digits for the
+        # ~2.1 n digits that the linear form cancels
+        value = beukers_integral(n, digits)
+        item = catalan_pair(n)
+        with mp.workdps(int(digits + 2.1 * n + 20)):
+            form = mpf_frac(item.u) * mp.catalan - mpf_frac(item.v)
+            exact = 8 * (-1) ** n * form
+            assert abs(value - exact) < mp.mpf(10) ** -digits * abs(exact)
 
     def test_digit_cap_enforced(self):
         with pytest.raises(ValueError):
-            beukers_integral(0, 16)
+            beukers_integral(0, 51)
         with pytest.raises(ValueError):
             beukers_integral(-1, 8)
 

@@ -1,9 +1,15 @@
 """Command-line interface: payloads, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from aperylike.cli import EXIT_CODES, run
 from aperylike.exact import parse_rational
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_lines(capsys, argv):
@@ -127,6 +133,25 @@ class TestIntegral:
         assert result.status == "ok"
         assert float(record["residual_eighth"]) < 1e-7
         assert float(record["residual_quarter"]) > 1e-3
+
+    def test_check_survives_cancellation(self, capsys):
+        # u_20 G - v_20 cancels about 42 digits, more than digits + 15, so
+        # the linear form must be computed with guard digits to be nonzero
+        result, lines = run_lines(capsys, ["integral", "--n", "20", "--digits", "10"])
+        record = json.loads(lines[0])
+        assert result.status == "ok"
+        assert float(record["linear_form"]) != 0.0
+
+
+class TestImports:
+    def test_cli_does_not_import_numpy(self):
+        code = "import sys, aperylike.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestSeries:
