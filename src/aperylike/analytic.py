@@ -23,7 +23,14 @@ from mpmath import mp, mpf
 from .acceleration import alternating_sum, terms_for_digits
 from .errors import PrecisionError, QuadratureError
 from .exact import Polynomial, decimal_string, horner_int, integer_coefficients, to_mpf
-from .sequences import FAMILIES, RECURRENCES, _values, recurrence_coefficients
+from .sequences import (
+    FAMILIES,
+    RECURRENCES,
+    _consecutive_values,
+    _step,
+    _values,  # noqa: F401  (clibench/tracer.py rebinds analytic._values)
+    recurrence_coefficients,
+)
 
 #: Decimal digits gained per recurrence step by the convergents v_n/u_n.
 DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
@@ -112,14 +119,16 @@ def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
         raise ValueError("digits must be positive")
     n = math.ceil(digits / DIGITS_PER_STEP[family]) + 5
     threshold = Fraction(1, 10 ** (digits + 1))
+    # one product tree gives both pairs; a longer run extends them step by step
+    current, following = _consecutive_values(family, n + 1)
     while True:
-        u_n, v_n = _values(family, n)
-        u_next, v_next = _values(family, n + 1)
+        (u_n, v_n), (u_next, v_next) = current, following
         ratio = v_n / u_n
         bound = 10 * abs(ratio - v_next / u_next)
         if bound < threshold:
             break
         n += 1
+        current, following = following, _step(family, n, current, following)
     return DigitsResult(
         constant=family,
         digits=digits,

@@ -196,8 +196,12 @@ def _cmd_integral(args) -> CommandResult:
 def _cmd_series(args) -> CommandResult:
     value = analytic.zeta4_series(args.n, args.digits)
     item = sequences.pair("zeta4", args.n)
-    with mp.workdps(args.digits + 15):
-        reference = analytic.reference_zeta4(args.digits + 10)
+    # u_n zeta(4) - v_n cancels about 2 log10(u_n) digits; carry them as guard
+    # digits.  The test stays absolute, as zeta4_series' own tolerance is.
+    magnitude = max(sequences._decimal_magnitude(item.u), 1.0)
+    working = args.digits + 15 + int(2.2 * magnitude)
+    with mp.workdps(working):
+        reference = analytic.reference_zeta4(working - 10)
         form = (
             mp.mpf(item.u.numerator) / item.u.denominator * reference
             - mp.mpf(item.v.numerator) / item.v.denominator

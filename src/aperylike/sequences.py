@@ -19,9 +19,12 @@ whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
 back(n) and its initial pairs; stepping, the residual check, the telescoping
 certificate's weights and the continued fractions all read it.  Everything is
-generated bottom-up in exact rational arithmetic and memoized; the
-integrality checks multiply by the documented clearing factors and test
-for an integer exactly.
+exact rational arithmetic.  A memo grows one recurrence step at a time, so
+walking n upwards (range, check) streams; a deep index past the memo's end is
+reached instead by multiplying the 2x2 step matrices in a product tree
+(binary splitting) and dividing once, and is not stored.  The integrality
+checks multiply by the documented clearing factors and test for an integer
+exactly.
 """
 
 from __future__ import annotations
@@ -156,29 +159,94 @@ def recurrence_coefficients(family: str, k: int) -> tuple[Fraction, Fraction, Fr
 
 # -- exact generation ---------------------------------------------------------
 
+#: (u_n, v_n) at one index n
+_Pair = tuple[Fraction, Fraction]
+
 _cache_lock = threading.Lock()
-_pairs: dict[str, list[tuple[Fraction, Fraction]]] = {
+_pairs: dict[str, list[_Pair]] = {
     family: list(rec.initial) for family, rec in RECURRENCES.items()
 }
 
 
-def _values(family: str, n: int) -> tuple[Fraction, Fraction]:
+def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
+    """The exact pair at k+1 from the pairs at k-1 and k (k >= 1)."""
+    lead, mid, back = recurrence_coefficients(family, k)
+    assert lead != 0  # catalan_p has negative discriminant
+    (u_prev, v_prev), (u_cur, v_cur) = previous, current
+    return (mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead
+
+
+def _matrix_product(
+    family: str, lo: int, hi: int
+) -> tuple[tuple[int, int, int, int], int]:
+    """M_{hi-1} ... M_lo and lead_lo ... lead_{hi-1}, multiplied in a balanced
+    tree (lo < hi).
+
+    M_k = [[mid_k, back_k], [lead_k, 0]] maps (x_k, x_{k-1}) to
+    lead_k (x_{k+1}, x_k); the coefficients are scaled to integers by the lcm
+    of their denominators, which leaves the recurrence unchanged.
+    """
+    if hi - lo == 1:
+        coefficients = recurrence_coefficients(family, lo)
+        scale = math.lcm(*(c.denominator for c in coefficients))
+        lead, mid, back = (c.numerator * (scale // c.denominator) for c in coefficients)
+        return (mid, back, lead, 0), lead
+    half = (lo + hi) // 2
+    (a, b, c, d), upper = _matrix_product(family, half, hi)
+    (e, f, g, h), lower = _matrix_product(family, lo, half)
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), upper * lower
+
+
+def _consecutive_values(family: str, n: int) -> tuple[_Pair, _Pair]:
+    """The exact pairs at n-1 and n (n >= 1), leaving the memo as it is.
+
+    They are read from the memo when it reaches n.  Otherwise one product
+    tree (binary splitting, Haible & Papanikolaou 1998) carries the memo's
+    last two pairs, at m-1 and m, to n-1 and n, with a single division by
+    lead_m ... lead_{n-1} at the end.
+    """
+    if n < 1:
+        raise ValueError("consecutive pairs need n >= 1")
+    table = _pairs[family]
+    m = len(table) - 1
+    if n <= m:
+        return table[n - 1], table[n]
+    (a, b, c, d), divisor = _matrix_product(family, m, n)
+
+    def carry(x_prev: Fraction, x_cur: Fraction) -> tuple[Fraction, Fraction]:
+        common = math.lcm(x_prev.denominator, x_cur.denominator)
+        p = x_cur.numerator * (common // x_cur.denominator)
+        q = x_prev.numerator * (common // x_prev.denominator)
+        return (
+            Fraction(c * p + d * q, divisor * common),
+            Fraction(a * p + b * q, divisor * common),
+        )
+
+    (u_prev, v_prev), (u_cur, v_cur) = table[m - 1], table[m]
+    u_before, u_at = carry(u_prev, u_cur)
+    v_before, v_at = carry(v_prev, v_cur)
+    return (u_before, v_before), (u_at, v_at)
+
+
+def _values(family: str, n: int) -> _Pair:
+    """The exact pair (u_n, v_n).
+
+    Indices in the memo are looked up; the index just past its end is one
+    exact step, which is appended, so that walking n upwards streams; an
+    index further on is jumped to by a product tree and is not stored.
+    """
     _check_family(family)
     if n < 0:
         raise ValueError("sequence index must be nonnegative")
     table = _pairs[family]
     if n < len(table):
         return table[n]
+    if n > len(table):
+        return _consecutive_values(family, n)[1]
     with _cache_lock:
-        while len(table) <= n:
-            k = len(table) - 1
-            lead, mid, back = recurrence_coefficients(family, k)
-            assert lead != 0  # catalan_p has negative discriminant
-            (u_prev, v_prev), (u_cur, v_cur) = table[k - 1], table[k]
-            table.append(
-                ((mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead)
-            )
-        return table[n]
+        if len(table) == n:
+            table.append(_step(family, n - 1, table[n - 2], table[n - 1]))
+    return table[n]
 
 
 def catalan_pair(n: int) -> SequencePair:

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from aperylike.sequences import RECURRENCES, recurrence_coefficients
+
 
 def mpf_frac(q: Fraction | int, dps: int | None = None) -> mpf:
     """Convert an exact rational to mpf at the current (or given) precision."""
@@ -13,6 +15,26 @@ def mpf_frac(q: Fraction | int, dps: int | None = None) -> mpf:
         return mpf(q.numerator) / mpf(q.denominator)
     with mp.workdps(dps):
         return mpf(q.numerator) / mpf(q.denominator)
+
+
+_stepped: dict[str, list[tuple[Fraction, Fraction]]] = {}
+
+
+def stepped_pairs(family: str, n_max: int) -> list[tuple[Fraction, Fraction]]:
+    """(u_k, v_k) for k = 0..n_max by one exact Fraction step at a time.
+
+    The reference for the package's memo and product tree: it reads only the
+    initial pairs and the coefficients, never the package's stored pairs.
+    """
+    rows = _stepped.setdefault(family, list(RECURRENCES[family].initial))
+    while len(rows) <= n_max:
+        k = len(rows) - 1
+        lead, mid, back = recurrence_coefficients(family, k)
+        (u_prev, v_prev), (u_cur, v_cur) = rows[k - 1], rows[k]
+        rows.append(
+            ((mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead)
+        )
+    return rows[: n_max + 1]
 
 
 @pytest.fixture(scope="session")

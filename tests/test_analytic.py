@@ -1,11 +1,13 @@
 """Reference constants, digit extraction, continued fractions, integral, series."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from aperylike.analytic import (
+    DIGITS_PER_STEP,
     beukers_integral,
     catalan_digits,
     cf_convergent,
@@ -17,7 +19,8 @@ from aperylike.analytic import (
 )
 from aperylike.errors import PrecisionError
 from aperylike.sequences import catalan_pair, pair, zeta4_pair
-from tests.conftest import mpf_frac
+from aperylike.exact import decimal_string, to_mpf
+from tests.conftest import mpf_frac, stepped_pairs
 
 
 class TestReferenceConstants:
@@ -104,6 +107,42 @@ class TestDigits:
     def test_rejects_nonpositive_digits(self):
         with pytest.raises(ValueError):
             catalan_digits(0)
+
+
+def digits_by_stepping(family, digits):
+    """(value, n_used, error_bound) of the digit extraction, from stepped pairs."""
+    n = math.ceil(digits / DIGITS_PER_STEP[family]) + 5
+    threshold = Fraction(1, 10 ** (digits + 1))
+    while True:
+        rows = stepped_pairs(family, n + 1)
+        ratio = rows[n][1] / rows[n][0]
+        bound = 10 * abs(ratio - rows[n + 1][1] / rows[n + 1][0])
+        if bound < threshold:
+            return decimal_string(ratio, digits), n, to_mpf(bound, 10)
+        n += 1
+
+
+class TestDigitsMatchStepping:
+    @pytest.mark.parametrize("digits", [50, 500, 4000])
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_same_result_as_stepping(self, family, digits):
+        extract = catalan_digits if family == "catalan" else zeta4_digits
+        result = extract(digits)
+        assert (result.value, result.n_used, result.error_bound) == digits_by_stepping(
+            family, digits
+        )
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_steps_on_from_an_early_start(self, family, monkeypatch):
+        # an overstated rate starts the search too early, so the bound loop
+        # has to extend n by single steps past the product tree's pairs
+        monkeypatch.setitem(DIGITS_PER_STEP, family, 60.0)
+        extract = catalan_digits if family == "catalan" else zeta4_digits
+        result = extract(300)
+        assert result.n_used > math.ceil(300 / 60.0) + 5 + 10
+        assert (result.value, result.n_used, result.error_bound) == digits_by_stepping(
+            family, 300
+        )
 
 
 class TestContinuedFractions:

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mpmath import mp, mpf
+
 from aperylike.cli import EXIT_CODES, run
 from aperylike.exact import parse_rational
+from tests.conftest import mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -162,6 +165,21 @@ class TestSeries:
         record = json.loads(lines[0])
         assert result.status == "ok"
         assert float(record["residual"]) < 1e-5
+
+    def test_linear_form_resolved_past_the_cancellation(self, capsys, zeta4_200):
+        # u_12 zeta(4) - v_12 is about 8e-16 while u_12 is about 1e14, so the
+        # form cancels about 30 digits; without guard digits it printed 0.0
+        result, lines = run_lines(
+            capsys, ["series", "--constant", "zeta4", "--n", "12", "--digits", "8"]
+        )
+        record = json.loads(lines[0])
+        assert result.status == "ok"
+        from aperylike.sequences import zeta4_pair
+
+        item = zeta4_pair(12)
+        with mp.workdps(200):
+            expected = mpf_frac(item.u) * zeta4_200 - mpf_frac(item.v)
+            assert abs(mpf(record["linear_form"]) / expected - 1) < mpf(10) ** -8
 
 
 class TestAsymptotics:

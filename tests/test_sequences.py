@@ -1,5 +1,8 @@
 """Recurrence families: exact generation, integrality, measured rates."""
 
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,9 @@ from mpmath import mp
 
 from aperylike import sequences
 from aperylike.sequences import (
+    RECURRENCES,
+    _consecutive_values,
+    _values,
     asymptotic_report,
     catalan_p,
     catalan_pair,
@@ -17,7 +23,14 @@ from aperylike.sequences import (
     zeta4_pair,
     zeta4_r,
 )
-from tests.conftest import mpf_frac
+from tests.conftest import mpf_frac, stepped_pairs
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """Give both families a memo holding only their initial pairs."""
+    for family, rec in RECURRENCES.items():
+        monkeypatch.setitem(sequences._pairs, family, list(rec.initial))
 
 
 class TestCoefficientPolynomials:
@@ -124,6 +137,112 @@ class TestPairs:
                 item = catalan_pair(n)
                 signs.append(1 if mpf_frac(item.v / item.u) - catalan_200 > 0 else -1)
         assert all(a == -b for a, b in zip(signs, signs[1:]))
+
+
+class TestProductTree:
+    INDICES = (2, 3, 10, 1000)
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_equals_stepping_from_a_cold_memo(self, family, cold_memo):
+        reference = stepped_pairs(family, max(self.INDICES))
+        for n in self.INDICES:
+            assert _consecutive_values(family, n) == (reference[n - 1], reference[n])
+            assert _values(family, n) == reference[n]
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_equals_stepping_from_a_partly_filled_memo(self, family, cold_memo):
+        reference = stepped_pairs(family, max(self.INDICES))
+        for n in range(7):
+            _values(family, n)
+        assert len(sequences._pairs[family]) == 7
+        for n in self.INDICES:
+            assert _consecutive_values(family, n) == (reference[n - 1], reference[n])
+            assert _values(family, n) == reference[n]
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_deep_index_is_not_stored(self, family, cold_memo):
+        for n in range(5):
+            _values(family, n)
+        _values(family, 400)
+        _consecutive_values(family, 401)
+        assert len(sequences._pairs[family]) == 5
+        # the index just past the end is still one step, and is stored
+        _values(family, 5)
+        assert len(sequences._pairs[family]) == 6
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_residual_from_three_trees(self, family, cold_memo):
+        assert recurrence_residual(family, 1500) == (0, 0)
+        assert len(sequences._pairs[family]) == 2
+
+    def test_threads_streaming_and_jumping_keep_the_memo_exact(self, cold_memo):
+        # each thread walks n upwards (appending) and jumps ahead (storing
+        # nothing); a step appended twice would shift every later entry
+        reference = stepped_pairs("zeta4", 400)
+        errors = []
+
+        def worker(offset):
+            try:
+                for n in range(200):
+                    assert _values("zeta4", n) == reference[n]
+                    if n % 25 == offset:
+                        ahead = n + 150 + offset
+                        assert _values("zeta4", ahead) == reference[ahead]
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sequences._pairs["zeta4"] == reference[:200]
+
+    def test_rejects_index_below_one(self):
+        with pytest.raises(ValueError):
+            _consecutive_values("catalan", 0)
+
+
+def casoratian(family, n):
+    """u_n v_{n+1} - u_{n+1} v_n."""
+    (u_n, v_n), (u_next, v_next) = _consecutive_values(family, n + 1)
+    return u_n * v_next - u_next * v_n
+
+
+class TestCasoratian:
+    # Closed forms of W_n = u_n v_{n+1} - u_{n+1} v_n: the recurrence gives
+    # W_n = -(back_n / lead_n) W_{n-1}, and the product telescopes.
+
+    @staticmethod
+    def catalan_closed_form(n):
+        return Fraction(
+            (-1) ** n * catalan_p(n + 1), 2 * (2 * n + 1) ** 2 * (2 * n + 2) ** 2
+        )
+
+    @staticmethod
+    def zeta4_closed_form(n):
+        product = math.prod(
+            Fraction(3 * k**3 * (9 * k**2 - 1), (k + 1) ** 5) for k in range(1, n + 1)
+        )
+        return 13 * (-1) ** n * product
+
+    def test_catalan_below_forty(self):
+        for n in range(40):
+            assert casoratian("catalan", n) == self.catalan_closed_form(n)
+
+    def test_catalan_at_1500(self, cold_memo):
+        assert casoratian("catalan", 1500) == self.catalan_closed_form(1500)
+
+    def test_zeta4_below_sixty(self):
+        for n in range(60):
+            assert casoratian("zeta4", n) == self.zeta4_closed_form(n)
 
 
 class TestInclusions:
