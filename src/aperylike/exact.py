@@ -9,8 +9,12 @@ Representations:
 * a rational function is a reduced pair num/den with monic denominator;
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j.
 
-Taylor recentering has one routine, ``_taylor_coefficients`` (synthetic
-division), behind both ``Polynomial.shift`` and ``TruncatedSeries.from_polynomial``.
+Polynomial products, Taylor shifts and divisions run over the integers, each
+operand scaled by one common denominator (``integer_coefficients``), and form
+one reduced Fraction per output coefficient.  Taylor recentering has one
+routine, ``_taylor_coefficients`` (synthetic division), behind ``Polynomial.shift``
+and ``TruncatedSeries.from_polynomial``; division has one, the integer
+pseudo-division ``_pseudo_division``, behind ``divmod`` and ``poly_gcd``.
 
 Everything in this module is exact; nothing rounds.  The only floating-point
 code is the small group of helpers at the bottom that convert exact rationals
@@ -66,6 +70,13 @@ class Polynomial:
         while values and values[-1] == 0:
             values.pop()
         object.__setattr__(self, "coeffs", tuple(values))
+
+    @classmethod
+    def _trusted(cls, values: list[Fraction]) -> "Polynomial":
+        """Trusted constructor: Fractions with a nonzero last entry, or none."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coeffs", tuple(values))
+        return obj
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -173,13 +184,15 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        [a], scale_a = integer_coefficients(self, with_scale=True)
+        [b], scale_b = integer_coefficients(other, with_scale=True)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        scale = scale_a * scale_b
+        return Polynomial._trusted([Fraction(c, scale) for c in out])
 
     __rmul__ = __mul__
 
@@ -200,19 +213,19 @@ class Polynomial:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading_coefficient
-        while len(rem) - 1 >= d and rem:
-            q = rem[-1] / lead
-            k = len(rem) - 1 - d
-            quotient[k] = q
-            for i in range(d + 1):
-                rem[i + k] -= q * other.coeffs[i]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(quotient), Polynomial(rem)
+        # self = a / scale_a, other = b / scale_b; step s of the pseudo-division
+        # puts c lead^(e-1-s) at t^k of q, so the quotient has c scale_b /
+        # (lead^(s+1) scale_a) there, and the remainder is r / (lead^e scale_a).
+        [a], scale_a = integer_coefficients(self, with_scale=True)
+        [b], scale_b = integer_coefficients(other, with_scale=True)
+        terms, r = _pseudo_division(a, b)
+        quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+        den = scale_a
+        for k, c in terms:
+            den *= b[-1]
+            quotient[k] = Fraction(c * scale_b, den)
+        remainder = [Fraction(c, den) for c in r]
+        return Polynomial._trusted(quotient), Polynomial._trusted(remainder)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, self._coerce(other))[0]
@@ -249,7 +262,7 @@ class Polynomial:
         a = as_fraction(offset)
         if a == 0 or not self.coeffs:
             return self
-        return Polynomial(_taylor_coefficients(self.coeffs, a, len(self.coeffs)))
+        return Polynomial._trusted(_taylor_coefficients(self, a, len(self.coeffs)))
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -261,39 +274,36 @@ class Polynomial:
 
 
 def _taylor_coefficients(
-    coeffs: Sequence[Fraction], center: Fraction, order: int
+    poly: Polynomial, center: Fraction, order: int
 ) -> list[Fraction]:
-    """The first `order` Taylor coefficients at `center` of the polynomial with
-    ascending coefficients `coeffs`, i.e. the coefficients of (t - center)^j."""
-    # Repeated synthetic division by (t - center): each pass peels off the
-    # next Taylor coefficient in O(degree) work, so a jet of `order` terms
-    # costs O(order * degree) and a full recentering O(degree^2).
-    work = list(coeffs)
-    out: list[Fraction] = []
-    for _ in range(order):
-        if not work:
-            out.append(Fraction(0))
-            continue
-        acc = work[-1]
-        quotient = [Fraction(0)] * (len(work) - 1)
-        for i in range(len(work) - 2, -1, -1):
-            quotient[i] = acc
-            acc = acc * center + work[i]
-        out.append(acc)
-        work = quotient
-    return out
+    """The first `order` Taylor coefficients of `poly` at `center`, i.e. the
+    coefficients of (t - center)^j for j < order."""
+    # poly = sum_i F_i t^i / L and center = p/q.  G_i = F_i q^(d-i) are the
+    # integer coefficients of g(x) = L q^d poly(x/q), and g(p + y) = sum H_j y^j
+    # with y = q (t - center), so coefficient j is H_j / (L q^(d-j)).  Each
+    # pass of synthetic division by (x - p) fixes the next H_j in O(d) integer
+    # steps: a jet of `order` terms costs O(order d), a recentering O(d^2).
+    [f], scale = integer_coefficients(poly, with_scale=True)
+    d = len(f) - 1
+    p, q = center.numerator, center.denominator
+    g = [c * q ** (d - i) for i, c in enumerate(f)]
+    for j in range(min(order, d)):
+        for i in range(d - 1, j - 1, -1):
+            g[i] += p * g[i + 1]
+    out = [Fraction(g[j], scale * q ** (d - j)) for j in range(min(order, d + 1))]
+    return out + [Fraction(0)] * (order - len(out))
 
 
-def integer_coefficients(*polys: Polynomial) -> list[list[int]]:
+def integer_coefficients(*polys: Polynomial, with_scale: bool = False):
     """Coefficients of all the polynomials times one common integer, the lcm of
-    their denominators; ratios between them are kept, and zero gives []."""
+    their denominators; ratios between them are kept, and zero gives [].
+    With ``with_scale`` the pair (lists, scale) is returned instead."""
     scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [
-        [c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys
-    ]
+    lists = [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
+    return (lists, scale) if with_scale else lists
 
 
-# -- gcd over the rationals (primitive PRS over the integers) ----------------
+# -- division and gcd over the integers (pseudo-division, primitive PRS) -----
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -305,24 +315,32 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over the integers (lists low -> high)."""
+def _pseudo_division(
+    a: list[int], b: list[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Pseudo-division of a by b != 0 over the integers (lists low -> high;
+    Knuth, TAOCP vol. 2, 4.6.1).  Step s multiplies the running remainder by
+    lead = b[-1] and removes its leading term c_s t^k_s b.  Returns the (k_s, c_s)
+    and r, where lead^e a = sum_s c_s lead^(e-1-s) t^k_s b + r after e steps."""
     r = list(a)
     db = len(b) - 1
     lead = b[-1]
+    terms = []
     while len(r) - 1 >= db and r:
         k = len(r) - 1 - db
-        q = r[-1]
-        r = [lead * c for c in r]
-        for i in range(db + 1):
-            r[i + k] -= q * b[i]
+        c = r.pop()
+        terms.append((k, c))
+        r = [lead * x for x in r]
+        for i in range(db):
+            r[i + k] -= c * b[i]
         while r and r[-1] == 0:
             r.pop()
-    return r
+    return terms, r
 
 
-def horner_int(coeffs: Sequence[int], t: int) -> int:
-    """Evaluate an integer-coefficient polynomial (ascending list) at integer t."""
+def horner_int(coeffs: Sequence[int], t: RationalLike) -> RationalLike:
+    """Evaluate an integer-coefficient polynomial (ascending list) at t: in
+    ``int`` for integer t, in ``Fraction`` for rational t."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
@@ -339,7 +357,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_remainder(a, b)
+        r = _pseudo_division(a, b)[1]
         a, b = b, _primitive(r) if r else []
     return Polynomial(a).monic()
 
@@ -517,7 +535,7 @@ class TruncatedSeries:
         cls, poly: Polynomial, center: RationalLike, order: int
     ) -> "TruncatedSeries":
         c = as_fraction(center)
-        return cls(c, _taylor_coefficients(poly.coeffs, c, order))
+        return cls(c, _taylor_coefficients(poly, c, order))
 
     @classmethod
     def constant(cls, value: RationalLike, center: RationalLike, order: int):

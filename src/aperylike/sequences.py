@@ -38,7 +38,7 @@ from typing import Callable
 from mpmath import mp, mpf
 
 from .errors import PrecisionError
-from .exact import RationalLike, as_fraction, lcm_upto
+from .exact import RationalLike, as_fraction, horner_int, lcm_upto
 
 #: Integrality modes: "proved" uses the guaranteed clearing factors,
 #: "strong" the sharper experimentally observed ones.
@@ -94,16 +94,13 @@ class AsymptoticRates:
 
 def catalan_p(n: RationalLike) -> Fraction:
     """20 n^2 - 8 n + 1 (no real roots, so the recurrence never degenerates)."""
-    x = as_fraction(n)
-    return 20 * x * x - 8 * x + 1
+    return as_fraction(horner_int((1, -8, 20), n))
 
 
 def catalan_q(n: RationalLike) -> Fraction:
-    """The degree-6 middle coefficient of the catalan recurrence."""
-    x = as_fraction(n)
-    return (
-        3520 * x**6 + 5632 * x**5 + 2064 * x**4 - 384 * x**3 - 156 * x**2 + 16 * x + 7
-    )
+    """3520 n^6 + 5632 n^5 + 2064 n^4 - 384 n^3 - 156 n^2 + 16 n + 7, the middle
+    coefficient of the catalan recurrence."""
+    return as_fraction(horner_int((7, 16, -156, -384, 2064, 5632, 3520), n))
 
 
 def zeta4_r(n: RationalLike) -> Fraction:
@@ -112,8 +109,7 @@ def zeta4_r(n: RationalLike) -> Fraction:
     Equals the factored form 3 (2n+1)(3n^2+3n+1)(15n^2+15n+4); the identity is
     covered by tests.
     """
-    x = as_fraction(n)
-    return 270 * x**5 + 675 * x**4 + 702 * x**3 + 378 * x**2 + 105 * x + 12
+    return as_fraction(horner_int((12, 105, 378, 702, 675, 270), n))
 
 
 # -- the recurrence table -----------------------------------------------------

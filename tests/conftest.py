@@ -37,6 +37,52 @@ def stepped_pairs(family: str, n_max: int) -> list[tuple[Fraction, Fraction]]:
     return rows[: n_max + 1]
 
 
+# Plain Fraction-loop references for the exact core's integer kernels; they
+# read only the coefficient tuples, never the package's arithmetic.
+
+
+def naive_product(f: tuple, g: tuple) -> list[Fraction]:
+    """Coefficients of f * g by the schoolbook convolution in Fraction."""
+    if not f or not g:
+        return []
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def naive_divmod(f: tuple, g: tuple) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by g != 0 by long division in Fraction."""
+    quotient = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    rem = list(f)
+    while rem and len(rem) >= len(g):
+        k = len(rem) - len(g)
+        q = rem[-1] / g[-1]
+        quotient[k] = q
+        for i, b in enumerate(g):
+            rem[i + k] -= q * b
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quotient, rem
+
+
+def naive_taylor(f: tuple, center: Fraction, order: int) -> list[Fraction]:
+    """The first `order` coefficients of (t - center)^j in f, by repeated
+    Horner evaluation of the quotients in Fraction."""
+    work = list(f)
+    out = []
+    for _ in range(order):
+        acc = Fraction(0)
+        quotient = []
+        for c in reversed(work):
+            quotient.append(acc)
+            acc = acc * center + c
+        out.append(acc)
+        work = quotient[:0:-1]
+    return out
+
+
 @pytest.fixture(scope="session")
 def catalan_200():
     """Catalan's constant at 200 digits from mpmath's own implementation.

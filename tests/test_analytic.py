@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_digits
 from aperylike.analytic import (
     DIGITS_PER_STEP,
     beukers_integral,
@@ -29,6 +30,18 @@ class TestReferenceConstants:
             value = reference_catalan(digits)
             with mp.workdps(digits + 20):
                 assert abs(value - catalan_200) < mp.mpf(10) ** -digits
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_catalan_within_chebyshev_bound(self, digits):
+        # the exact estimate that reference_catalan rounds, and its stated bound
+        count = terms_for_digits(digits, slack=10)
+        terms = [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
+        estimate = alternating_sum(terms)
+        assert reference_catalan(digits) == to_mpf(estimate, digits + 15)
+        with mp.workdps(digits + 40):
+            error = abs(mpf_frac(estimate) - mp.catalan)
+            assert error < mpf_frac(Fraction(1, chebyshev_scale(count)))
+        assert chebyshev_scale(count) > 10 ** (digits + 10)
 
     def test_catalan_first_digits(self):
         value = reference_catalan(10)

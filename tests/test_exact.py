@@ -20,6 +20,7 @@ from aperylike.exact import (
     series_expand,
     to_mpf,
 )
+from tests.conftest import naive_divmod, naive_product, naive_taylor
 
 
 def random_fraction(rng, span=30):
@@ -132,6 +133,102 @@ class TestPolynomial:
             [3],
         ]
         assert integer_coefficients(Polynomial()) == [[]]
+
+
+def mixed_fraction(rng):
+    """Numerator and denominator of either sign, denominators from 1 to 10^12."""
+    den = rng.choice([1, rng.randint(2, 40), rng.randint(10**6, 10**12)])
+    return Fraction(rng.randint(-(10**4), 10**4), rng.choice([-1, 1]) * den)
+
+
+def mixed_poly(rng, max_degree=9):
+    length = rng.randint(0, max_degree + 1)
+    return Polynomial([mixed_fraction(rng) for _ in range(length)])
+
+
+def kernel_operands():
+    """Seeded random polynomials with mixed and negative denominators, plus
+    the zero polynomial and constants."""
+    rng = random.Random(2024)
+    specials = [
+        Polynomial(),
+        Polynomial([Fraction(-4, 9)]),
+        Polynomial([7]),
+        Polynomial([0, 0, Fraction(3, -8)]),
+    ]
+    return specials + [mixed_poly(rng) for _ in range(24)]
+
+
+def assert_reduced(values):
+    """Every coefficient a reduced Fraction with a positive denominator."""
+    for c in values:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def assert_canonical(values):
+    assert_reduced(values)
+    assert not values or values[-1] != 0
+
+
+class TestIntegerKernels:
+    """The integer kernels against the plain Fraction loops in conftest."""
+
+    def test_product_matches_reference(self):
+        operands = kernel_operands()
+        for f in operands:
+            for g in operands[::3]:
+                product = f * g
+                assert list(product.coeffs) == naive_product(f.coeffs, g.coeffs)
+                assert_canonical(product.coeffs)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "remainder"])
+    def test_divmod_matches_reference(self, exact):
+        rng = random.Random(97 + exact)
+        divisors = [
+            Polynomial([Fraction(-4, 9)]),
+            Polynomial([Fraction(5, 2), Fraction(-7, 3)]),  # lead -7/3
+            Polynomial([1, Fraction(-1, 6), Fraction(9, 10**9 + 7)]),
+        ] + [mixed_poly(rng, 5) for _ in range(10)]
+        for g in divisors:
+            if g.is_zero:
+                continue
+            for f in kernel_operands()[::2]:
+                dividend = f * g
+                if not exact:
+                    dividend = dividend + mixed_poly(rng, max(g.degree - 1, 0))
+                quotient, remainder = divmod(dividend, g)
+                want_q, want_r = naive_divmod(dividend.coeffs, g.coeffs)
+                assert list(quotient.coeffs) == want_q
+                assert list(remainder.coeffs) == want_r
+                assert_canonical(quotient.coeffs)
+                assert_canonical(remainder.coeffs)
+                if exact:
+                    assert quotient == f and remainder.is_zero
+
+    @pytest.mark.parametrize(
+        "center",
+        [0, 1, Fraction(-7, 2), Fraction(5, 3), Fraction(-1, 3)],
+        ids=["0", "1", "-7over2", "5over3", "-1over3"],
+    )
+    def test_taylor_coefficients_match_reference(self, center):
+        center = Fraction(center)
+        for f in kernel_operands():
+            # orders below, at and above degree + 1
+            for order in {1, 2, f.degree, f.degree + 1, f.degree + 4} - {-1, 0}:
+                jet = TruncatedSeries.from_polynomial(f, center, order).coeffs
+                assert list(jet) == naive_taylor(f.coeffs, center, order)
+                assert_reduced(jet)
+            shifted = f.shift(center)
+            want = naive_taylor(f.coeffs, center, len(f.coeffs))
+            assert list(shifted.coeffs) == want
+            assert_canonical(shifted.coeffs)
+
+    def test_integer_coefficients_return_their_scale(self):
+        f = Polynomial([Fraction(1, 2), Fraction(-1, 3)])
+        g = Polynomial([Fraction(3, 4)])
+        assert integer_coefficients(f, g, with_scale=True) == ([[6, -4], [9]], 12)
+        assert integer_coefficients(Polynomial(), with_scale=True) == ([[]], 1)
 
 
 class TestRationalFunction:

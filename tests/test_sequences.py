@@ -51,6 +51,21 @@ class TestCoefficientPolynomials:
             factored = 3 * (2 * n + 1) * (3 * n**2 + 3 * n + 1) * (15 * n**2 + 15 * n + 4)
             assert zeta4_r(n) == factored
 
+    @pytest.mark.parametrize(
+        "n", [0, 7, -3, 1921, Fraction(1, 2), Fraction(-7, 3)], ids=str
+    )
+    def test_values_and_type_at_integer_and_rational_n(self, n):
+        x = Fraction(n)
+        expected = {
+            catalan_p: 20 * x**2 - 8 * x + 1,
+            catalan_q: 3520 * x**6 + 5632 * x**5 + 2064 * x**4 - 384 * x**3
+            - 156 * x**2 + 16 * x + 7,
+            zeta4_r: 270 * x**5 + 675 * x**4 + 702 * x**3 + 378 * x**2 + 105 * x + 12,
+        }
+        for coefficient, value in expected.items():
+            result = coefficient(n)
+            assert type(result) is Fraction and result == value
+
     def test_catalan_p_has_no_integer_roots(self):
         # negative discriminant: 64 - 80 < 0
         for n in range(-50, 51):
