@@ -13,8 +13,8 @@ Subpackages by responsibility:
   table, linear-form coefficients, numerical kernel sums;
 * :mod:`aperylike.certificate` - the telescoping certificate and its exact
   verification;
-* :mod:`aperylike.analytic` - reference constants, certified digits,
-  continued fractions, the double integral, the zeta4 derivative series;
+* :mod:`aperylike.analytic` - reference constants, certified digits, the
+  linear forms, continued fractions, the double integral, the zeta4 series;
 * :mod:`aperylike.cli` - the command-line front end.
 """
 
@@ -61,6 +61,7 @@ from .analytic import (
     beukers_integral,
     catalan_digits,
     cf_convergent,
+    linear_form,
     reference_catalan,
     reference_zeta4,
     zeta4_digits,
@@ -98,6 +99,7 @@ __all__ = [
     "coefficient_quadruple",
     "f_numeric",
     "lcm_upto",
+    "linear_form",
     "partial_fractions",
     "poly_gcd",
     "q_residues",

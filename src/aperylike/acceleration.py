@@ -1,27 +1,24 @@
 """Convergence acceleration for alternating series, in exact arithmetic.
 
 Implements the Chebyshev-polynomial acceleration scheme of Cohen, Rodriguez
-Villegas and Zagier for sums of the form sum_{k>=0} (-1)^k a_k.  When the a_k
-are moments of a positive measure on [0, 1] (true for every 1/(k+c)^m, hence
-for any linear combination of such terms) the estimate built from the first N
-terms converges geometrically, with error O((3 + sqrt 8)^{-N}) times the mass
-of the measure.
+Villegas and Zagier (2000) for sums sum_{k>=0} (-1)^k a_k.  When the a_k are
+the moments a_k = int_0^1 x^k dmu(x) of a signed measure mu on [0, 1], the
+estimate built from the first N terms is within ||mu|| / d_N of the sum,
+d_N = chebyshev_scale(N) ~ (3 + sqrt 8)^N / 2.  Every 1/(k+c)^m (c > 0) is
+such a moment sequence, of x^(c-1) (-log x)^(m-1) / (m-1)! dx, whose mass is
+c^-m; so a linear combination of them has a mass known exactly, and
+terms_for_bound turns that mass into the term count before any term is
+evaluated.
 
-The scheme is run entirely over exact rationals here: the Chebyshev scaling
-constant ((3+sqrt8)^N + (3-sqrt8)^N)/2 is an integer with a three-term
-recurrence, and the weight recursion is rational, so the output is an exact
-Fraction.  Callers round once at the end.
+The scheme is run entirely over exact rationals here: d_N is an integer with
+a three-term recurrence, and the weight recursion is rational, so the output
+is an exact Fraction.  Callers round once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
-
-from .errors import PrecisionError
-
-#: Decimal digits gained per extra term: log10(3 + sqrt 8) = 0.7656...
-DIGITS_PER_TERM = 0.7656
+from typing import Sequence
 
 
 def chebyshev_scale(n: int) -> int:
@@ -34,6 +31,21 @@ def chebyshev_scale(n: int) -> int:
     for _ in range(n - 1):
         prev, cur = cur, 6 * cur - prev
     return cur
+
+
+def terms_for_bound(mass: int | Fraction, digits: int) -> int:
+    """The smallest N with d_N > mass * 10^digits.
+
+    For moments of a measure of total variation at most `mass`, N terms then
+    bring alternating_sum within 10^-digits of the sum.
+    """
+    if mass < 0:
+        raise ValueError("mass must be nonnegative")
+    limit = mass * 10**digits
+    count, previous, current = 0, 3, 1  # d_{-1} = 3 continues the recurrence
+    while current <= limit:
+        count, previous, current = count + 1, current, 6 * current - previous
+    return count
 
 
 def alternating_sum(terms: Sequence[Fraction]) -> Fraction:
@@ -50,36 +62,3 @@ def alternating_sum(terms: Sequence[Fraction]) -> Fraction:
         s += c * terms[k]
         b = b * (2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
     return s / d
-
-
-def terms_for_digits(digits: int, slack: int = 8) -> int:
-    """Number of terms giving roughly `digits` correct decimal digits."""
-    return int((digits + slack) / DIGITS_PER_TERM) + 3
-
-
-def alternating_sum_adaptive(
-    term: Callable[[int], Fraction],
-    digits: int,
-    initial_terms: int | None = None,
-    max_terms: int = 200_000,
-) -> Fraction:
-    """Accelerated sum with term-count doubling until two runs agree.
-
-    Stops when two successive estimates differ by less than 10^-(digits+2)
-    and returns the latter; raises PrecisionError past `max_terms`.
-    """
-    tolerance = Fraction(1, 10 ** (digits + 2))
-    n = initial_terms if initial_terms is not None else terms_for_digits(digits)
-    cache = [term(k) for k in range(n)]
-    previous = alternating_sum(cache)
-    while True:
-        n *= 2
-        if n > max_terms:
-            raise PrecisionError(
-                f"alternating sum did not stabilize within {max_terms} terms"
-            )
-        cache.extend(term(k) for k in range(len(cache), n))
-        current = alternating_sum(cache)
-        if abs(current - previous) < tolerance:
-            return current
-        previous = current

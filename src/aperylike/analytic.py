@@ -1,5 +1,6 @@
 """Arbitrary-precision evaluation: reference constants, digit extraction from
-the recurrences, continued-fraction convergents, the double-integral
+the recurrences, the linear forms u_n C - v_n at a working precision fixed by
+a proved bound, continued-fraction convergents, the double-integral
 representation of the catalan linear forms, and the derivative series for the
 zeta4 family.
 
@@ -20,12 +21,13 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .acceleration import alternating_sum, terms_for_digits
+from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
 from .exact import Polynomial, decimal_string, horner_int, integer_coefficients, to_mpf
 from .sequences import (
     FAMILIES,
     RECURRENCES,
+    _check_family,
     _consecutive_values,
     _step,
     _values,  # noqa: F401  (clibench/tracer.py rebinds analytic._values)
@@ -41,9 +43,9 @@ class DigitsResult:
     """A certified decimal expansion of one of the two constants.
 
     `value` carries `digits` digits after the decimal point; `error_bound`
-    is ten times the distance between the last two convergents used, an
-    a posteriori bound on the approximation error that does not assume
-    knowledge of the constant.
+    is ten times the distance d_n between the last two convergents used.  It
+    is a proved upper bound on |C - v_n/u_n|, which the Casoratian argument
+    (see linear_form) puts below d_n itself, and it needs no knowledge of C.
     """
 
     constant: str
@@ -70,16 +72,16 @@ def reference_catalan(digits: int) -> mpf:
     """Catalan's constant G = sum (-1)^l / (2l+1)^2 to `digits` digits.
 
     Chebyshev acceleration of the defining series, run in exact rational
-    arithmetic over N = terms_for_digits(digits, slack=10) terms and rounded
-    once at working precision digits+15.  The terms 1/(2l+1)^2 are the moments
-    of (1/4) x^(-1/2) (-log x) dx on [0, 1], a positive measure of mass 1, so
-    the exact estimate is within G/d_N < 1/d_N of G, d_N = chebyshev_scale(N),
-    and d_N > 10^(digits+10) for digits up to 10^4.  Serves as the oracle that
-    is independent of the recurrence route.
+    arithmetic over N = terms_for_bound(1, digits+10) terms and rounded once
+    at working precision digits+15.  The terms 1/(2l+1)^2 are the moments of
+    (1/4) x^(-1/2) (-log x) dx on [0, 1], a positive measure of mass 1, so the
+    exact estimate is within G/d_N < 1/d_N < 10^-(digits+10) of G,
+    d_N = chebyshev_scale(N).  Serves as the oracle that is independent of the
+    recurrence route.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    count = terms_for_digits(digits, slack=10)
+    count = terms_for_bound(1, digits + 10)
     estimate = alternating_sum(
         [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
     )
@@ -140,6 +142,48 @@ def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
         n_used=n,
         error_bound=to_mpf(bound, 10),
     )
+
+
+def linear_form(family: str, n: int, digits: int) -> mpf:
+    """u_n C - v_n, with relative error below 10^-digits (C = G or zeta(4)).
+
+    Write r_k = v_k/u_k and d_k = |r_{k+1} - r_k|.  The Casoratian
+    W_k = u_k v_{k+1} - u_{k+1} v_k satisfies W_k = -(back_k/lead_k) W_{k-1},
+    so the gaps r_{k+1} - r_k = W_k/(u_k u_{k+1}) alternate in sign, and
+    u_{k+2} = (mid_k u_{k+1} + back_k u_k)/lead_k > (back_{k+1}/lead_{k+1}) u_k
+    makes them shrink.  Hence
+
+        d_n - d_{n+1} = |r_{n+2} - r_n| < |C - r_n| < d_n,
+
+    and u_n C - v_n = u_n (C - r_n) loses fewer than -log10|r_{n+2} - r_n|
+    digits to cancellation.  The working precision carries those digits plus
+    a guard, so it is fixed before the evaluation.  The pairs at n and n+1
+    come from one product tree and the pair at n+2 from one exact step.  At
+    n = 0 the form is C itself.
+    """
+    return _linear_form(family, n, digits)[1]
+
+
+def _linear_form(family: str, n: int, digits: int) -> tuple[Fraction, mpf]:
+    """u_n and linear_form(family, n, digits), from one product tree."""
+    _check_family(family)
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    (u, v), following = _consecutive_values(family, n + 1)
+    u_after, v_after = _step(family, n + 1, (u, v), following)
+    gap = abs(v_after / u_after - v / u)
+    # gap > 2^(bits(num) - 1 - bits(den)), so this many digits suffice
+    lost = math.ceil(
+        (gap.denominator.bit_length() - gap.numerator.bit_length() + 1) * math.log10(2)
+    )
+    working = digits + lost + 10  # 10 guard digits
+    reference = reference_catalan if family == "catalan" else reference_zeta4
+    with mp.workdps(working):
+        form = to_mpf(u, working) * reference(working) - to_mpf(v, working)
+    with mp.workdps(digits):
+        return u, +form
 
 
 def catalan_digits(digits: int) -> DigitsResult:

@@ -166,16 +166,11 @@ def _cmd_digits(args) -> CommandResult:
 
 def _cmd_integral(args) -> CommandResult:
     value = analytic.beukers_integral(args.n, args.digits)
-    item = sequences.pair("catalan", args.n)
-    # u_n G - v_n cancels about 2 log10(u_n) digits; carry them as guard digits
-    magnitude = max(sequences._decimal_magnitude(item.u), 1.0)
-    working = args.digits + 15 + int(2.2 * magnitude)
+    # the form carries 15 digits past the comparison, so that its own error
+    # stays out of the residuals; linear_form sizes the cancellation itself
+    working = args.digits + 15
+    form = analytic.linear_form("catalan", args.n, working)
     with mp.workdps(working):
-        reference = analytic.reference_catalan(working - 10)
-        form = (
-            mp.mpf(item.u.numerator) / item.u.denominator * reference
-            - mp.mpf(item.v.numerator) / item.v.denominator
-        )
         sign = 1 if args.n % 2 == 0 else -1
         residual_eighth = abs(sign * value / 8 - form)
         residual_quarter = abs(sign * value / 4 - form)
@@ -195,17 +190,12 @@ def _cmd_integral(args) -> CommandResult:
 
 def _cmd_series(args) -> CommandResult:
     value = analytic.zeta4_series(args.n, args.digits)
-    item = sequences.pair("zeta4", args.n)
-    # u_n zeta(4) - v_n cancels about 2 log10(u_n) digits; carry them as guard
-    # digits.  The test stays absolute, as zeta4_series' own tolerance is.
-    magnitude = max(sequences._decimal_magnitude(item.u), 1.0)
-    working = args.digits + 15 + int(2.2 * magnitude)
+    # the form carries 15 digits past the comparison, so that its own error
+    # stays out of the residual; the test stays absolute, as zeta4_series'
+    # own tolerance is
+    working = args.digits + 15
+    form = analytic.linear_form("zeta4", args.n, working)
     with mp.workdps(working):
-        reference = analytic.reference_zeta4(working - 10)
-        form = (
-            mp.mpf(item.u.numerator) / item.u.denominator * reference
-            - mp.mpf(item.v.numerator) / item.v.denominator
-        )
         residual = abs(value - form)
         ok = residual < mp.mpf(10) ** (-(args.digits - 1))
     record = {

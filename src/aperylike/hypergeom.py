@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .acceleration import alternating_sum_adaptive, terms_for_digits
+from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError
 from .exact import (
     Polynomial,
@@ -330,24 +330,28 @@ def check_arith_lemmas(n: int) -> bool:
 
 
 def f_numeric(n: int, digits: int) -> mpf:
-    """The alternating sum F_n = sum_{t>=0} (-1)^t R_n(t) to `digits` digits.
+    """The alternating sum F_n = sum_{t>=0} (-1)^t R_n(t), within 10^-digits.
 
     The raw series converges only polynomially (the degree gap of R_n is
-    n+2), so the partial sums are accelerated: the terms are exact rationals
-    and form a signed combination of Hausdorff moment sequences, for which
-    the Chebyshev acceleration scheme converges geometrically.  Term counts
-    are doubled until two estimates agree within the target.
+    n+2), so it is accelerated.  R_n(t) = sum A_jk / (t+k+1/2)^(3-j) is the
+    moment sequence of a signed measure on [0, 1] whose total variation is at
+    most M_n = sum |A_jk| (k+1/2)^-(3-j), exactly from the partial-fraction
+    table, so N = terms_for_bound(M_n, digits+5) exact terms bring the
+    Chebyshev estimate within 10^-(digits+5) of F_n (Cohen, Rodriguez Villegas
+    and Zagier 2000).  It is rounded once, at digits+15.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if digits < 1:
         raise ValueError("digits must be positive")
-    estimate = alternating_sum_adaptive(
-        build_kernel(n).R,
-        digits + 5,
-        initial_terms=terms_for_digits(digits + 5) + 4 * n + 12,
+    mass = sum(
+        abs(a) / Fraction(2 * k + 1, 2) ** (3 - j)
+        for j, row in enumerate(partial_fractions(n).A)
+        for k, a in enumerate(row)
     )
-    return to_mpf(estimate, digits + 15)
+    kernel = build_kernel(n).R
+    count = terms_for_bound(mass, digits + 5)
+    return to_mpf(alternating_sum([kernel(t) for t in range(count)]), digits + 15)
 
 
 def f_numeric_partial_sums(

@@ -37,8 +37,7 @@ from typing import Callable
 
 from mpmath import mp, mpf
 
-from .errors import PrecisionError
-from .exact import RationalLike, as_fraction, horner_int, lcm_upto
+from .exact import RationalLike, as_fraction, horner_int, lcm_upto, to_mpf
 
 #: Integrality modes: "proved" uses the guaranteed clearing factors,
 #: "strong" the sharper experimentally observed ones.
@@ -317,19 +316,13 @@ def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionRepo
 # -- measured growth rates -----------------------------------------------------
 
 
-def _decimal_magnitude(q: Fraction) -> float:
-    """Rough log10 |q| from bit lengths (sign ignored; q must be nonzero)."""
-    return (q.numerator.bit_length() - q.denominator.bit_length()) * math.log10(2)
-
-
 def asymptotic_report(family: str, n: int, digits: int) -> AsymptoticRates:
-    """Per-n log growth of u_n and of the linear form u_n C - v_n.
+    """Per-n log growth of u_n and of the linear form u_n C - v_n, to `digits`.
 
-    `digits` is the reporting precision and the minimum working precision.
-    Because the linear form loses about 2 log10(u_n) digits to cancellation,
-    the working precision is raised automatically when the stated one cannot
-    resolve it; a PrecisionError is raised only if even the raised precision
-    leaves no significant digits.
+    The form comes from analytic.linear_form with relative error below
+    10^-(digits+5), so its logarithm is within about 10^-(digits+5) and both
+    rates are right to `digits` digits; the working precision it needs is
+    fixed in advance by the Casoratian bound on the cancellation.
     """
     if n < 2:
         raise ValueError("growth rates need n >= 2")
@@ -337,27 +330,9 @@ def asymptotic_report(family: str, n: int, digits: int) -> AsymptoticRates:
         raise ValueError("digits must be positive")
     from . import analytic  # local import: analytic depends on this module
 
-    u, v = _values(family, n)
-    magnitude = max(_decimal_magnitude(u), 1.0)
-    working = max(digits, int(2.2 * magnitude) + 40)
-    reference = (
-        analytic.reference_catalan if family == "catalan" else analytic.reference_zeta4
-    )
-    for _ in range(3):
-        with mp.workdps(working):
-            constant = reference(working - 10)
-            uf = mpf(u.numerator) / mpf(u.denominator)
-            vf = mpf(v.numerator) / mpf(v.denominator)
-            form = uf * constant - vf
-            noise_floor = abs(uf) * mpf(10) ** (-(working - 10))
-            if form != 0 and abs(form) > noise_floor:
-                rate_u = mp.log(uf) / n
-                rate_form = mp.log(abs(form)) / n
-                break
-        working *= 2
-    else:
-        raise PrecisionError(
-            f"linear form for {family} at n={n} lost all significant digits"
-        )
+    u, form = analytic._linear_form(family, n, digits + 5)
+    with mp.workdps(digits + 5):
+        rate_u = mp.log(to_mpf(u, digits + 5)) / n
+        rate_form = mp.log(abs(form)) / n
     with mp.workdps(digits):
         return AsymptoticRates(rate_u=+rate_u, rate_form=+rate_form)

@@ -5,13 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from aperylike.acceleration import (
-    alternating_sum,
-    alternating_sum_adaptive,
-    chebyshev_scale,
-    terms_for_digits,
-)
-from aperylike.errors import PrecisionError
+from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_bound
 from tests.conftest import mpf_frac
 
 
@@ -36,24 +30,38 @@ def test_pi_over_four_leibniz():
         assert error < mp.mpf(10) ** -55
 
 
-def test_terms_for_digits_scale():
-    # about 1.31 terms per digit
-    assert 60 <= terms_for_digits(40) <= 75
+def test_terms_for_bound_is_minimal():
+    # d_{N-1} <= mass 10^digits < d_N, for integer and Fraction masses
+    for mass in (1, 7, 10**6, Fraction(1, 3), Fraction(22, 7), Fraction(1, 10**9)):
+        for digits in (0, 1, 10, 45, 300):
+            count = terms_for_bound(mass, digits)
+            limit = mass * 10**digits
+            assert chebyshev_scale(count) > limit, (mass, digits)
+            assert count == 0 or chebyshev_scale(count - 1) <= limit, (mass, digits)
+    assert terms_for_bound(0, 50) == 0
+    with pytest.raises(ValueError):
+        terms_for_bound(-1, 10)
 
 
-def test_adaptive_agreement(catalan_200):
-    value = alternating_sum_adaptive(
-        lambda k: Fraction(1, (2 * k + 1) ** 2), digits=45
-    )
-    with mp.workdps(80):
-        assert abs(mpf_frac(value) - catalan_200) < mp.mpf(10) ** -45
+@pytest.mark.parametrize("digits", [10, 45])
+def test_bound_holds_for_a_signed_combination(digits):
+    # 3/(k+1/2)^2 - 5/(k+3/2) + 2/(k+1)^3: moments of a signed measure of
+    # total variation at most 3/(1/2)^2 + 5/(3/2) + 2 = 52/3
+    mass = Fraction(52, 3)
 
-
-def test_adaptive_term_cap():
-    with pytest.raises(PrecisionError):
-        alternating_sum_adaptive(
-            lambda k: Fraction(1, k + 1), digits=30, initial_terms=4, max_terms=8
+    def term(k):
+        return (
+            Fraction(12, (2 * k + 1) ** 2)
+            - Fraction(10, 2 * k + 3)
+            + Fraction(2, (k + 1) ** 3)
         )
+
+    count = terms_for_bound(mass, digits)
+    estimate = alternating_sum([term(k) for k in range(count)])
+    with mp.workdps(digits + 30):
+        # 4 G, 2 (1 - pi/4) and eta(3) = 3 zeta(3)/4 term by term
+        exact = 12 * mp.catalan - 10 * (1 - mp.pi / 4) + 3 * mp.zeta(3) / 2
+        assert abs(mpf_frac(estimate) - exact) < mp.mpf(10) ** -digits
 
 
 def test_empty_prefix_is_zero():

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_digits
+from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_bound
 from aperylike.analytic import (
     DIGITS_PER_STEP,
     beukers_integral,
     catalan_digits,
     cf_convergent,
     characteristic_residual,
+    linear_form,
     reference_catalan,
     reference_zeta4,
     zeta4_digits,
@@ -33,15 +34,16 @@ class TestReferenceConstants:
 
     @pytest.mark.parametrize("digits", [30, 100])
     def test_catalan_within_chebyshev_bound(self, digits):
-        # the exact estimate that reference_catalan rounds, and its stated bound
-        count = terms_for_digits(digits, slack=10)
+        # the exact estimate that reference_catalan rounds: mass 1, so the
+        # fewest N with d_N > 10^(digits+10) leave an error below 1/d_N
+        count = terms_for_bound(1, digits + 10)
+        assert chebyshev_scale(count - 1) <= 10 ** (digits + 10) < chebyshev_scale(count)
         terms = [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
         estimate = alternating_sum(terms)
         assert reference_catalan(digits) == to_mpf(estimate, digits + 15)
         with mp.workdps(digits + 40):
             error = abs(mpf_frac(estimate) - mp.catalan)
             assert error < mpf_frac(Fraction(1, chebyshev_scale(count)))
-        assert chebyshev_scale(count) > 10 ** (digits + 10)
 
     def test_catalan_first_digits(self):
         value = reference_catalan(10)
@@ -120,6 +122,43 @@ class TestDigits:
     def test_rejects_nonpositive_digits(self):
         with pytest.raises(ValueError):
             catalan_digits(0)
+
+
+def convergent_gaps(family, n):
+    """(d_n - d_{n+1}, d_n) for d_k = |r_{k+1} - r_k|, r_k = v_k/u_k, from
+    stepped pairs: the bracket of |C - r_n| that linear_form relies on."""
+    r = [v / u for u, v in stepped_pairs(family, n + 2)[n:]]
+    return abs(r[1] - r[0]) - abs(r[2] - r[1]), abs(r[1] - r[0])
+
+
+class TestLinearForm:
+    CONSTANTS = {"catalan": lambda: mp.catalan, "zeta4": lambda: mp.zeta(4)}
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 60, 300])
+    @pytest.mark.parametrize("digits", [10, 40])
+    def test_relative_error(self, family, n, digits):
+        low, high = convergent_gaps(family, n)
+        u, v = stepped_pairs(family, n)[n]
+        # linear_form's working precision (digits, the digits the cancellation
+        # costs, 10 guard digits), plus 200
+        lost = int(mp.ceil(-mp.log10(mpf_frac(low, 20))))
+        working = digits + lost + 10 + 200
+        form = linear_form(family, n, digits)
+        with mp.workdps(working):
+            constant = self.CONSTANTS[family]()
+            expected = mpf_frac(u) * constant - mpf_frac(v)
+            # the Casoratian bracket d_n - d_{n+1} < |C - r_n| < d_n
+            assert mpf_frac(low) < abs(constant - mpf_frac(v / u)) < mpf_frac(high)
+            assert abs(form / expected - 1) < mp.mpf(10) ** -digits
+
+    def test_inputs_validated(self):
+        with pytest.raises(ValueError):
+            linear_form("zeta5", 3, 10)
+        with pytest.raises(ValueError):
+            linear_form("catalan", -1, 10)
+        with pytest.raises(ValueError):
+            linear_form("catalan", 3, 0)
 
 
 def digits_by_stepping(family, digits):

@@ -1,11 +1,13 @@
 """Command-line interface: payloads, exit codes, round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from mpmath import mp, mpf
 
 from aperylike.cli import EXIT_CODES, run
@@ -13,6 +15,7 @@ from aperylike.exact import parse_rational
 from tests.conftest import mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DIGESTS = Path(__file__).resolve().parents[1] / "clibench" / "digests.json"
 
 
 def run_lines(capsys, argv):
@@ -244,3 +247,23 @@ class TestDeterminism:
         _, first = run_lines(capsys, ["digits", "--constant", "catalan", "--digits", "15"])
         _, second = run_lines(capsys, ["digits", "--constant", "catalan", "--digits", "15"])
         assert first == second
+
+
+class TestRecordedOutput:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "asymptotics --family zeta4 --n 600 --digits 30",
+            "asymptotics --family catalan --n 1000 --digits 30",
+            "series --constant zeta4 --n 3 --digits 8",
+        ],
+    )
+    def test_stdout_matches_the_recorded_digest(self, command):
+        # the benchmark's digests pin these outputs byte for byte
+        stdout = subprocess.run(
+            [sys.executable, "-m", "aperylike.cli", *command.split()],
+            capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        ).stdout
+        recorded = json.loads(DIGESTS.read_text())[command]
+        assert hashlib.sha256(stdout).hexdigest() == recorded

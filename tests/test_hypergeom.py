@@ -25,6 +25,7 @@ from aperylike.hypergeom import (
     reconstruction,
 )
 from aperylike.sequences import catalan_pair
+from tests.conftest import mpf_frac
 
 
 def pole_factor(k: int) -> Polynomial:
@@ -209,6 +210,16 @@ class TestKernelSum:
         with mp.workdps(60):
             expected = 14 * catalan_200 - 13
             assert abs(value - expected) < mp.mpf(10) ** -38
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_deep_kernel_sums_within_the_target(self, n):
+        # F_n = U'_n G - V_n, about 10^-(n+1); 50 digits leave 10^-55 absolute
+        value = f_numeric(n, 50)
+        quad = coefficient_quadruple(n)
+        with mp.workdps(320):
+            expected = mpf_frac(quad.Uprime) * mp.catalan - mpf_frac(quad.V)
+            assert abs(expected) > mp.mpf(10) ** -45
+            assert abs(value - expected) < mp.mpf(10) ** -55
 
     def test_signs_alternate_to_ten(self):
         for n in range(11):

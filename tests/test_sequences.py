@@ -311,6 +311,20 @@ class TestAsymptotics:
         assert abs(r600.rate_u - 5.59879212) < 0.035
         assert abs(r600.rate_form - (-2.30295525)) < 0.035
 
+    @pytest.mark.parametrize("family, n", [("catalan", 500), ("zeta4", 300)])
+    def test_rates_right_to_the_reporting_precision(self, family, n):
+        # every reported digit counts, not only those left after cancellation
+        digits = 700
+        rates = asymptotic_report(family, n, digits)
+        u, v = stepped_pairs(family, n)[n]
+        with mp.workdps(2500):
+            constant = mp.catalan if family == "catalan" else mp.zeta(4)
+            rate_u = mp.log(mpf_frac(u)) / n
+            rate_form = mp.log(abs(mpf_frac(u) * constant - mpf_frac(v))) / n
+            tolerance = mp.mpf(10) ** -(digits - 10)
+            assert abs(rates.rate_form - rate_form) < tolerance
+            assert abs(rates.rate_u - rate_u) < tolerance
+
     def test_rates_need_n_at_least_two(self):
         with pytest.raises(ValueError):
             asymptotic_report("catalan", 1, 50)
