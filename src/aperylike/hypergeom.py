@@ -11,12 +11,19 @@ k = 0..n, each of order at most 3.  Writing
 
     R_n(t) = sum_{j=0}^{2} sum_{k=0}^{n} A_jk / (t+k+1/2)^(3-j),
 
-the numbers A_jk are computed exactly as order-3 jets of the pole-cleared
-function R_n(t) (t+k+1/2)^3 at t = -k-1/2.  Alternating sums of the table
-columns produce the coefficients (U, U', U'', V) for which the alternating
-series F_n = sum_t (-1)^t R_n(t) equals U' G - V with U = U'' = 0, G being
-Catalan's constant.  That identity is the cross-check between this module and
-the recurrence-generated sequences: U'_n = 8 u_n and V_n = 8 v_n.
+the numbers A_jk are the order-3 jet of the pole-cleared function
+C_k(t) = R_n(t) (t+k+1/2)^3 at t = -k-1/2.  C_k is a product of linear
+factors, so its jet in x = t+k+1/2 is C_k(-k-1/2) (1 + s1 x + (s1^2-s2) x^2/2),
+where s_j sums m/offset^j over the factors (offset from the pole, m the
+multiplicity).  The offsets are runs of consecutive half-integers and
+integers, so each s_j is a difference of prefix tables: the table costs O(n)
+Fraction operations in all, and the kernel is never built for it.
+
+Alternating sums of the table columns produce the coefficients
+(U, U', U'', V) for which the alternating series F_n = sum_t (-1)^t R_n(t)
+equals U' G - V with U = U'' = 0, G being Catalan's constant.  That identity
+is the cross-check between this module and the recurrence-generated
+sequences: U'_n = 8 u_n and V_n = 8 v_n.
 """
 
 from __future__ import annotations
@@ -93,15 +100,6 @@ def _pole_factor(k: int) -> Polynomial:
     return Polynomial([Fraction(2 * k + 1, 2), Fraction(1)])
 
 
-def _pole_exponent(n: int, k: int) -> int:
-    """Order of the pole of R_n at -k-1/2 in lowest terms."""
-    if k < 0 or k > n:
-        return 0
-    if n % 2 == 0 and k == n // 2:
-        return 2  # the (2t+n+1) numerator factor cancels one power
-    return 3
-
-
 _kernel_lock = threading.Lock()
 _kernel_cache: dict[int, KernelParts] = {}
 
@@ -130,7 +128,7 @@ def build_kernel(n: int) -> KernelParts:
         num = num * 2
         den = Polynomial.constant(1)
         for k in range(n + 1):
-            den = den * _pole_factor(k) ** _pole_exponent(n, k)
+            den = den * _pole_factor(k) ** (2 if k == n // 2 else 3)
     else:
         num = num * Polynomial([Fraction(n + 1), Fraction(2)])  # 2t + n + 1
         den = poch**3
@@ -161,26 +159,75 @@ def q_residues(n: int) -> list[Fraction]:
     return out
 
 
-def pole_jet(n: int, k: int, order: int = 3) -> TruncatedSeries:
-    """Exact jet of R_n(t) (t+k+1/2)^3 at t = -k-1/2.
+def _prefix_tables(points: range) -> tuple[list, list[Fraction], list[Fraction]]:
+    """Entry m of each list is the product, the sum of 1/x and the sum of
+    1/x^2 over the first m integer points."""
+    prod, first, second = [1], [Fraction(0)], [Fraction(0)]
+    for x in points:
+        inverse = Fraction(1, x)
+        prod.append(prod[-1] * x)
+        first.append(first[-1] + inverse)
+        second.append(second[-1] + inverse * inverse)
+    return prod, first, second
 
-    Coefficient j of the jet is A_jk.  For k outside 0..n the function has a
-    triple zero at the center and the jet vanishes identically.
-    """
-    kern = build_kernel(n)
+
+def _pole_tables(n: int) -> tuple[tuple, tuple]:
+    """Prefix tables over the odd numbers 2i+1 (i < 2n) and over 1..n."""
+    return _prefix_tables(range(1, 4 * n, 2)), _prefix_tables(range(1, n + 1))
+
+
+def _log_jet(
+    center: Fraction, value: Fraction, s1: Fraction, s2: Fraction
+) -> TruncatedSeries:
+    """Order-3 jet at the center of a product of factors (t-r)^m with the
+    given value there and power sums s_j = sum m / (center-r)^j."""
+    return TruncatedSeries(center, [value, value * s1, value * (s1 * s1 - s2) / 2])
+
+
+def _closed_form_jet(n: int, k: int, tables) -> TruncatedSeries:
+    """pole_jet(n, k) for 0 <= k <= n in O(1) Fractions from `_pole_tables(n)`."""
+    (odd, h1, h2), (f, w1, w2) = tables
     center = _half(k)
-    exponent = _pole_exponent(n, k)
-    num_jet = TruncatedSeries.from_polynomial(kern.R.num, center, order)
-    if exponent < 3:
-        clearing = TruncatedSeries.from_polynomial(_pole_factor(k), center, order)
-        num_jet = num_jet * clearing ** (3 - exponent)
-    den_jet = TruncatedSeries.constant(1, center, order)
-    for l in range(n + 1):
-        if l == k:
-            continue
-        factor = TruncatedSeries.from_polynomial(_pole_factor(l), center, order)
-        den_jet = den_jet * factor ** _pole_exponent(n, l)
-    return num_jet * den_jet.reciprocal()
+    # offsets from the center: t - i (i < n) at -(2(k+i)+1)/2; t + n + i
+    # (1 <= i <= n) at (2j+1)/2 for n-k <= j < 2n-k; t + l + 1/2 at l - k
+    value = Fraction(
+        (-1) ** n * f[n] * (odd[k + n] // odd[k]) * (odd[2 * n - k] // odd[n - k]),
+        4**n,
+    )
+    s1 = 2 * (h1[2 * n - k] - h1[n - k] - h1[k + n] + h1[k])
+    s2 = 4 * (h2[2 * n - k] - h2[n - k] + h2[k + n] - h2[k])
+    gap = n - 2 * k  # 2t + n + 1 = 2 (t - center) + gap
+    if gap:
+        numerator = _log_jet(
+            center, value * gap, s1 + Fraction(2, gap), s2 + Fraction(4, gap * gap)
+        )
+    else:
+        # the middle pole of even n: 2t + n + 1 = 2x shifts the jet one place
+        numerator = TruncatedSeries(center, [0, 2 * value, 2 * value * s1])
+    reciprocal = _log_jet(
+        center,
+        Fraction(1, ((-1) ** k * f[k] * f[n - k]) ** 3),
+        -3 * (w1[n - k] - w1[k]),
+        -3 * (w2[n - k] + w2[k]),
+    )
+    return numerator * reciprocal
+
+
+def pole_jet(n: int, k: int) -> TruncatedSeries:
+    """Exact order-3 jet of C_k(t) = R_n(t) (t+k+1/2)^3 at t = -k-1/2.
+
+    Coefficient j of the jet is A_jk, in closed form (see the module
+    docstring): the product of the jet of the numerator factors and the jet
+    of the reciprocal of the other poles' factors.  For even n the factor
+    2t+n+1 vanishes at the middle pole k = n/2, which shifts the jet by one
+    place (A_0k = 0).  For k outside 0..n, C_k has a triple zero at the
+    center and the jet vanishes identically.
+    """
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if k < 0 or k > n:
+        return TruncatedSeries.constant(0, _half(k), 3)
+    return _closed_form_jet(n, k, _pole_tables(n))
 
 
 _table_lock = threading.Lock()
@@ -188,14 +235,20 @@ _table_cache: dict[int, PartialFractionTable] = {}
 
 
 def partial_fractions(n: int) -> PartialFractionTable:
-    """The exact 3 x (n+1) coefficient table of the pole expansion of R_n."""
+    """The exact 3 x (n+1) coefficient table of the pole expansion of R_n.
+
+    Column k is the closed-form jet `pole_jet(n, k)`; the prefix tables are
+    built once for all n+1 poles, so the table costs O(n) Fraction operations
+    and no series product beyond one per pole.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
     with _table_lock:
         cached = _table_cache.get(n)
     if cached is not None:
         return cached
-    jets = [pole_jet(n, k) for k in range(n + 1)]
+    tables = _pole_tables(n)
+    jets = [_closed_form_jet(n, k, tables) for k in range(n + 1)]
     table = PartialFractionTable(
         n=n,
         A=tuple(tuple(jet.coefficient(j) for jet in jets) for j in range(3)),
@@ -236,7 +289,8 @@ def beta_partial_sum(k: int, power: int) -> Fraction:
 
 
 def coefficient_quadruple(n: int) -> CoefficientQuadruple:
-    """Alternating column sums of the table, with exact inner beta partial sums.
+    """Alternating column sums of the table, with exact inner beta partial sums
+    carried along k in one pass.
 
     U  = 8 sum (-1)^k A_0k        (coefficient that multiplies beta(3))
     U' = 4 sum (-1)^k A_1k        (coefficient of beta(2) = G)
@@ -244,22 +298,22 @@ def coefficient_quadruple(n: int) -> CoefficientQuadruple:
     V  = sum_j 2^(3-j) sum_k (-1)^k A_jk sum_{l<k} (-1)^l/(2l+1)^(3-j)
     """
     table = partial_fractions(n)
-    signs = [1 if k % 2 == 0 else -1 for k in range(n + 1)]
-    sums = [
-        sum((s * a for s, a in zip(signs, row)), Fraction(0)) for row in table.A
-    ]
-    v = Fraction(0)
-    for j in range(3):
-        inner = Fraction(0)
-        for k in range(n + 1):
-            inner += signs[k] * table.A[j][k] * beta_partial_sum(k, 3 - j)
-        v += 2 ** (3 - j) * inner
+    sums = [Fraction(0)] * 3    # sum_k (-1)^k A_jk
+    inner = [Fraction(0)] * 3   # sum_k (-1)^k A_jk beta_partial_sum(k, 3-j)
+    beta = [Fraction(0)] * 3    # beta_partial_sum(k, 3-j), carried along k
+    for k in range(n + 1):
+        sign = 1 if k % 2 == 0 else -1
+        for j in range(3):
+            term = sign * table.A[j][k]
+            sums[j] += term
+            inner[j] += term * beta[j]
+            beta[j] += Fraction(sign, (2 * k + 1) ** (3 - j))
     return CoefficientQuadruple(
         n=n,
         U=8 * sums[0],
         Uprime=4 * sums[1],
         Udoubleprime=2 * sums[2],
-        V=v,
+        V=sum(2 ** (3 - j) * inner[j] for j in range(3)),
     )
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures: high-precision reference values used as oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from aperylike.exact import Polynomial, TruncatedSeries
 from aperylike.sequences import RECURRENCES, recurrence_coefficients
 
 
@@ -81,6 +83,30 @@ def naive_taylor(f: tuple, center: Fraction, order: int) -> list[Fraction]:
         out.append(acc)
         work = quotient[:0:-1]
     return out
+
+
+def series_pole_jets(n: int) -> list[TruncatedSeries]:
+    """The jets of R_n(t) (t+k+1/2)^3 at t = -k-1/2 for k = 0..n, by products
+    of Taylor jets in Fraction.
+
+    The reference for the package's closed-form pole jets: the numerator
+    n! (2t+n+1) t(t-1)...(t-n+1) (t+n+1)...(t+2n) is expanded as one
+    polynomial and each other pole's cube is multiplied in as a jet.
+    """
+    numerator = Polynomial.from_roots(
+        list(range(n)) + [-(n + i) for i in range(1, n + 1)]
+    ) * Polynomial([Fraction((n + 1) * math.factorial(n)), 2 * math.factorial(n)])
+    jets = []
+    for k in range(n + 1):
+        center = Fraction(-(2 * k + 1), 2)
+        den_jet = TruncatedSeries.constant(1, center, 3)
+        for l in range(n + 1):
+            if l != k:
+                factor = Polynomial([Fraction(2 * l + 1, 2), 1])
+                den_jet *= TruncatedSeries.from_polynomial(factor, center, 3) ** 3
+        num_jet = TruncatedSeries.from_polynomial(numerator, center, 3)
+        jets.append(num_jet * den_jet.reciprocal())
+    return jets
 
 
 @pytest.fixture(scope="session")

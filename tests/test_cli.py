@@ -256,6 +256,8 @@ class TestRecordedOutput:
             "asymptotics --family zeta4 --n 600 --digits 30",
             "asymptotics --family catalan --n 1000 --digits 30",
             "series --constant zeta4 --n 3 --digits 8",
+            "decompose --n 60",
+            "decompose --n 8",
         ],
     )
     def test_stdout_matches_the_recorded_digest(self, command):

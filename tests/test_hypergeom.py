@@ -12,8 +12,10 @@ from aperylike.exact import (
     RationalFunction,
     horner_int,
     integer_coefficients,
+    lcm_upto,
 )
 from aperylike.hypergeom import (
+    beta_partial_sum,
     build_kernel,
     check_arith_lemmas,
     coefficient_quadruple,
@@ -25,7 +27,7 @@ from aperylike.hypergeom import (
     reconstruction,
 )
 from aperylike.sequences import catalan_pair
-from tests.conftest import mpf_frac
+from tests.conftest import mpf_frac, series_pole_jets
 
 
 def pole_factor(k: int) -> Polynomial:
@@ -152,6 +154,40 @@ class TestPartialFractions:
             assert all(c == 0 for c in jet.coeffs), (n, k)
 
 
+class TestClosedFormJets:
+    @pytest.mark.parametrize("n", list(range(31)) + [60])
+    def test_table_equals_the_series_reference(self, n):
+        jets = series_pole_jets(n)
+        assert partial_fractions(n).A == tuple(
+            tuple(jet.coefficient(j) for jet in jets) for j in range(3)
+        )
+
+    @pytest.mark.parametrize("n", range(25))
+    def test_pole_orders(self, n):
+        # every pole is triple (A_0k != 0) except the middle pole of even n,
+        # where 2t+n+1 vanishes: A_0k = 0 and A_1k != 0
+        table = partial_fractions(n)
+        for k in range(n + 1):
+            if 2 * k == n:
+                assert table.A[0][k] == 0 and table.A[1][k] != 0
+            else:
+                assert table.A[0][k] != 0
+
+    def test_jets_are_centered_at_their_poles(self):
+        for k in range(-3, 9):
+            assert pole_jet(5, k).center == Fraction(-(2 * k + 1), 2)
+
+    def test_integrality_to_one_hundred(self):
+        # 2^(4n) D_n^j A_jk is an integer; check_arith_lemmas checks it by
+        # the series route for small n only
+        for n in range(101):
+            scale = 2 ** (4 * n)
+            d_n = lcm_upto(n)
+            for j, row in enumerate(partial_fractions(n).A):
+                for k, a in enumerate(row):
+                    assert (scale * d_n**j * a).denominator == 1, (n, j, k)
+
+
 class TestQuadruple:
     def test_n0(self):
         q = coefficient_quadruple(0)
@@ -169,6 +205,17 @@ class TestQuadruple:
             0,
             Fraction(10699, 144),
         )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+    def test_one_pass_v_matches_the_partial_sum_route(self, n):
+        # V = sum_j 2^(3-j) sum_k (-1)^k A_jk beta_partial_sum(k, 3-j)
+        table = partial_fractions(n)
+        v = sum(
+            2 ** (3 - j) * (-1) ** k * table.A[j][k] * beta_partial_sum(k, 3 - j)
+            for j in range(3)
+            for k in range(n + 1)
+        )
+        assert coefficient_quadruple(n).V == v
 
     def test_u_and_udoubleprime_vanish_to_twenty(self):
         for n in range(21):
