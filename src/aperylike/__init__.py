@@ -18,14 +18,7 @@ Subpackages by responsibility:
 * :mod:`aperylike.cli` - the command-line front end.
 """
 
-from .exact import (
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    lcm_upto,
-    poly_gcd,
-    series_expand,
-)
+from .exact import Polynomial, RationalFunction, TruncatedSeries, lcm_upto, poly_gcd
 from .sequences import (
     AsymptoticRates,
     InclusionReport,
@@ -67,7 +60,7 @@ from .analytic import (
     zeta4_digits,
     zeta4_series,
 )
-from .errors import PoleAtCenterError, PrecisionError, QuadratureError
+from .errors import PrecisionError, QuadratureError
 
 __all__ = [
     "AsymptoticRates",
@@ -78,7 +71,6 @@ __all__ = [
     "InclusionReport",
     "KernelParts",
     "PartialFractionTable",
-    "PoleAtCenterError",
     "Polynomial",
     "PrecisionError",
     "QuadratureError",
@@ -105,7 +97,6 @@ __all__ = [
     "q_residues",
     "reference_catalan",
     "reference_zeta4",
-    "series_expand",
     "verify_recurrence_transfer",
     "verify_telescoping",
     "zeta4_digits",

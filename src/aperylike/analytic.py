@@ -293,7 +293,7 @@ def _zeta4_series_parts(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple
     den = Polynomial.from_roots([-i for i in range(n + 1)]) ** 4
     deriv_num = num.derivative() * den - num * den.derivative()
     deriv_den = den * den
-    scaled = integer_coefficients(num, den, deriv_num, deriv_den)
+    scaled, _ = integer_coefficients(num, den, deriv_num, deriv_den)
     return tuple(tuple(coeffs) for coeffs in scaled)
 
 

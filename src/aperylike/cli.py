@@ -67,6 +67,13 @@ def _pair_record(family: str, n: int) -> dict:
     }
 
 
+def _n_max(args, least: int = 0) -> int:
+    """--n-max, rejected as a usage error below `least`."""
+    if args.n_max < least:
+        raise ValueError(f"--n-max must be at least {least}")
+    return args.n_max
+
+
 def _cmd_pair(args) -> CommandResult:
     record = _pair_record(args.family, args.n)
     _emit(record, args.format, header=list(record.keys()), first=True)
@@ -75,7 +82,7 @@ def _cmd_pair(args) -> CommandResult:
 
 def _cmd_range(args) -> CommandResult:
     header = ["family", "n", "u", "v"]
-    for n in range(args.n_max + 1):
+    for n in range(_n_max(args) + 1):
         _emit(_pair_record(args.family, n), args.format, header=header, first=(n == 0))
     return CommandResult("ok", {"rows": args.n_max + 1})
 
@@ -83,7 +90,7 @@ def _cmd_range(args) -> CommandResult:
 def _cmd_check(args) -> CommandResult:
     header = ["family", "n", "mode", "pass_u", "pass_v", "witness_u", "witness_v"]
     all_ok = True
-    for n in range(args.n_max + 1):
+    for n in range(_n_max(args) + 1):
         report = sequences.check_inclusions(args.family, n, args.mode)
         all_ok = all_ok and report.ok
         record = {
@@ -117,7 +124,7 @@ def _cmd_decompose(args) -> CommandResult:
 
 def _cmd_certify(args) -> CommandResult:
     all_ok = True
-    for n in range(1, args.n_max + 1):
+    for n in range(1, _n_max(args, least=1) + 1):
         telescoped = certificate.verify_telescoping(n)
         at_zero = certificate.build_certificate(n).S(0)
         ok = telescoped and at_zero == 0

@@ -6,8 +6,11 @@ Representations:
 * rationals are ``fractions.Fraction`` (always reduced, denominator > 0);
 * a polynomial is a tuple of Fraction coefficients, index = degree, with no
   trailing zeros; the zero polynomial stores an empty tuple;
-* a rational function is a reduced pair num/den with monic denominator;
-* a truncated series at center c keeps ``order`` coefficients of (t - c)^j.
+* a rational function is a reduced pair num/den with monic denominator; it is
+  multiplied, shifted and evaluated, never added (callers that need a sum,
+  such as the telescoping check, clear denominators themselves);
+* a truncated series at center c keeps ``order`` coefficients of (t - c)^j;
+  it is multiplied and inverted, for the pole jets and the integrality checks.
 
 Polynomial products, Taylor shifts and divisions run over the integers, each
 operand scaled by one common denominator (``integer_coefficients``), and form
@@ -29,8 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from mpmath import mp, mpf
-
-from .errors import PoleAtCenterError
 
 RationalLike = Union[int, Fraction]
 
@@ -136,22 +137,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("t" if c == 1 else f"{c}*t")
-            else:
-                parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
-
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
@@ -184,8 +169,8 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        [a], scale_a = integer_coefficients(self, with_scale=True)
-        [b], scale_b = integer_coefficients(other, with_scale=True)
+        [a], scale_a = integer_coefficients(self)
+        [b], scale_b = integer_coefficients(other)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -216,8 +201,8 @@ class Polynomial:
         # self = a / scale_a, other = b / scale_b; step s of the pseudo-division
         # puts c lead^(e-1-s) at t^k of q, so the quotient has c scale_b /
         # (lead^(s+1) scale_a) there, and the remainder is r / (lead^e scale_a).
-        [a], scale_a = integer_coefficients(self, with_scale=True)
-        [b], scale_b = integer_coefficients(other, with_scale=True)
+        [a], scale_a = integer_coefficients(self)
+        [b], scale_b = integer_coefficients(other)
         terms, r = _pseudo_division(a, b)
         quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
         den = scale_a
@@ -283,7 +268,7 @@ def _taylor_coefficients(
     # with y = q (t - center), so coefficient j is H_j / (L q^(d-j)).  Each
     # pass of synthetic division by (x - p) fixes the next H_j in O(d) integer
     # steps: a jet of `order` terms costs O(order d), a recentering O(d^2).
-    [f], scale = integer_coefficients(poly, with_scale=True)
+    [f], scale = integer_coefficients(poly)
     d = len(f) - 1
     p, q = center.numerator, center.denominator
     g = [c * q ** (d - i) for i, c in enumerate(f)]
@@ -294,13 +279,13 @@ def _taylor_coefficients(
     return out + [Fraction(0)] * (order - len(out))
 
 
-def integer_coefficients(*polys: Polynomial, with_scale: bool = False):
-    """Coefficients of all the polynomials times one common integer, the lcm of
-    their denominators; ratios between them are kept, and zero gives [].
-    With ``with_scale`` the pair (lists, scale) is returned instead."""
+def integer_coefficients(*polys: Polynomial) -> tuple[list[list[int]], int]:
+    """The pair (lists, scale): the coefficients of all the polynomials times
+    one common integer `scale`, the lcm of their denominators; ratios between
+    them are kept, and zero gives []."""
     scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     lists = [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
-    return (lists, scale) if with_scale else lists
+    return lists, scale
 
 
 # -- division and gcd over the integers (pseudo-division, primitive PRS) -----
@@ -353,7 +338,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    a, b = (_primitive(c) for c in integer_coefficients(f, g))
+    a, b = (_primitive(c) for c in integer_coefficients(f, g)[0])
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -434,24 +419,7 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
-    def __str__(self) -> str:
-        if self.den == Polynomial.constant(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
     # -- field operations ---------------------------------------------------
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        g = poly_gcd(self.den, other.den)
-        da = self.den // g
-        db = other.den // g
-        num = self.num * db + other.num * da
-        return RationalFunction(num, self.den * db)
-
-    __radd__ = __add__
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -541,10 +509,6 @@ class TruncatedSeries:
     def constant(cls, value: RationalLike, center: RationalLike, order: int):
         return cls(center, [value] + [0] * (order - 1))
 
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.center != other.center or self.order != other.order:
-            raise ValueError("series have different centers or orders")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -556,17 +520,12 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries(center={self.center}, coeffs={[str(c) for c in self.coeffs]})"
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.center, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             f = as_fraction(other)
             return TruncatedSeries(self.center, [c * f for c in self.coeffs])
-        self._check_compatible(other)
+        if self.center != other.center or self.order != other.order:
+            raise ValueError("series have different centers or orders")
         m = self.order
         out = [Fraction(0)] * m
         for i, a in enumerate(self.coeffs):
@@ -606,29 +565,6 @@ class TruncatedSeries:
                 acc += self.coeffs[i] * out[k - i]
             out[k] = -acc * inv0
         return TruncatedSeries(self.center, out)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.center, self.coeffs[:order])
-
-
-def series_expand(
-    f: RationalFunction, center: RationalLike, order: int
-) -> TruncatedSeries:
-    """Exact Taylor jet of a rational function at a finite center.
-
-    The denominator must not vanish at the center; callers expanding at a pole
-    must clear it first (multiply by the appropriate power of the pole factor).
-    """
-    if order < 1:
-        raise ValueError("series order must be at least 1")
-    c = as_fraction(center)
-    if f.den(c) == 0:
-        raise PoleAtCenterError(f"denominator vanishes at center t = {c}")
-    num = TruncatedSeries.from_polynomial(f.num, c, order)
-    den = TruncatedSeries.from_polynomial(f.den, c, order)
-    return num * den.reciprocal()
 
 
 # ---------------------------------------------------------------------------

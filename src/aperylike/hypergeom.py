@@ -23,7 +23,8 @@ Alternating sums of the table columns produce the coefficients
 (U, U', U'', V) for which the alternating series F_n = sum_t (-1)^t R_n(t)
 equals U' G - V with U = U'' = 0, G being Catalan's constant.  That identity
 is the cross-check between this module and the recurrence-generated
-sequences: U'_n = 8 u_n and V_n = 8 v_n.
+sequences: U'_n = 8 u_n and V_n = 8 v_n.  F_n itself has one numerical
+route, `f_numeric`, whose accelerated term count is proved from the table.
 """
 
 from __future__ import annotations
@@ -33,19 +34,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .acceleration import alternating_sum, terms_for_bound
-from .errors import PrecisionError
-from .exact import (
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    horner_int,
-    integer_coefficients,
-    lcm_upto,
-    to_mpf,
-)
+from .exact import Polynomial, RationalFunction, TruncatedSeries, lcm_upto, to_mpf
 
 
 @dataclass(frozen=True)
@@ -406,40 +398,3 @@ def f_numeric(n: int, digits: int) -> mpf:
     kernel = build_kernel(n).R
     count = terms_for_bound(mass, digits + 5)
     return to_mpf(alternating_sum([kernel(t) for t in range(count)]), digits + 15)
-
-
-def f_numeric_partial_sums(
-    n: int, digits: int, max_terms: int = 500_000
-) -> mpf:
-    """F_n by raw partial sums with the first-omitted-term remainder bound.
-
-    The bound is only trusted once |R_n(t)| has decreased for three
-    consecutive terms and t > 4n (the early terms are irregular: R_n
-    vanishes at t = 0..n-1 and the sign factor 2t+n+1 distorts the head).
-    Feasible only when the polynomial tail decay reaches the target within
-    the term cap; raises PrecisionError otherwise.  Kept as the slow
-    independent cross-check of the accelerated evaluator.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    r = build_kernel(n).R
-    num, den = integer_coefficients(r.num, r.den)
-    with mp.workdps(digits + 15):
-        eps = mpf(10) ** (-(digits + 5))
-        total = mpf(0)
-        previous = mp.inf
-        streak = 0
-        for t in range(max_terms):
-            term = mpf(horner_int(num, t)) / mpf(horner_int(den, t))
-            magnitude = abs(term)
-            if magnitude < previous:
-                streak += 1
-            else:
-                streak = 0
-            if streak >= 3 and t > 4 * n and magnitude < eps:
-                return +total
-            total += term if t % 2 == 0 else -term
-            previous = magnitude
-        raise PrecisionError(
-            f"partial sums did not reach {digits} digits within {max_terms} terms"
-        )

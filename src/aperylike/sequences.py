@@ -296,8 +296,10 @@ def _clearing_factors(family: str, n: int, mode: str) -> tuple[int, int]:
 
 def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionReport:
     """Multiply (u_n, v_n) by the mode's clearing factors and test integrality."""
-    u, v = _values(family, n)
+    # validate the family and the mode before the pair, which may be costly
+    _check_family(family)
     factor_u, factor_v = _clearing_factors(family, n, mode)
+    u, v = _values(family, n)
     cleared_u = u * factor_u
     cleared_v = v * factor_v
     pass_u = cleared_u.denominator == 1

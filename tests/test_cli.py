@@ -208,6 +208,21 @@ class TestErrorPaths:
         result = run(["cf", "--family", "catalan", "--n", "0"])
         assert result.status == "usage_error" and result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["range", "--family", "catalan", "--n-max", "-3"],
+            ["check", "--family", "zeta4", "--n-max", "-1", "--mode", "proved"],
+            ["certify", "--family", "catalan", "--n-max", "0"],
+            ["certify", "--family", "catalan", "--n-max", "-2"],
+        ],
+        ids=["range-3", "check-1", "certify0", "certify-2"],
+    )
+    def test_size_below_its_least_is_usage_error(self, capsys, argv):
+        result, lines = run_lines(capsys, argv)
+        assert result.status == "usage_error" and result.exit_code == 2
+        assert lines == []
+
     def test_precision_error_exit_code(self, capsys):
         # quadrature digits out of supported range -> usage; a genuine
         # precision failure surfaces exit code 3

@@ -6,21 +6,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from aperylike.errors import PrecisionError
-from aperylike.exact import (
-    Polynomial,
-    RationalFunction,
-    horner_int,
-    integer_coefficients,
-    lcm_upto,
-)
+from aperylike.exact import Polynomial, RationalFunction, lcm_upto
 from aperylike.hypergeom import (
     beta_partial_sum,
     build_kernel,
     check_arith_lemmas,
     coefficient_quadruple,
     f_numeric,
-    f_numeric_partial_sums,
     partial_fractions,
     pole_jet,
     q_residues,
@@ -41,16 +33,20 @@ class TestKernel:
         assert r == expected
 
     def test_r1_partial_fraction_display(self):
+        # R_1 = -3/4 x0^-3 - 3/4 x1^-3 + 7/4 x0^-2 - 7/4 x1^-2, x_k = t+k+1/2.
+        # Both sides are proper with denominators dividing x0^3 x1^3, of
+        # degree 6, so x0^3 x1^3 times their difference is a polynomial of
+        # degree below 6: agreement at the 7 non-poles t = 0..6 proves it.
         r = build_kernel(1).R
-        f0 = pole_factor(0)
-        f1 = pole_factor(1)
-        expected = (
-            RationalFunction(Polynomial([Fraction(-3, 4)]), f0**3)
-            + RationalFunction(Polynomial([Fraction(-3, 4)]), f1**3)
-            + RationalFunction(Polynomial([Fraction(7, 4)]), f0**2)
-            + RationalFunction(Polynomial([Fraction(-7, 4)]), f1**2)
-        )
-        assert r == expected
+        for t in range(7):
+            x0, x1 = Fraction(2 * t + 1, 2), Fraction(2 * t + 3, 2)
+            display = (
+                Fraction(-3, 4) / x0**3
+                - Fraction(3, 4) / x1**3
+                + Fraction(7, 4) / x0**2
+                - Fraction(7, 4) / x1**2
+            )
+            assert r(t) == display
 
     @pytest.mark.parametrize("n", range(7))
     def test_degree_gap(self, n):
@@ -100,11 +96,15 @@ class TestResidues:
 
     @pytest.mark.parametrize("n", range(9))
     def test_residues_reconstruct_the_product(self, n):
+        # Q_n and sum_k a_k / (t+k+1/2) are proper with denominators dividing
+        # the n+1 pole factors' product, so that product times their
+        # difference has degree at most n: agreement at the n+1 non-poles
+        # t = 0..n proves it.
         residues = q_residues(n)
-        total = RationalFunction(Polynomial())
-        for k, a in enumerate(residues):
-            total = total + RationalFunction(Polynomial([a]), pole_factor(k))
-        assert total == build_kernel(n).Q
+        q = build_kernel(n).Q
+        for t in range(n + 1):
+            factors = [Fraction(2 * (t + k) + 1, 2) for k in range(n + 1)]  # t+k+1/2
+            assert q(t) == sum(a / x for a, x in zip(residues, factors))
 
 
 class TestPartialFractions:
@@ -273,27 +273,8 @@ class TestKernelSum:
             value = f_numeric(n, 25)
             assert (value > 0) == (n % 2 == 0), n
 
-    @pytest.mark.parametrize("n", range(5))
-    def test_integer_scaled_kernel_keeps_its_values(self, n):
-        # f_numeric_partial_sums evaluates R_n as num(t)/den(t) on these lists
-        r = build_kernel(n).R
-        num, den = integer_coefficients(r.num, r.den)
-        for t in range(6):
-            assert Fraction(horner_int(num, t), horner_int(den, t)) == r(t)
-
-    def test_partial_sum_route_agrees_where_feasible(self):
-        # at n = 8 the tail decays like t^-10 and raw summation reaches 10 digits
-        raw = f_numeric_partial_sums(8, 10)
-        accelerated = f_numeric(8, 10)
-        with mp.workdps(40):
-            assert abs(raw - accelerated) < mp.mpf(10) ** -10
-
     def test_inputs_validated(self):
         with pytest.raises(ValueError):
             f_numeric(-1, 10)
         with pytest.raises(ValueError):
             f_numeric(0, 0)
-
-    def test_partial_sum_route_raises_when_capped(self):
-        with pytest.raises(PrecisionError):
-            f_numeric_partial_sums(0, 12, max_terms=3000)

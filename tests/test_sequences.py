@@ -283,9 +283,14 @@ class TestInclusions:
         for n in range(61):
             assert check_inclusions(family, n, mode).ok, (family, mode, n)
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            check_inclusions("catalan", 1, "hoped")
+    def test_bad_mode_rejected(self, monkeypatch):
+        # before the pair, which at a deep index takes minutes to compute
+        def unreachable(family, n):
+            raise AssertionError("the pair was computed before the mode was checked")
+
+        monkeypatch.setattr(sequences, "_values", unreachable)
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_inclusions("catalan", 200_000, "bogus")
 
     def test_bad_family_rejected(self):
         with pytest.raises(ValueError):
