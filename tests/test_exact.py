@@ -124,6 +124,12 @@ class TestPolynomial:
             assert (left % d).is_zero and (right % d).is_zero
             assert d.degree >= h.degree  # at least the planted common factor
 
+    def test_integer_coefficients_share_one_scale(self):
+        half_plus_third_t = Polynomial([Fraction(1, 2), Fraction(1, 3)])
+        lists, _ = integer_coefficients(half_plus_third_t, Polynomial([Fraction(1, 4)]))
+        assert lists == [[6, 4], [3]]
+        assert integer_coefficients(Polynomial())[0] == [[]]
+
 
 def mixed_fraction(rng):
     """Numerator and denominator of either sign, denominators from 1 to 10^12."""
@@ -261,7 +267,50 @@ class TestRationalFunction:
             f(0)
 
 
+def jet(f, center, order):
+    """Taylor jet of a rational function at a non-pole, as the quotient of
+    the jets of its numerator and denominator."""
+    num = TruncatedSeries.from_polynomial(f.num, center, order)
+    return num * TruncatedSeries.from_polynomial(f.den, center, order).reciprocal()
+
+
 class TestTruncatedSeries:
+    def test_geometric_series(self):
+        f = RationalFunction(Polynomial([1]), Polynomial([1, 1]))  # 1/(t+1)
+        s = jet(f, 0, 3)
+        assert list(s.coeffs) == [1, -1, 1]
+
+    def test_binomial_shift(self):
+        f = RationalFunction(Polynomial([0, 0, 1]))  # t^2
+        s = jet(f, 1, 3)
+        assert list(s.coeffs) == [1, 2, 1]
+
+    def test_pole_cleared_kernel_value(self):
+        # R_0(t) (t+1/2)^2 is the constant 2; its order-1 jet at -1/2 is [2]
+        r0 = RationalFunction(
+            Polynomial([2]), Polynomial([Fraction(1, 4), 1, 1])
+        )
+        cleared = r0 * RationalFunction(Polynomial([Fraction(1, 2), 1]) ** 2)
+        s = jet(cleared, Fraction(-1, 2), 1)
+        assert list(s.coeffs) == [2]
+
+    def test_pole_at_center_raises(self):
+        f = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
+        with pytest.raises(ZeroDivisionError):
+            jet(f, 0, 3)
+
+    def test_truncation_coherence(self):
+        rng = random.Random(71)
+        for _ in range(30):
+            num = random_poly(rng, 5)
+            den = Polynomial([1, *(random_fraction(rng) for _ in range(3))][::-1])
+            if den(Fraction(1, 3)) == 0:
+                continue
+            f = RationalFunction(num, den)
+            long = jet(f, Fraction(1, 3), 7)
+            short = jet(f, Fraction(1, 3), 4)
+            assert long.coeffs[:4] == short.coeffs
+
     def test_reciprocal_inverts(self):
         s = TruncatedSeries(0, [Fraction(2), Fraction(1), Fraction(-3), Fraction(5)])
         product = s * s.reciprocal()
@@ -270,10 +319,8 @@ class TestTruncatedSeries:
     def test_series_matches_derivatives(self):
         f = RationalFunction(Polynomial([1, 2, 1]), Polynomial([3, 1]))
         c = Fraction(1, 2)
+        s = jet(f, c, 3)
         num, den = f.num, f.den
-        s = TruncatedSeries.from_polynomial(num, c, 3) * (
-            TruncatedSeries.from_polynomial(den, c, 3).reciprocal()
-        )
         value = f(c)
         # quotient-rule first derivative
         d1 = (num.derivative()(c) * den(c) - num(c) * den.derivative()(c)) / den(c) ** 2

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from aperylike.exact import Polynomial, RationalFunction, lcm_upto
+from aperylike.exact import (
+    Polynomial,
+    RationalFunction,
+    horner_int,
+    integer_coefficients,
+    lcm_upto,
+)
 from aperylike.hypergeom import (
     beta_partial_sum,
     build_kernel,
@@ -272,6 +278,14 @@ class TestKernelSum:
         for n in range(11):
             value = f_numeric(n, 25)
             assert (value > 0) == (n % 2 == 0), n
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_integer_scaled_kernel_keeps_its_values(self, n):
+        # one common scale keeps num/den, so the integer lists evaluate R_n
+        r = build_kernel(n).R
+        [num, den], _ = integer_coefficients(r.num, r.den)
+        for t in range(6):
+            assert Fraction(horner_int(num, t), horner_int(den, t)) == r(t)
 
     def test_inputs_validated(self):
         with pytest.raises(ValueError):
