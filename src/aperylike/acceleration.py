@@ -10,9 +10,9 @@ c^-m; so a linear combination of them has a mass known exactly, and
 terms_for_bound turns that mass into the term count before any term is
 evaluated.
 
-The scheme is run entirely over exact rationals here: d_N is an integer with
-a three-term recurrence, and the weight recursion is rational, so the output
-is an exact Fraction.  Callers round once at the end.
+The scheme is run entirely in exact arithmetic here: d_N and the weights
+are integers, and the weighted terms are added in a balanced product tree, so
+the output is an exact Fraction.  Callers round once at the end.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ def chebyshev_scale(n: int) -> int:
     """((3+sqrt8)^n + (3-sqrt8)^n) / 2, an integer (d_k = 6 d_{k-1} - d_{k-2})."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = 1, 3
-    if n == 0:
-        return 1
-    for _ in range(n - 1):
+    prev, cur = 3, 1  # d_{-1} = 3 continues the recurrence
+    for _ in range(n):
         prev, cur = cur, 6 * cur - prev
     return cur
 
@@ -49,16 +47,26 @@ def terms_for_bound(mass: int | Fraction, digits: int) -> int:
 
 
 def alternating_sum(terms: Sequence[Fraction]) -> Fraction:
-    """Accelerated estimate of sum (-1)^k terms[k] from the given prefix."""
+    """Accelerated estimate of sum (-1)^k terms[k] from the given prefix.
+
+    The weights b_{k+1} = b_k 2(k+N)(k-N) / ((2k+1)(k+1)) (b_0 = -1) and
+    c_k = b_k - c_{k-1} (c_{-1} = -d_N) are integers, shifted Chebyshev
+    coefficients; a division with a remainder raises ArithmeticError.  The
+    terms c_k p_k/q_k are merged pairwise, (P1 Q2 + P2 Q1, Q1 Q2), then reduced.
+    """
     n = len(terms)
-    if n == 0:
-        return Fraction(0)
     d = chebyshev_scale(n)
-    b = Fraction(-1)
-    c = Fraction(-d)
-    s = Fraction(0)
-    for k in range(n):
+    b, c = -1, -d
+    leaves = []
+    for k, term in enumerate(terms):
         c = b - c
-        s += c * terms[k]
-        b = b * (2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
-    return s / d
+        leaves.append((c * term.numerator, term.denominator))
+        b, rem = divmod(b * 2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
+        if rem:
+            raise ArithmeticError(f"Chebyshev weight b_{k + 1} is not an integer")
+    while len(leaves) > 1:
+        pairs = zip(leaves[::2], leaves[1::2])
+        merged = [(p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in pairs]
+        leaves = merged + leaves[2 * len(merged):]
+    p, q = leaves[0] if leaves else (0, 1)
+    return Fraction(p, q * d)

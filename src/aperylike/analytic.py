@@ -71,49 +71,60 @@ class CFConvergent:
 def reference_catalan(digits: int) -> mpf:
     """Catalan's constant G = sum (-1)^l / (2l+1)^2 to `digits` digits.
 
-    Chebyshev acceleration of the defining series, run in exact rational
-    arithmetic over N = terms_for_bound(1, digits+10) terms and rounded once
-    at working precision digits+15.  The terms 1/(2l+1)^2 are the moments of
-    (1/4) x^(-1/2) (-log x) dx on [0, 1], a positive measure of mass 1, so the
-    exact estimate is within G/d_N < 1/d_N < 10^-(digits+10) of G,
-    d_N = chebyshev_scale(N).  Serves as the oracle that is independent of the
-    recurrence route.
+    Chebyshev acceleration of the defining series over N =
+    terms_for_bound(1, digits+10) terms: alternating_sum weights them by
+    integers and adds them exactly in one product tree, and the reduced
+    Fraction is rounded at working precision digits+15.  The terms are the
+    moments of (1/4) x^(-1/2) (-log x) dx on [0, 1], a positive measure of
+    mass 1, so the exact estimate is within G/d_N < 1/d_N < 10^-(digits+10)
+    of G, d_N = chebyshev_scale(N).  Serves as the oracle that is independent
+    of the recurrence route.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
     count = terms_for_bound(1, digits + 10)
-    estimate = alternating_sum(
-        [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
-    )
-    return to_mpf(estimate, digits + 15)
+    terms = [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
+    return to_mpf(alternating_sum(terms), digits + 15)
 
 
-def _arctan_reciprocal(x: int, working_digits: int) -> mpf:
-    """arctan(1/x) for integer x >= 2 by the alternating Taylor series."""
-    terms = int(working_digits * math.log(10) / (2 * math.log(x))) + 2
-    with mp.workdps(working_digits):
-        total = mpf(0)
-        power = x  # x^(2k+1), exact integer
-        square = x * x
-        for k in range(terms + 1):
-            term = mpf(1) / (mpf(2 * k + 1) * mpf(power))
-            total += term if k % 2 == 0 else -term
-            power *= square
-        return +total
+def _arctan_reciprocal(x: int, working_digits: int) -> tuple[int, int]:
+    """(P, Q) with P/Q = S_K = sum_{k<=K} (-1)^k / ((2k+1) x^(2k+1)) exactly.
+
+    S_K is the Taylor partial sum of arctan(1/x), x >= 2 an integer, with
+    K = floor(working_digits ln 10 / (2 ln x)) + 2, formed by binary
+    splitting.  Its terms decrease, so |arctan(1/x) - S_K| < 1/((2K+3)
+    x^(2K+3)), which is below 10^-working_digits x^-5 / (2K+3).
+    """
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        # (P, Q, (-x^2)^(hi-lo)) with P/Q = sum_{lo<=k<hi} (-x^2)^(lo-k) / (2k+1)
+        if hi - lo == 1:
+            return 1, 2 * lo + 1, -x * x
+        mid = (lo + hi) // 2
+        (p1, q1, x1), (p2, q2, x2) = split(lo, mid), split(mid, hi)
+        return p1 * q2 * x1 + p2 * q1, q1 * q2 * x1, x1 * x2
+
+    p, q, _ = split(0, int(working_digits * math.log(10) / (2 * math.log(x))) + 3)
+    return p, q * x
 
 
 @lru_cache(maxsize=32)
 def reference_zeta4(digits: int) -> mpf:
     """zeta(4) = pi^4 / 90 with pi from the Machin formula.
 
-    pi = 16 arctan(1/5) - 4 arctan(1/239), evaluated at digits+15 working
-    digits; independent of the recurrence route and of the derivative series.
+    pi = 16 arctan(1/5) - 4 arctan(1/239), each arctangent summed exactly by
+    _arctan_reciprocal for w = digits+15 working digits.  Its tail bound
+    1/((2K+3) x^(2K+3)) < 10^-w x^-5 / (2K+3), with K >= 2, puts the exact
+    pi within (16/5^5 + 4/239^5) 10^-w / 7 < 10^-(w+3); the fourth power is
+    taken at working precision.  Independent of the recurrence route and of
+    the derivative series.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
     working = digits + 15
+    p5, q5 = _arctan_reciprocal(5, working)
+    p239, q239 = _arctan_reciprocal(239, working)
     with mp.workdps(working):
-        pi = 16 * _arctan_reciprocal(5, working) - 4 * _arctan_reciprocal(239, working)
+        pi = mpf(16 * p5 * q239 - 4 * p239 * q5) / (q5 * q239)
         return +(pi**4 / 90)
 
 

@@ -47,11 +47,6 @@ def format_rational(value: RationalLike) -> str:
     return str(as_fraction(value))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over the rationals
 # ---------------------------------------------------------------------------
@@ -214,9 +209,6 @@ class Polynomial:
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, self._coerce(other))[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, self._coerce(other))[1]
 
     @staticmethod
     def _coerce(value) -> "Polynomial":
@@ -538,19 +530,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.center, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            return self.reciprocal() ** (-exponent)
-        result = TruncatedSeries.constant(1, self.center, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse modulo (t - center)^order; needs c_0 != 0."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from aperylike.acceleration import chebyshev_scale
 from aperylike.exact import Polynomial, TruncatedSeries
 from aperylike.sequences import RECURRENCES, recurrence_coefficients
 
@@ -37,6 +38,26 @@ def stepped_pairs(family: str, n_max: int) -> list[tuple[Fraction, Fraction]]:
             ((mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead)
         )
     return rows[: n_max + 1]
+
+
+def sequential_alternating_sum(terms) -> Fraction:
+    """The Chebyshev estimate of sum (-1)^k terms[k] by the rational weight
+    recursion of Cohen, Rodriguez Villegas and Zagier, one Fraction at a time.
+
+    The reference for the package's integer weights and summation tree.
+    """
+    n = len(terms)
+    if n == 0:
+        return Fraction(0)
+    d = chebyshev_scale(n)
+    b = Fraction(-1)
+    c = Fraction(-d)
+    s = Fraction(0)
+    for k in range(n):
+        c = b - c
+        s += c * terms[k]
+        b = b * (2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
+    return s / d
 
 
 # Plain Fraction-loop references for the exact core's integer kernels; they
@@ -103,7 +124,8 @@ def series_pole_jets(n: int) -> list[TruncatedSeries]:
         for l in range(n + 1):
             if l != k:
                 factor = Polynomial([Fraction(2 * l + 1, 2), 1])
-                den_jet *= TruncatedSeries.from_polynomial(factor, center, 3) ** 3
+                factor_jet = TruncatedSeries.from_polynomial(factor, center, 3)
+                den_jet *= factor_jet * factor_jet * factor_jet
         num_jet = TruncatedSeries.from_polynomial(numerator, center, 3)
         jets.append(num_jet * den_jet.reciprocal())
     return jets

@@ -9,6 +9,7 @@ from mpmath import mp
 from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_bound
 from aperylike.analytic import (
     DIGITS_PER_STEP,
+    _arctan_reciprocal,
     beukers_integral,
     catalan_digits,
     cf_convergent,
@@ -22,7 +23,7 @@ from aperylike.analytic import (
 from aperylike.errors import PrecisionError
 from aperylike.sequences import catalan_pair, pair, zeta4_pair
 from aperylike.exact import decimal_string, to_mpf
-from tests.conftest import mpf_frac, stepped_pairs
+from tests.conftest import mpf_frac, sequential_alternating_sum, stepped_pairs
 
 
 class TestReferenceConstants:
@@ -44,6 +45,34 @@ class TestReferenceConstants:
         with mp.workdps(digits + 40):
             error = abs(mpf_frac(estimate) - mp.catalan)
             assert error < mpf_frac(Fraction(1, chebyshev_scale(count)))
+
+    def test_catalan_at_linear_form_precision_matches_sequential_sum(self):
+        # just above the 2131 digits that linear_form("catalan", 1000, 30) uses
+        count = terms_for_bound(1, 2136 + 10)
+        terms = [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
+        estimate = sequential_alternating_sum(terms)
+        assert reference_catalan(2136) == to_mpf(estimate, 2136 + 15)
+
+    @pytest.mark.parametrize("x", [5, 239])
+    def test_arctan_partial_sum_within_its_tail_bound(self, x):
+        # S_K with K = floor(w ln 10 / (2 ln x)) + 2 lies between the partial
+        # sums S_{K+1} and S_{K+2}: |arctan(1/x) - S_K| is below the first
+        # omitted term and above the first minus the second
+        working = 2200
+        K = int(working * math.log(10) / (2 * math.log(x))) + 2
+        first = Fraction(1, (2 * K + 3) * x ** (2 * K + 3))
+        second = Fraction(1, (2 * K + 5) * x ** (2 * K + 5))
+        assert first < Fraction(1, 10**working * x**5 * (2 * K + 3))
+        p, q = _arctan_reciprocal(x, working)
+        with mp.workdps(working + 50):
+            error = abs(mp.mpf(p) / q - mp.atan(mp.mpf(1) / x))
+            assert mpf_frac(first - second) < error < mpf_frac(first)
+
+    def test_zeta4_at_linear_form_precision(self):
+        # just above the 2099 digits that linear_form("zeta4", 600, 30) uses
+        value = reference_zeta4(2104)
+        with mp.workdps(2104 + 50):
+            assert abs(value - mp.zeta(4)) < mp.mpf(10) ** -2104
 
     def test_catalan_first_digits(self):
         value = reference_catalan(10)

@@ -5,13 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
 from aperylike.cli import EXIT_CODES, run
-from aperylike.exact import parse_rational
 from tests.conftest import mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -40,8 +40,8 @@ class TestPair:
         from aperylike.sequences import catalan_pair
 
         item = catalan_pair(7)
-        assert parse_rational(record["u"]) == item.u
-        assert parse_rational(record["v"]) == item.v
+        assert Fraction(record["u"]) == item.u
+        assert Fraction(record["v"]) == item.v
 
     def test_csv_format(self, capsys):
         _, lines = run_lines(
