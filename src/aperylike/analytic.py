@@ -15,11 +15,9 @@ reference values, so the two paths stay independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, NamedTuple
 
 from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
@@ -34,12 +32,14 @@ from .sequences import (
     recurrence_coefficients,
 )
 
+if TYPE_CHECKING:
+    from mpmath import mpf
+
 #: Decimal digits gained per recurrence step by the convergents v_n/u_n.
 DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
 
 
-@dataclass(frozen=True)
-class DigitsResult:
+class DigitsResult(NamedTuple):
     """A certified decimal expansion of one of the two constants.
 
     `value` carries `digits` digits after the decimal point; `error_bound`
@@ -55,8 +55,7 @@ class DigitsResult:
     error_bound: mpf
 
 
-@dataclass(frozen=True)
-class CFConvergent:
+class CFConvergent(NamedTuple):
     """Depth-n value of the continued-fraction expansion, as an exact rational."""
 
     family: str
@@ -118,6 +117,8 @@ def reference_zeta4(digits: int) -> mpf:
     taken at working precision.  Independent of the recurrence route and of
     the derivative series.
     """
+    from mpmath import mp, mpf
+
     if digits < 1:
         raise ValueError("digits must be positive")
     working = digits + 15
@@ -177,6 +178,8 @@ def linear_form(family: str, n: int, digits: int) -> mpf:
 
 def _linear_form(family: str, n: int, digits: int) -> tuple[Fraction, mpf]:
     """u_n and linear_form(family, n, digits), from one product tree."""
+    from mpmath import mp
+
     _check_family(family)
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -262,6 +265,8 @@ def beukers_integral(n: int, digits: int) -> mpf:
     its place is excluded exactly at n = 0, where the first two positive
     terms of the integrand's series expansion already give I_0 > 4 + 8/9 > 4 G.
     """
+    from mpmath import mp, mpf
+
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not 1 <= digits <= 50:
@@ -319,6 +324,8 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
     been decreasing long enough, which is the integral comparison bound for
     an eventually monotone single-signed tail.
     """
+    from mpmath import mp, mpf
+
     if n < 0:
         raise ValueError("index must be nonnegative")
     if not 1 <= digits <= 10:
@@ -364,6 +371,8 @@ def characteristic_residual(family: str, digits: int) -> mpf:
     zeta4:   lambda^2 - 270 lambda - 27 at (3+2 sqrt3)^3.
     Vanishes to working precision; a sanity anchor for the measured rates.
     """
+    from mpmath import mp
+
     with mp.workdps(digits + 15):
         if family == "catalan":
             root = ((1 + mp.sqrt(5)) / 2) ** 5

@@ -18,10 +18,8 @@ below; the per-n identity check is the arbiter for that transcription.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp, mpf
+from typing import NamedTuple
 
 from .errors import PrecisionError
 from .exact import Polynomial, RationalFunction, poly_gcd
@@ -29,8 +27,7 @@ from .hypergeom import build_kernel, f_numeric
 from .sequences import recurrence_coefficients
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """The certificate pair (s_n, S_n = s_n R_n) for one index n >= 1."""
 
     n: int
@@ -137,6 +134,8 @@ def verify_recurrence_transfer(n: int, digits: int) -> bool:
     combination vanishes to within 10^-(digits-5).  Complements the exact
     identity check along an entirely numerical route.
     """
+    from mpmath import mp, mpf
+
     if n < 1:
         raise ValueError("the recurrence transfer is stated for n >= 1")
     if digits < 6:

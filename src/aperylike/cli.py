@@ -14,10 +14,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any
-
-from mpmath import mp
+from typing import Any, NamedTuple
 
 from . import analytic, certificate, hypergeom, sequences
 from .errors import PrecisionError
@@ -33,8 +30,7 @@ EXIT_CODES = {
 FAMILY_CHOICES = sequences.FAMILIES
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     """Outcome of one CLI invocation: a status plus the last payload."""
 
     status: str
@@ -155,6 +151,8 @@ def _cmd_cf(args) -> CommandResult:
 
 
 def _cmd_digits(args) -> CommandResult:
+    from mpmath import mp
+
     result = (
         analytic.catalan_digits(args.digits)
         if args.constant == "catalan"
@@ -172,6 +170,8 @@ def _cmd_digits(args) -> CommandResult:
 
 
 def _cmd_integral(args) -> CommandResult:
+    from mpmath import mp
+
     value = analytic.beukers_integral(args.n, args.digits)
     # the form carries 15 digits past the comparison, so that its own error
     # stays out of the residuals; linear_form sizes the cancellation itself
@@ -196,6 +196,8 @@ def _cmd_integral(args) -> CommandResult:
 
 
 def _cmd_series(args) -> CommandResult:
+    from mpmath import mp
+
     value = analytic.zeta4_series(args.n, args.digits)
     # the form carries 15 digits past the comparison, so that its own error
     # stays out of the residual; the test stays absolute, as zeta4_series'
@@ -217,6 +219,8 @@ def _cmd_series(args) -> CommandResult:
 
 
 def _cmd_asymptotics(args) -> CommandResult:
+    from mpmath import mp
+
     rates = sequences.asymptotic_report(args.family, args.n, args.digits)
     record = {
         "family": args.family,

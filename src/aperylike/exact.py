@@ -21,7 +21,9 @@ pseudo-division ``_pseudo_division``, behind ``divmod`` and ``poly_gcd``.
 
 Everything in this module is exact; nothing rounds.  The only floating-point
 code is the small group of helpers at the bottom that convert exact rationals
-to mpmath values or decimal strings at a caller-stated number of digits.
+to mpmath values or decimal strings at a caller-stated number of digits, each
+rounding once.  mpmath is imported inside ``to_mpf``, so the exact paths of the
+package never load it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from mpmath import mp, mpf
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 RationalLike = Union[int, Fraction]
 
@@ -576,13 +579,17 @@ def lcm_upto(n: int) -> int:
 def to_mpf(value: RationalLike, digits: int) -> mpf:
     """Round an exact rational to an mpmath float carrying `digits` decimal digits.
 
-    No hidden guard digits: the caller states the working precision.
+    One rounding, to nearest: the result is within half an ulp of the
+    rational.  No hidden guard digits: the caller states the working precision.
     """
+    from mpmath import mp
+    from mpmath.libmp import from_rational, round_nearest
+
     if digits < 1:
         raise ValueError("digits must be positive")
     q = as_fraction(value)
     with mp.workdps(digits):
-        return mpf(q.numerator) / mpf(q.denominator)
+        return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, round_nearest))
 
 
 def decimal_string(value: RationalLike, places: int) -> str:

@@ -31,17 +31,17 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mpf
+from typing import TYPE_CHECKING, NamedTuple
 
 from .acceleration import alternating_sum, terms_for_bound
 from .exact import Polynomial, RationalFunction, TruncatedSeries, lcm_upto, to_mpf
 
+if TYPE_CHECKING:
+    from mpmath import mpf
 
-@dataclass(frozen=True)
-class KernelParts:
+
+class KernelParts(NamedTuple):
     """The kernel R_n together with its building blocks.
 
     P1 and P2 are the integer-valued falling/rising factorial polynomials
@@ -56,8 +56,7 @@ class KernelParts:
     R: RationalFunction
 
 
-@dataclass(frozen=True)
-class PartialFractionTable:
+class PartialFractionTable(NamedTuple):
     """Exact coefficients A[j][k] of the pole expansion of R_n.
 
     Row j (0, 1, 2) holds the coefficients of 1/(t+k+1/2)^(3-j) for
@@ -71,8 +70,7 @@ class PartialFractionTable:
         return self.A[j][k]
 
 
-@dataclass(frozen=True)
-class CoefficientQuadruple:
+class CoefficientQuadruple(NamedTuple):
     """Linear-form coefficients assembled from the partial-fraction table."""
 
     n: int

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .exact import RationalLike, as_fraction, horner_int, lcm_upto, to_mpf
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 #: Integrality modes: "proved" uses the guaranteed clearing factors,
 #: "strong" the sharper experimentally observed ones.
@@ -49,8 +49,7 @@ def _check_family(family: str) -> None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-@dataclass(frozen=True)
-class SequencePair:
+class SequencePair(NamedTuple):
     """One exact element (n, u_n, v_n) of a recurrence family."""
 
     family: str
@@ -59,8 +58,7 @@ class SequencePair:
     v: Fraction
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     """Outcome of clearing denominators at one index.
 
     witness_u / witness_v hold the cleared integers when the check passes,
@@ -80,8 +78,7 @@ class InclusionReport:
         return self.pass_u and self.pass_v
 
 
-@dataclass(frozen=True)
-class AsymptoticRates:
+class AsymptoticRates(NamedTuple):
     """Measured per-n logarithmic growth of u_n and of |u_n C - v_n|."""
 
     rate_u: mpf
@@ -114,8 +111,7 @@ def zeta4_r(n: RationalLike) -> Fraction:
 # -- the recurrence table -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """lead(k) x_{k+1} = mid(k) x_k + back(k) x_{k-1} for k >= 1, started from
     the pairs initial = ((u_0, v_0), (u_1, v_1))."""
 
@@ -326,6 +322,8 @@ def asymptotic_report(family: str, n: int, digits: int) -> AsymptoticRates:
     rates are right to `digits` digits; the working precision it needs is
     fixed in advance by the Casoratian bound on the cancellation.
     """
+    from mpmath import mp
+
     if n < 2:
         raise ValueError("growth rates need n >= 2")
     if digits < 1:

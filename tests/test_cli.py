@@ -159,6 +159,38 @@ class TestImports:
         ).stdout
         assert out.strip() == "False"
 
+    def test_exact_subcommands_do_not_import_mpmath(self):
+        # mpmath is loaded on the first numeric evaluation; digits shows that
+        # this check sees the import when it happens
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import aperylike.cli\n"
+            "seen = {'import': sorted({'mpmath', 'dataclasses'} & set(sys.modules))}\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = aperylike.cli.run(argv.split()).status\n"
+            "    seen[argv] = [status, 'mpmath' in sys.modules]\n"
+            "print(json.dumps(seen))\n"
+        )
+        exact = [
+            "pair --family catalan --n 5",
+            "range --family zeta4 --n-max 5",
+            "check --family catalan --n-max 5 --mode proved",
+            "cf --family zeta4 --n 5",
+            "certify --family catalan --n-max 2",
+            "decompose --n 3",
+        ]
+        digits = "digits --constant catalan --digits 20"
+        out = subprocess.run(
+            [sys.executable, "-c", code, *exact, digits],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        ).stdout
+        seen = json.loads(out)
+        assert seen.pop("import") == []
+        assert seen.pop(digits) == ["ok", True]
+        assert seen == {argv: ["ok", False] for argv in exact}
+
 
 class TestSeries:
     def test_residual_small(self, capsys):

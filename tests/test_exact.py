@@ -380,3 +380,41 @@ class TestDecimalHelpers:
     def test_to_mpf_round_trip_scale(self):
         x = to_mpf(Fraction(7, 4), 30)
         assert abs(x - 1.75) < 1e-25
+
+    @staticmethod
+    def half_ulp(q, digits):
+        """Half the spacing of `digits`-digit mpmath floats at |q|: 2^(e - prec)
+        for 2^e <= |q| < 2^(e+1)."""
+        from mpmath import mp
+
+        with mp.workdps(digits):
+            prec = mp.prec
+        num, den = abs(q.numerator), q.denominator
+        e = num.bit_length() - den.bit_length()
+        if Fraction(num, den) < Fraction(2) ** e:
+            e -= 1
+        return Fraction(2) ** (e - prec)
+
+    @pytest.mark.parametrize("digits", [5, 30, 200])
+    def test_to_mpf_rounds_once_to_nearest(self, digits):
+        rng = random.Random(digits)
+        values = [
+            Fraction(rng.choice([-1, 1]) * rng.randrange(1, 2**bits), rng.randrange(1, 2**bits))
+            for bits in (8, 40, 120, 900)
+            for _ in range(50)
+        ]
+        # mpf(p) / mpf(q) at 5 digits rounds p, q and the quotient, and lands
+        # more than half an ulp from this one
+        values.append(Fraction(99760271522, 14806516449))
+        for q in values:
+            sign, man, exp, _ = to_mpf(q, digits)._mpf_
+            rounded = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+            assert abs(rounded - q) <= self.half_ulp(q, digits), q
+
+    def test_three_roundings_miss_the_nearest_float(self):
+        from mpmath import mp, mpf
+
+        q = Fraction(99760271522, 14806516449)
+        with mp.workdps(5):
+            _, man, exp, _ = (mpf(q.numerator) / mpf(q.denominator))._mpf_
+        assert abs(Fraction(man) * Fraction(2) ** exp - q) > self.half_ulp(q, 5)
