@@ -200,13 +200,13 @@ def _cmd_series(args) -> CommandResult:
 
     value = analytic.zeta4_series(args.n, args.digits)
     # the form carries 15 digits past the comparison, so that its own error
-    # stays out of the residual; the test stays absolute, as zeta4_series'
-    # own tolerance is
+    # stays out of the residual; the test is relative to the form, as in
+    # `integral`, since the form shrinks with n far below any fixed bound
     working = args.digits + 15
     form = analytic.linear_form("zeta4", args.n, working)
     with mp.workdps(working):
         residual = abs(value - form)
-        ok = residual < mp.mpf(10) ** (-(args.digits - 1))
+        ok = residual < mp.mpf(10) ** (-(args.digits - 1)) * abs(form)
     record = {
         "n": args.n,
         "digits": args.digits,

@@ -6,7 +6,8 @@ Representations:
 * rationals are ``fractions.Fraction`` (always reduced, denominator > 0);
 * a polynomial is a tuple of Fraction coefficients, index = degree, with no
   trailing zeros; the zero polynomial stores an empty tuple;
-* a rational function is a reduced pair num/den with monic denominator; it is
+* a rational function is a pair num/den of polynomials kept exactly as built,
+  never reduced by a gcd; two are equal when num1 den2 == num2 den1.  It is
   multiplied, shifted and evaluated, never added (callers that need a sum,
   such as the telescoping check, clear denominators themselves);
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j;
@@ -17,7 +18,9 @@ operand scaled by one common denominator (``integer_coefficients``), and form
 one reduced Fraction per output coefficient.  Taylor recentering has one
 routine, ``_taylor_coefficients`` (synthetic division), behind ``Polynomial.shift``
 and ``TruncatedSeries.from_polynomial``; division has one, the integer
-pseudo-division ``_pseudo_division``, behind ``divmod`` and ``poly_gcd``.
+pseudo-division ``_pseudo_division``, behind ``divmod`` and ``poly_gcd``; their
+one library caller is the denominator clearing in
+``certificate.verify_telescoping``.
 
 Everything in this module is exact; nothing rounds.  The only floating-point
 code is the small group of helpers at the bottom that convert exact rationals
@@ -348,95 +351,44 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Quotient of polynomials in canonical form.
+    """Quotient num/den of polynomials, stored exactly as given.
 
-    Canonical means gcd(num, den) = 1 and den monic; the scalar freed by
-    making the denominator monic is absorbed into the numerator.
+    The pair is not reduced, so equal functions can have different pairs:
+    equality is by cross-multiplication, which is exact, and the class is
+    unhashable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=Polynomial.constant(1)):
-        num = self._to_poly(num)
-        den = self._to_poly(den)
+        num = Polynomial._coerce(num)
+        den = Polynomial._coerce(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("a rational function needs polynomial parts")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", Polynomial())
-            object.__setattr__(self, "den", Polynomial.constant(1))
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading_coefficient
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def _from_normalized(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Trusted constructor: inputs must already be coprime with monic den."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
-
-    @staticmethod
-    def _to_poly(value) -> Polynomial:
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Polynomial.constant(value)
-        raise TypeError(f"cannot build a polynomial from {value!r}")
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self == RationalFunction(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    # -- field operations ---------------------------------------------------
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalFunction(Polynomial())
-        # Cross-reduce first; the products of the reduced parts are then
-        # coprime, so no further gcd is needed.
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        num1 = self.num // g1 if g1.degree > 0 else self.num
-        den2 = other.den // g1 if g1.degree > 0 else other.den
-        num2 = other.num // g2 if g2.degree > 0 else other.num
-        den1 = self.den // g2 if g2.degree > 0 else self.den
-        num = num1 * num2
-        den = den1 * den2
-        lead = den.leading_coefficient
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        return RationalFunction._from_normalized(num, den)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -448,10 +400,8 @@ class RationalFunction:
             return cls(value)
         return NotImplemented
 
-    # -- evaluation ----------------------------------------------------------
-
     def __call__(self, point: RationalLike) -> Fraction:
-        """Exact evaluation; raises ZeroDivisionError at a pole."""
+        """Exact evaluation; raises ZeroDivisionError where den vanishes."""
         x = as_fraction(point)
         d = self.den(x)
         if d == 0:
@@ -459,10 +409,8 @@ class RationalFunction:
         return self.num(x) / d
 
     def shift(self, offset: RationalLike) -> "RationalFunction":
-        """Return f(t + offset); translation preserves canonical form."""
-        num = self.num.shift(offset)
-        den = self.den.shift(offset)
-        return RationalFunction._from_normalized(num, den)
+        """Return f(t + offset)."""
+        return RationalFunction(self.num.shift(offset), self.den.shift(offset))
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ class KernelParts(NamedTuple):
     """The kernel R_n together with its building blocks.
 
     P1 and P2 are the integer-valued falling/rising factorial polynomials
-    scaled by 1/n!; Q is the reciprocal of the half-integer Pochhammer
-    product scaled by n!, so that R = (2t+n+1) P1 P2 Q^3.
+    scaled by 1/n!; Q is n! over the half-integer Pochhammer product, so that
+    R = (2t+n+1) P1 P2 Q^3.  Q and R are unreduced pairs: R's denominator is
+    the cubed product for every n, though for even n one factor cancels.
     """
 
     n: int
@@ -109,20 +110,9 @@ def build_kernel(n: int) -> KernelParts:
     p1 = falling * Fraction(1, fact)
     p2 = rising * Fraction(1, fact)
     poch = Polynomial.from_roots([_half(k) for k in range(n + 1)])
-    q = RationalFunction._from_normalized(Polynomial.constant(fact), poch)
-
-    # R in lowest terms: for even n the linear factor 2t+n+1 equals twice a
-    # pole factor and cancels one power of it in the denominator.
-    num = falling * rising * fact
-    if n % 2 == 0:
-        num = num * 2
-        den = Polynomial.constant(1)
-        for k in range(n + 1):
-            den = den * _pole_factor(k) ** (2 if k == n // 2 else 3)
-    else:
-        num = num * Polynomial([Fraction(n + 1), Fraction(2)])  # 2t + n + 1
-        den = poch**3
-    r = RationalFunction._from_normalized(num, den)
+    q = RationalFunction(fact, poch)
+    two_t = Polynomial([Fraction(n + 1), Fraction(2)])     # 2t + n + 1
+    r = RationalFunction(falling * rising * two_t * fact, poch**3)
 
     parts = KernelParts(n=n, P1=p1, P2=p2, Q=q, R=r)
     with _kernel_lock:

@@ -194,27 +194,34 @@ class TestImports:
 
 class TestSeries:
     def test_residual_small(self, capsys):
-        result, lines = run_lines(
-            capsys, ["series", "--constant", "zeta4", "--n", "1", "--digits", "6"]
-        )
-        record = json.loads(lines[0])
-        assert result.status == "ok"
-        assert float(record["residual"]) < 1e-5
+        # n = 4 at 8 digits is the last index where the series meets the
+        # relative check; n = 5 fails it (below)
+        for n, digits in ((1, 6), (4, 8)):
+            result, lines = run_lines(
+                capsys,
+                ["series", "--constant", "zeta4", "--n", str(n), "--digits", str(digits)],
+            )
+            record = json.loads(lines[0])
+            assert result.status == "ok", n
+            assert float(record["residual"]) < 1e-5
 
     def test_linear_form_resolved_past_the_cancellation(self, capsys, zeta4_200):
         # u_12 zeta(4) - v_12 is about 8e-16 while u_12 is about 1e14, so the
-        # form cancels about 30 digits; without guard digits it printed 0.0
-        result, lines = run_lines(
-            capsys, ["series", "--constant", "zeta4", "--n", "12", "--digits", "8"]
-        )
-        record = json.loads(lines[0])
-        assert result.status == "ok"
+        # form cancels about 30 digits; without guard digits it printed 0.0.
+        # The series misses the form by about 1.7e-14 at 8 digits, which is
+        # far more than 10^-7 of the form at n = 5 and 12, so both fail
         from aperylike.sequences import zeta4_pair
 
-        item = zeta4_pair(12)
-        with mp.workdps(200):
-            expected = mpf_frac(item.u) * zeta4_200 - mpf_frac(item.v)
-            assert abs(mpf(record["linear_form"]) / expected - 1) < mpf(10) ** -8
+        for n in (5, 12):
+            result, lines = run_lines(
+                capsys, ["series", "--constant", "zeta4", "--n", str(n), "--digits", "8"]
+            )
+            record = json.loads(lines[0])
+            assert result.status == "verification_failed", n
+            item = zeta4_pair(n)
+            with mp.workdps(200):
+                expected = mpf_frac(item.u) * zeta4_200 - mpf_frac(item.v)
+                assert abs(mpf(record["linear_form"]) / expected - 1) < mpf(10) ** -8
 
 
 class TestAsymptotics:
@@ -303,6 +310,9 @@ class TestRecordedOutput:
             "asymptotics --family zeta4 --n 600 --digits 30",
             "asymptotics --family catalan --n 1000 --digits 30",
             "series --constant zeta4 --n 3 --digits 8",
+            "series --constant zeta4 --n 1 --digits 6",
+            "certify --family catalan --n-max 4",
+            "certify --family catalan --n-max 40",
             "decompose --n 60",
             "decompose --n 8",
         ],
