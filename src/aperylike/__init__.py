@@ -10,7 +10,8 @@ Subpackages by responsibility:
 * :mod:`aperylike.sequences` - the two recurrence families, integrality
   reports, measured growth rates;
 * :mod:`aperylike.hypergeom` - the rational kernel, its partial-fraction
-  table, linear-form coefficients, numerical kernel sums;
+  table, linear-form coefficients, numerical kernel sums, and the pole
+  table of the zeta4 family's inner function;
 * :mod:`aperylike.certificate` - the telescoping certificate and its exact
   verification;
 * :mod:`aperylike.analytic` - reference constants, certified digits, the
@@ -35,12 +36,14 @@ from .hypergeom import (
     CoefficientQuadruple,
     KernelParts,
     PartialFractionTable,
+    Zeta4Decomposition,
     build_kernel,
     coefficient_quadruple,
     check_arith_lemmas,
     f_numeric,
     partial_fractions,
     q_residues,
+    zeta4_decomposition,
 )
 from .certificate import (
     Certificate,
@@ -77,6 +80,7 @@ __all__ = [
     "RationalFunction",
     "SequencePair",
     "TruncatedSeries",
+    "Zeta4Decomposition",
     "asymptotic_report",
     "beukers_integral",
     "build_certificate",
@@ -99,6 +103,7 @@ __all__ = [
     "reference_zeta4",
     "verify_recurrence_transfer",
     "verify_telescoping",
+    "zeta4_decomposition",
     "zeta4_digits",
     "zeta4_pair",
     "zeta4_r",

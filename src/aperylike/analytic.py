@@ -2,7 +2,8 @@
 the recurrences, the linear forms u_n C - v_n at a working precision fixed by
 a proved bound, continued-fraction convergents, the double-integral
 representation of the catalan linear forms, and the derivative series for the
-zeta4 family.
+zeta4 family, summed in closed form from the exact pole table of its inner
+function (`hypergeom.zeta4_decomposition`) up to its stop index.
 
 Reference constants are computed by routes independent of the recurrences:
 Catalan's constant by Chebyshev acceleration of its defining alternating
@@ -21,7 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
-from .exact import Polynomial, decimal_string, horner_int, integer_coefficients, to_mpf
+from .exact import decimal_string, to_mpf
+from .hypergeom import zeta4_decomposition
 from .sequences import (
     FAMILIES,
     RECURRENCES,
@@ -298,19 +300,52 @@ def beukers_integral(n: int, digits: int) -> mpf:
 # -- the derivative series for the zeta4 family ----------------------------------
 
 
-@lru_cache(maxsize=32)
-def _zeta4_series_parts(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Integer coefficient lists (H_num, H_den, H'_num, H'_den) for the inner
-    rational function H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4 with
-    G1 = (t-1)...(t-n) and G2 = (t+n+1)...(t+2n)."""
-    g1 = Polynomial.from_roots(range(1, n + 1))
-    g2 = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
-    num = Polynomial([n, 2]) * g1**2 * g2**2
-    den = Polynomial.from_roots([-i for i in range(n + 1)]) ** 4
-    deriv_num = num.derivative() * den - num * den.derivative()
-    deriv_den = den * den
-    scaled, _ = integer_coefficients(num, den, deriv_num, deriv_den)
-    return tuple(tuple(coeffs) for coeffs in scaled)
+def _zeta4_inner(n: int, t: int) -> Fraction:
+    """H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4 at an integer t > n,
+    as one exact product."""
+    outer = math.prod(range(t - n, t)) * math.prod(range(t + n + 1, t + 2 * n + 1))
+    return Fraction((2 * t + n) * outer**2, math.prod(range(t, t + n + 1)) ** 4)
+
+
+def _zeta4_slope(n: int, t: int) -> Fraction:
+    """H_n'(t) at an integer t > n: H_n(t) times its log-derivative
+    2/(2t+n) + 2 sum 1/(t-i) + 2 sum 1/(t+n+i) - 4 sum 1/(t+i), summed over
+    one common denominator in integers."""
+    top, bottom = 2, 2 * t + n
+    factors = [(x, 2) for x in (*range(t - n, t), *range(t + n + 1, t + 2 * n + 1))]
+    for x, m in factors + [(x, -4) for x in range(t, t + n + 1)]:
+        top, bottom = top * x + m * bottom, bottom * x
+    return _zeta4_inner(n, t) * Fraction(top, bottom)
+
+
+def _zeta4_stop_index(n: int, digits: int, max_terms: int) -> int:
+    """The index T at which the derivative series is cut.
+
+    T is the first multiple of 64 with T >= max(16, 5n+5) at which
+    |H_n(T)| + |H_n'(T+1)| < 10^-(digits+5) and |H_n'| strictly decreases
+    over T-8..T: the integral comparison bound for an eventually monotone
+    single-signed tail.  Only those points are evaluated, each exact value
+    rounded once at digits+15, the tolerance first and the run of decrease
+    only where it passes.
+    """
+    from mpmath import mp, mpf
+
+    working = digits + 15
+
+    def size(value: Fraction) -> mpf:
+        return abs(to_mpf(value, working))
+
+    with mp.workdps(working):
+        tolerance = mpf(10) ** (-(digits + 5))
+        first = -(-max(16, 5 * n + 5) // 64) * 64
+        for t in range(first, max_terms + 1, 64):
+            if size(_zeta4_inner(n, t)) + size(_zeta4_slope(n, t + 1)) < tolerance:
+                slopes = [size(_zeta4_slope(n, s)) for s in range(t - 8, t + 1)]
+                if all(a > b for a, b in zip(slopes, slopes[1:])):
+                    return t
+    raise PrecisionError(
+        f"derivative series did not reach {digits} digits within {max_terms} terms"
+    )
 
 
 def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
@@ -319,10 +354,24 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
         (-1)^(n+1)/6 * sum_{t>=1} H_n'(t),
 
     with H_n the inner rational function (degree gap 3, so H_n' decays like
-    t^-4).  Terms are exact integer ratios evaluated at the working
-    precision; the tail is bounded by |H_n(T)| + |H_n'(T+1)| once |H_n'| has
-    been decreasing long enough, which is the integral comparison bound for
-    an eventually monotone single-signed tail.
+    t^-4), cut at the stop index T of `_zeta4_stop_index`: the value is the
+    partial sum S_T = sum_{t<=T} H_n'(t) times (-1)^(n+1)/6, to within
+    10^-(digits+15).  That tolerance is absolute, whatever the size of
+    u_n zeta(4) - v_n, so the digits are capped at 10 and the value carries
+    fewer relative digits as n grows.
+
+    S_T is summed in closed form from the exact pole table B_jk of H_n
+    (`hypergeom.zeta4_decomposition`), not term by term.  With
+    c_jk = -(4-j) B_jk and s = 5-j,
+
+        S_T = sum_{j,k} c_jk (H_(T+k)^(s) - H_k^(s))
+            = sum_s zeta[s-2] zeta(s) + rational - sum_{j,k} c_jk zeta(s, T+k+1),
+
+    the full sum less its tail, with one Hurwitz zeta value per s and the
+    rest exact.  Each H_m^(s) is below zeta(2) < 2, so no term of the full
+    sum exceeds 2 sum |c_jk| and the tail terms are far smaller: at
+    digits + 15 + log10(2 sum |c_jk|) + 5 working digits the few roundings
+    stay below 10^-(digits+15).  The precision is fixed before evaluating.
     """
     from mpmath import mp, mpf
 
@@ -330,35 +379,29 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
         raise ValueError("index must be nonnegative")
     if not 1 <= digits <= 10:
         raise ValueError("digits must lie in 1..10 (terms decay only like t^-4)")
-    h_num, h_den, hp_num, hp_den = _zeta4_series_parts(n)
-    working = digits + 15
-    with mp.workdps(working):
-        tolerance = mpf(10) ** (-(digits + 5))
-        total = mpf(0)
-        previous = mp.inf
-        streak = 0
-        settled_after = max(16, 5 * n + 5)
-        t = 1
-        while t <= max_terms:
-            term = mpf(horner_int(hp_num, t)) / mpf(horner_int(hp_den, t))
-            total += term
-            magnitude = abs(term)
-            streak = streak + 1 if magnitude < previous else 0
-            previous = magnitude
-            if streak >= 8 and t >= settled_after and t % 64 == 0:
-                h_here = abs(
-                    mpf(horner_int(h_num, t)) / mpf(horner_int(h_den, t))
-                )
-                next_term = abs(
-                    mpf(horner_int(hp_num, t + 1)) / mpf(horner_int(hp_den, t + 1))
-                )
-                if h_here + next_term < tolerance:
-                    sign = 1 if n % 2 == 1 else -1
-                    return +(sign * total / 6)
-            t += 1
-    raise PrecisionError(
-        f"derivative series did not reach {digits} digits within {max_terms} terms"
+    stop = _zeta4_stop_index(n, digits, max_terms)
+    parts = zeta4_decomposition(n)
+    weights = [[-(4 - j) * b for b in row] for j, row in enumerate(parts.B)]
+    mass = 2 * sum(abs(c) for row in weights for c in row)
+    # mass < 2^(bits(num) - bits(den) + 1)
+    extra = math.ceil(
+        (mass.numerator.bit_length() - mass.denominator.bit_length() + 1) * math.log10(2)
     )
+    working = digits + 20 + extra
+    with mp.workdps(working):
+        full = to_mpf(parts.rational, working) + sum(
+            to_mpf(c, working) * mp.zeta(s) for s, c in enumerate(parts.zeta, 2)
+        )
+        tail = mpf(0)
+        for j, row in enumerate(weights):
+            s = 5 - j
+            hurwitz = mp.zeta(s, stop + 1)  # zeta(s, T+k+1), k = 0, 1, ...
+            for k, c in enumerate(row):
+                tail += to_mpf(c, working) * hurwitz
+                hurwitz -= mpf(stop + k + 1) ** -s
+        value = (1 if n % 2 == 1 else -1) * (full - tail) / 6
+    with mp.workdps(digits + 15):
+        return +value
 
 
 # -- characteristic-root helpers (used by tests) -----------------------------------

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import Any, NamedTuple
 
 from . import analytic, certificate, hypergeom, sequences
@@ -104,6 +105,8 @@ def _cmd_check(args) -> CommandResult:
 
 
 def _cmd_decompose(args) -> CommandResult:
+    if args.family == "zeta4":
+        return _decompose_zeta4(args.n)
     table = hypergeom.partial_fractions(args.n)
     quad = hypergeom.coefficient_quadruple(args.n)
     record = {
@@ -116,6 +119,31 @@ def _cmd_decompose(args) -> CommandResult:
     }
     _emit(record, "json")
     return CommandResult("ok", record)
+
+
+def _decompose_zeta4(n: int) -> CommandResult:
+    parts = hypergeom.zeta4_decomposition(n)
+    item = sequences.zeta4_pair(n)
+    sign = Fraction((-1) ** (n + 1), 6)
+    # sum_t H_n'(t) = 6 (-1)^(n+1) (u_n zeta(4) - v_n), so only zeta(4) appears
+    holds = (
+        parts.zeta[0] == parts.zeta[1] == parts.zeta[3] == 0
+        and sign * parts.zeta[2] == item.u
+        and sign * parts.rational == -item.v
+    )
+    record = {
+        "family": "zeta4",
+        "n": n,
+        "B": [[format_rational(entry) for entry in row] for row in parts.B],
+        "zeta2": format_rational(parts.zeta[0]),
+        "zeta3": format_rational(parts.zeta[1]),
+        "zeta4": format_rational(parts.zeta[2]),
+        "zeta5": format_rational(parts.zeta[3]),
+        "rational": format_rational(parts.rational),
+        "identity": holds,
+    }
+    _emit(record, "json")
+    return CommandResult("ok" if holds else "verification_failed", record)
 
 
 def _cmd_certify(args) -> CommandResult:
@@ -268,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "decompose", help="partial-fraction table and linear-form coefficients"
     )
+    p.add_argument("--family", choices=FAMILY_CHOICES, default="catalan")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_decompose)
 

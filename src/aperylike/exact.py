@@ -234,12 +234,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self, order: int = 1) -> "Polynomial":
-        coeffs = list(self.coeffs)
-        for _ in range(order):
-            coeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        return Polynomial(coeffs)
-
     def shift(self, offset: RationalLike) -> "Polynomial":
         """Compose with a translation: returns f(t + offset)."""
         a = as_fraction(offset)

@@ -25,6 +25,13 @@ equals U' G - V with U = U'' = 0, G being Catalan's constant.  That identity
 is the cross-check between this module and the recurrence-generated
 sequences: U'_n = 8 u_n and V_n = 8 v_n.  F_n itself has one numerical
 route, `f_numeric`, whose accelerated term count is proved from the table.
+
+The zeta4 family gets the same treatment one order higher: its inner
+function H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4 has poles of order
+at most 4 at t = -k, and `zeta4_decomposition` reads its table B_jk off the
+closed-form jets (`exp_jet`, which both tables use) and sums
+sum_{t>=1} H_n'(t) into exact coefficients of zeta(2..5) and a rational
+part: the exact second route to u_n zeta(4) - v_n.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .acceleration import alternating_sum, terms_for_bound
 from .exact import Polynomial, RationalFunction, TruncatedSeries, lcm_upto, to_mpf
@@ -139,34 +146,47 @@ def q_residues(n: int) -> list[Fraction]:
     return out
 
 
-def _prefix_tables(points: range) -> tuple[list, list[Fraction], list[Fraction]]:
-    """Entry m of each list is the product, the sum of 1/x and the sum of
-    1/x^2 over the first m integer points."""
-    prod, first, second = [1], [Fraction(0)], [Fraction(0)]
+def _prefix_tables(points: range, depth: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Entry m of the first list is the product of the first m integer
+    points; entry m of row j-1 (j = 1..depth) is the sum of 1/x^j over them."""
+    prod, sums = [1], [[Fraction(0)] for _ in range(depth)]
     for x in points:
-        inverse = Fraction(1, x)
         prod.append(prod[-1] * x)
-        first.append(first[-1] + inverse)
-        second.append(second[-1] + inverse * inverse)
-    return prod, first, second
+        inverse = Fraction(1, x)
+        power = Fraction(1)
+        for row in sums:
+            power *= inverse
+            row.append(row[-1] + power)
+    return prod, sums
 
 
 def _pole_tables(n: int) -> tuple[tuple, tuple]:
     """Prefix tables over the odd numbers 2i+1 (i < 2n) and over 1..n."""
-    return _prefix_tables(range(1, 4 * n, 2)), _prefix_tables(range(1, n + 1))
+    return _prefix_tables(range(1, 4 * n, 2), 2), _prefix_tables(range(1, n + 1), 2)
 
 
-def _log_jet(
-    center: Fraction, value: Fraction, s1: Fraction, s2: Fraction
+def exp_jet(
+    center: Fraction, value: Fraction, power_sums: Sequence[Fraction], order: int
 ) -> TruncatedSeries:
-    """Order-3 jet at the center of a product of factors (t-r)^m with the
-    given value there and power sums s_j = sum m / (center-r)^j."""
-    return TruncatedSeries(center, [value, value * s1, value * (s1 * s1 - s2) / 2])
+    """Order-`order` jet at the center of a product of factors (t-r)^m with
+    the given value there and power sums p_j = sum m / (center-r)^j, for
+    j = 1..order-1.
+
+    The product is value * exp(sum_j (-1)^(j+1) p_j x^j / j) in x = t-center,
+    and e = exp(a) satisfies e' = a' e, so its coefficients follow from
+    e_0 = 1 and e_m = (1/m) sum_{i=1..m} (-1)^(i+1) p_i e_(m-i).
+    """
+    e = [Fraction(1)]
+    for m in range(1, order):
+        e.append(
+            sum((-1) ** (i + 1) * power_sums[i - 1] * e[m - i] for i in range(1, m + 1)) / m
+        )
+    return TruncatedSeries(center, [value * c for c in e])
 
 
 def _closed_form_jet(n: int, k: int, tables) -> TruncatedSeries:
     """pole_jet(n, k) for 0 <= k <= n in O(1) Fractions from `_pole_tables(n)`."""
-    (odd, h1, h2), (f, w1, w2) = tables
+    (odd, (h1, h2)), (f, (w1, w2)) = tables
     center = _half(k)
     # offsets from the center: t - i (i < n) at -(2(k+i)+1)/2; t + n + i
     # (1 <= i <= n) at (2j+1)/2 for n-k <= j < 2n-k; t + l + 1/2 at l - k
@@ -178,17 +198,17 @@ def _closed_form_jet(n: int, k: int, tables) -> TruncatedSeries:
     s2 = 4 * (h2[2 * n - k] - h2[n - k] + h2[k + n] - h2[k])
     gap = n - 2 * k  # 2t + n + 1 = 2 (t - center) + gap
     if gap:
-        numerator = _log_jet(
-            center, value * gap, s1 + Fraction(2, gap), s2 + Fraction(4, gap * gap)
+        numerator = exp_jet(
+            center, value * gap, (s1 + Fraction(2, gap), s2 + Fraction(4, gap * gap)), 3
         )
     else:
         # the middle pole of even n: 2t + n + 1 = 2x shifts the jet one place
         numerator = TruncatedSeries(center, [0, 2 * value, 2 * value * s1])
-    reciprocal = _log_jet(
+    reciprocal = exp_jet(
         center,
         Fraction(1, ((-1) ** k * f[k] * f[n - k]) ** 3),
-        -3 * (w1[n - k] - w1[k]),
-        -3 * (w2[n - k] + w2[k]),
+        (-3 * (w1[n - k] - w1[k]), -3 * (w2[n - k] + w2[k])),
+        3,
     )
     return numerator * reciprocal
 
@@ -295,6 +315,87 @@ def coefficient_quadruple(n: int) -> CoefficientQuadruple:
         Udoubleprime=2 * sums[2],
         V=sum(2 ** (3 - j) * inner[j] for j in range(3)),
     )
+
+
+# -- the zeta4 family: the inner function H_n -----------------------------------
+
+
+class Zeta4Decomposition(NamedTuple):
+    """The pole expansion of the zeta4 family's inner function and the exact
+    sum of its derivative over t >= 1.
+
+    B[j][k] (j = 0..3, k = 0..n) is the coefficient of 1/(t+k)^(4-j).  With
+    c_jk = -(4-j) B[j][k] and s = 5-j,
+
+        sum_{t>=1} H_n'(t) = sum_{j,k} c_jk (zeta(s) - H_k^(s))
+                           = sum_s zeta[s-2] zeta(s) + rational,
+
+    where zeta[s-2] = sum_k c_jk is the coefficient of zeta(s), s = 2..5, and
+    rational = -sum_{j,k} c_jk H_k^(s), H_k^(s) = sum_{m<=k} 1/m^s.
+    """
+
+    n: int
+    B: tuple[tuple[Fraction, ...], ...]
+    zeta: tuple[Fraction, ...]
+    rational: Fraction
+
+
+def _zeta4_pole_jet(n: int, k: int, f: list[int], h: list[list[Fraction]]) -> TruncatedSeries:
+    """Order-4 jet of H_n(t) (t+k)^4 at t = -k, 0 <= k <= n, from the prefix
+    tables `f, h = _prefix_tables(range(1, 2n+1), depth)`, depth >= 3."""
+    center = Fraction(-k)
+    # offsets from the center: t - i (1 <= i <= n) at -(k+i), squared;
+    # t + n + i (1 <= i <= n) at n-k+i, squared; t + i (i != k) at i-k, to -4
+    value = Fraction((f[k + n] * f[2 * n - k]) ** 2, (f[k] * f[n - k]) ** 6)
+    sums = [
+        2 * (-1) ** j * (h[j - 1][k + n] - h[j - 1][k])
+        + 2 * (h[j - 1][2 * n - k] - h[j - 1][n - k])
+        - 4 * (h[j - 1][n - k] + (-1) ** j * h[j - 1][k])
+        for j in (1, 2, 3)
+    ]
+    gap = n - 2 * k  # 2t + n = 2 (t - center) + gap
+    if gap:
+        return exp_jet(
+            center, value * gap, [p + Fraction(2, gap) ** j for j, p in enumerate(sums, 1)], 4
+        )
+    # the middle pole of even n: 2t + n = 2x shifts the jet one place
+    rest = exp_jet(center, value, sums, 3)
+    return TruncatedSeries(center, [0] + [2 * c for c in rest.coeffs])
+
+
+def zeta4_decomposition(n: int) -> Zeta4Decomposition:
+    """The exact 4 x (n+1) pole table of the zeta4 family's inner function
+
+        H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4,
+        G1 = (t-1)...(t-n),  G2 = (t+n+1)...(t+2n),
+
+    and the zeta and rational coefficients of sum_{t>=1} H_n'(t).
+
+    H_n is proper (degree gap 3) with poles of order 4 at t = -k, k = 0..n,
+    except the middle pole of even n, of order 3, where 2t+n vanishes.
+    Column k is the order-4 jet of the pole-cleared product H_n(t) (t+k)^4,
+    a product of linear factors, so `exp_jet` gives it from the power sums
+    of its offsets, each a difference of the prefix sums H_m^(j) over
+    1..2n: the table costs O(n) Fraction operations, as the catalan one
+    does.  The identity (-1)^(n+1)/6 sum_t H_n'(t) = u_n zeta(4) - v_n of
+    the zeta4 family means zeta[0], zeta[1] and zeta[3] vanish,
+    (-1)^(n+1) zeta[2]/6 = u_n and (-1)^(n+1) rational/6 = -v_n; tests
+    assert it exactly.
+    """
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    f, h = _prefix_tables(range(1, 2 * n + 1), 5)
+    jets = [_zeta4_pole_jet(n, k, f, h) for k in range(n + 1)]
+    table = tuple(tuple(jet.coefficient(j) for jet in jets) for j in range(4))
+    zeta = [Fraction(0)] * 4
+    rational = Fraction(0)
+    for j, row in enumerate(table):
+        s = 5 - j
+        for k, b in enumerate(row):
+            c = -(4 - j) * b
+            zeta[s - 2] += c
+            rational -= c * h[s - 1][k]
+    return Zeta4Decomposition(n=n, B=table, zeta=tuple(zeta), rational=rational)
 
 
 # -- auxiliary integrality checks ---------------------------------------------

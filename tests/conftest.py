@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from aperylike.acceleration import chebyshev_scale
-from aperylike.exact import Polynomial, TruncatedSeries
+from aperylike.exact import Polynomial, TruncatedSeries, horner_int, integer_coefficients
 from aperylike.sequences import RECURRENCES, recurrence_coefficients
 
 
@@ -129,6 +129,70 @@ def series_pole_jets(n: int) -> list[TruncatedSeries]:
         num_jet = TruncatedSeries.from_polynomial(numerator, center, 3)
         jets.append(num_jet * den_jet.reciprocal())
     return jets
+
+
+def series_zeta4_pole_jets(n: int) -> list[TruncatedSeries]:
+    """The jets of H_n(t) (t+k)^4 at t = -k for k = 0..n, by products of
+    Taylor jets in Fraction, H_n being the zeta4 family's inner function
+    (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4.
+
+    The reference for the package's closed-form zeta4 pole table: the
+    numerator is expanded as one polynomial and each other pole's fourth
+    power is multiplied in as a jet.
+    """
+    g1 = Polynomial.from_roots(range(1, n + 1))
+    g2 = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
+    numerator = Polynomial([n, 2]) * g1 * g1 * g2 * g2
+    jets = []
+    for k in range(n + 1):
+        den_jet = TruncatedSeries.constant(1, -k, 4)
+        for l in range(n + 1):
+            if l != k:
+                factor_jet = TruncatedSeries.from_polynomial(Polynomial([l, 1]), -k, 4)
+                den_jet *= factor_jet * factor_jet * factor_jet * factor_jet
+        num_jet = TruncatedSeries.from_polynomial(numerator, -k, 4)
+        jets.append(num_jet * den_jet.reciprocal())
+    return jets
+
+
+def termwise_zeta4_series(n: int, digits: int) -> tuple[int, mpf]:
+    """(T, value) of the zeta4 derivative series by adding its terms one at a time.
+
+    The reference for the package's closed-form sum and stop index: H_n and
+    H_n' are expanded as integer polynomials and every term t = 1..T is an
+    integer ratio rounded at digits+15.  T is the first multiple of 64 with
+    T >= max(16, 5n+5), |H_n'| strictly decreasing over T-8..T and
+    |H_n(T)| + |H_n'(T+1)| < 10^-(digits+5); the value is
+    (-1)^(n+1)/6 sum_{t<=T} H_n'(t).
+    """
+
+    def derivative(p: Polynomial) -> Polynomial:
+        return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+    g1 = Polynomial.from_roots(range(1, n + 1))
+    g2 = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
+    num = Polynomial([n, 2]) * g1**2 * g2**2
+    den = Polynomial.from_roots([-i for i in range(n + 1)]) ** 4
+    h_num, h_den, hp_num, hp_den = integer_coefficients(
+        num, den, derivative(num) * den - num * derivative(den), den * den
+    )[0]
+
+    def ratio(top, bottom, t):
+        return mpf(horner_int(top, t)) / mpf(horner_int(bottom, t))
+
+    with mp.workdps(digits + 15):
+        tolerance = mpf(10) ** (-(digits + 5))
+        total, previous, streak, t = mpf(0), mp.inf, 0, 1
+        while True:
+            term = ratio(hp_num, hp_den, t)
+            total += term
+            streak = streak + 1 if abs(term) < previous else 0
+            previous = abs(term)
+            if streak >= 8 and t >= max(16, 5 * n + 5) and t % 64 == 0:
+                tail = abs(ratio(h_num, h_den, t)) + abs(ratio(hp_num, hp_den, t + 1))
+                if tail < tolerance:
+                    return t, +((1 if n % 2 else -1) * total / 6)
+            t += 1
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_b
 from aperylike.analytic import (
     DIGITS_PER_STEP,
     _arctan_reciprocal,
+    _zeta4_stop_index,
     beukers_integral,
     catalan_digits,
     cf_convergent,
@@ -23,7 +24,12 @@ from aperylike.analytic import (
 from aperylike.errors import PrecisionError
 from aperylike.sequences import catalan_pair, pair, zeta4_pair
 from aperylike.exact import decimal_string, to_mpf
-from tests.conftest import mpf_frac, sequential_alternating_sum, stepped_pairs
+from tests.conftest import (
+    mpf_frac,
+    sequential_alternating_sum,
+    stepped_pairs,
+    termwise_zeta4_series,
+)
 
 
 class TestReferenceConstants:
@@ -353,6 +359,14 @@ class TestZeta4Series:
                 item = zeta4_pair(n)
                 form = mpf_frac(item.u) * zeta4_200 - mpf_frac(item.v)
                 assert mp.sign(value) == mp.sign(form), n
+
+    @pytest.mark.parametrize("n, digits", [(0, 8), (1, 6), (3, 8)])
+    def test_equals_the_termwise_sum(self, n, digits):
+        # the same stop index and partial sum as adding the terms one by one
+        stop, expected = termwise_zeta4_series(n, digits)
+        assert _zeta4_stop_index(n, digits, 1_000_000) == stop
+        with mp.workdps(40):
+            assert abs(zeta4_series(n, digits) - expected) < mp.mpf(10) ** -20
 
     def test_digit_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,7 @@ class TestImports:
             "cf --family zeta4 --n 5",
             "certify --family catalan --n-max 2",
             "decompose --n 3",
+            "decompose --family zeta4 --n 3",
         ]
         digits = "digits --constant catalan --digits 20"
         out = subprocess.run(
@@ -222,6 +223,31 @@ class TestSeries:
             with mp.workdps(200):
                 expected = mpf_frac(item.u) * zeta4_200 - mpf_frac(item.v)
                 assert abs(mpf(record["linear_form"]) / expected - 1) < mpf(10) ** -8
+
+
+    @pytest.mark.parametrize(
+        "n, digits, exit_code, stdout",
+        [
+            (0, 10, 0, '{"n": 0, "digits": 10, "value": "1.08232323371", '
+             '"linear_form": "1.08232323371", "residual": "1.666e-16"}'),
+            (2, 10, 0, '{"n": 2, "digits": 10, "value": "0.000379903755106", '
+             '"linear_form": "0.000379903755106", "residual": "1.666e-16"}'),
+            (4, 8, 0, '{"n": 4, "digits": 8, "value": "9.435011599e-7", '
+             '"linear_form": "9.435011764e-7", "residual": "1.656e-14"}'),
+            (5, 8, 1, '{"n": 5, "digits": 8, "value": "-5.810926952e-8", '
+             '"linear_form": "-5.810928608e-8", "residual": "1.656e-14"}'),
+            (12, 8, 1, '{"n": 12, "digits": 8, "value": "-1.577509787e-14", '
+             '"linear_form": "7.772103568e-16", "residual": "1.655e-14"}'),
+        ],
+    )
+    def test_recorded_stdout(self, capsys, n, digits, exit_code, stdout):
+        # the printed value is the partial sum to the stop index T, which
+        # the term-by-term summation fixed; these lines are its output
+        result = run(
+            ["series", "--constant", "zeta4", "--n", str(n), "--digits", str(digits)]
+        )
+        assert capsys.readouterr().out == stdout + "\n"
+        assert result.exit_code == exit_code
 
 
 class TestAsymptotics:
@@ -287,6 +313,50 @@ class TestDecompose:
         assert record["Uprime"] == "14"
         assert record["V"] == "13"
         assert result.status == "ok"
+
+
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_zeta4_identity(self, capsys, n):
+        from aperylike.hypergeom import zeta4_decomposition
+        from aperylike.sequences import zeta4_pair
+
+        result, lines = run_lines(capsys, ["decompose", "--family", "zeta4", "--n", str(n)])
+        record = json.loads(lines[0])
+        assert result.status == "ok" and result.exit_code == 0
+        assert record["identity"] is True
+        assert len(record["B"]) == 4 and all(len(row) == n + 1 for row in record["B"])
+        assert [[Fraction(b) for b in row] for row in record["B"]] == [
+            list(row) for row in zeta4_decomposition(n).B
+        ]
+        assert record["zeta2"] == record["zeta3"] == record["zeta5"] == "0"
+        item = zeta4_pair(n)
+        sign = Fraction((-1) ** (n + 1), 6)
+        assert sign * Fraction(record["zeta4"]) == item.u
+        assert sign * Fraction(record["rational"]) == -item.v
+
+    def test_zeta4_n1_payload(self, capsys):
+        _, lines = run_lines(capsys, ["decompose", "--family", "zeta4", "--n", "1"])
+        record = json.loads(lines[0])
+        assert record["B"] == [["4", "-4"], ["-12", "-12"], ["13", "-13"], ["0", "0"]]
+        assert (record["zeta4"], record["rational"]) == ("72", "-78")
+
+    def test_zeta4_failed_identity_exits_1(self, capsys, monkeypatch):
+        from aperylike import hypergeom
+
+        exact = hypergeom.zeta4_decomposition
+        monkeypatch.setattr(
+            hypergeom,
+            "zeta4_decomposition",
+            lambda n: exact(n)._replace(rational=exact(n).rational + 1),
+        )
+        result, lines = run_lines(capsys, ["decompose", "--family", "zeta4", "--n", "2"])
+        assert json.loads(lines[0])["identity"] is False
+        assert result.status == "verification_failed" and result.exit_code == 1
+
+    def test_default_family_is_catalan(self, capsys):
+        _, default = run_lines(capsys, ["decompose", "--n", "4"])
+        _, catalan = run_lines(capsys, ["decompose", "--family", "catalan", "--n", "4"])
+        assert default == catalan
 
 
 class TestQuietFlag:

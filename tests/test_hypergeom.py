@@ -9,6 +9,7 @@ from mpmath import mp
 from aperylike.exact import (
     Polynomial,
     RationalFunction,
+    TruncatedSeries,
     horner_int,
     integer_coefficients,
     lcm_upto,
@@ -18,14 +19,16 @@ from aperylike.hypergeom import (
     build_kernel,
     check_arith_lemmas,
     coefficient_quadruple,
+    exp_jet,
     f_numeric,
     partial_fractions,
     pole_jet,
     q_residues,
     reconstruction,
+    zeta4_decomposition,
 )
-from aperylike.sequences import catalan_pair
-from tests.conftest import mpf_frac, series_pole_jets
+from aperylike.sequences import catalan_pair, zeta4_pair
+from tests.conftest import mpf_frac, series_pole_jets, series_zeta4_pole_jets
 
 
 def pole_factor(k: int) -> Polynomial:
@@ -192,6 +195,71 @@ class TestClosedFormJets:
             for j, row in enumerate(partial_fractions(n).A):
                 for k, a in enumerate(row):
                     assert (scale * d_n**j * a).denominator == 1, (n, j, k)
+
+
+class TestExpJet:
+    def test_order_three_is_the_log_jet_formula(self):
+        # value (1 + s1 x + (s1^2 - s2) x^2/2), the closed form it replaced
+        for value, s1, s2 in [
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(-3, 4), Fraction(7, 5), Fraction(2, 9)),
+            (Fraction(11), Fraction(-1, 3), Fraction(-5, 2)),
+        ]:
+            jet = exp_jet(Fraction(-5, 2), value, (s1, s2), 3)
+            assert jet.center == Fraction(-5, 2)
+            assert jet.coeffs == (value, value * s1, value * (s1 * s1 - s2) / 2)
+
+    def test_order_four_is_a_product_of_linear_factors(self):
+        # (t-1)^2 (t+3)^-1 (t-4/3)^3 at t = 1/2
+        center = Fraction(1, 2)
+        factors = [(Fraction(1), 2), (Fraction(-3), -1), (Fraction(4, 3), 3)]
+        product = TruncatedSeries.constant(1, center, 4)
+        for root, m in factors:
+            jet = TruncatedSeries.from_polynomial(Polynomial([-root, 1]), center, 4)
+            if m < 0:
+                jet = jet.reciprocal()
+            for _ in range(abs(m)):
+                product = product * jet
+        value = Fraction(1)
+        for root, m in factors:
+            value *= (center - root) ** m
+        sums = [sum(m / (center - root) ** j for root, m in factors) for j in (1, 2, 3)]
+        assert exp_jet(center, value, sums, 4) == product
+
+
+class TestZeta4Decomposition:
+    @pytest.mark.parametrize("n", range(21))
+    def test_table_equals_the_series_reference(self, n):
+        jets = series_zeta4_pole_jets(n)
+        assert zeta4_decomposition(n).B == tuple(
+            tuple(jet.coefficient(j) for jet in jets) for j in range(4)
+        )
+
+    @pytest.mark.parametrize("n", range(61))
+    def test_series_identity_is_exact(self, n):
+        # (-1)^(n+1)/6 sum_{t>=1} H_n'(t) = u_n zeta(4) - v_n, coefficient
+        # by coefficient, with no tolerance
+        parts = zeta4_decomposition(n)
+        sign = Fraction((-1) ** (n + 1), 6)
+        item = zeta4_pair(n)
+        assert (parts.zeta[0], parts.zeta[1], parts.zeta[3]) == (0, 0, 0)
+        assert sign * parts.zeta[2] == item.u
+        assert sign * parts.rational == -item.v
+
+    @pytest.mark.parametrize("n", range(25))
+    def test_pole_orders(self, n):
+        # every pole is of order 4 (B_0k != 0) except the middle pole of
+        # even n, where 2t+n vanishes: B_0k = 0 and B_1k != 0
+        table = zeta4_decomposition(n).B
+        for k in range(n + 1):
+            if 2 * k == n:
+                assert table[0][k] == 0 and table[1][k] != 0
+            else:
+                assert table[0][k] != 0
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            zeta4_decomposition(-1)
 
 
 class TestQuadruple:
