@@ -9,9 +9,9 @@ Subpackages by responsibility:
   alternating series;
 * :mod:`aperylike.sequences` - the two recurrence families, integrality
   reports, measured growth rates;
-* :mod:`aperylike.hypergeom` - the rational kernel, its partial-fraction
-  table, linear-form coefficients, numerical kernel sums, and the pole
-  table of the zeta4 family's inner function;
+* :mod:`aperylike.hypergeom` - the two rational kernels as factor runs,
+  their pole tables, linear-form coefficients, numerical kernel sums, and
+  the zeta4 family's exact derivative sum;
 * :mod:`aperylike.certificate` - the telescoping certificate and its exact
   verification;
 * :mod:`aperylike.analytic` - reference constants, certified digits, the
@@ -29,6 +29,7 @@ from .sequences import (
     catalan_pair,
     catalan_q,
     check_inclusions,
+    recurrence_residual,
     zeta4_pair,
     zeta4_r,
 )
@@ -37,12 +38,14 @@ from .hypergeom import (
     KernelParts,
     PartialFractionTable,
     Zeta4Decomposition,
+    beta_partial_sum,
     build_kernel,
     coefficient_quadruple,
     check_arith_lemmas,
     f_numeric,
     partial_fractions,
     q_residues,
+    reconstruction,
     zeta4_decomposition,
 )
 from .certificate import (
@@ -57,6 +60,7 @@ from .analytic import (
     beukers_integral,
     catalan_digits,
     cf_convergent,
+    characteristic_residual,
     linear_form,
     reference_catalan,
     reference_zeta4,
@@ -82,6 +86,7 @@ __all__ = [
     "TruncatedSeries",
     "Zeta4Decomposition",
     "asymptotic_report",
+    "beta_partial_sum",
     "beukers_integral",
     "build_certificate",
     "build_kernel",
@@ -90,6 +95,7 @@ __all__ = [
     "catalan_pair",
     "catalan_q",
     "cf_convergent",
+    "characteristic_residual",
     "check_arith_lemmas",
     "check_inclusions",
     "coefficient_quadruple",
@@ -99,6 +105,8 @@ __all__ = [
     "partial_fractions",
     "poly_gcd",
     "q_residues",
+    "reconstruction",
+    "recurrence_residual",
     "reference_catalan",
     "reference_zeta4",
     "verify_recurrence_transfer",

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
 from .exact import decimal_string, to_mpf
-from .hypergeom import zeta4_decomposition
+from .hypergeom import factor_runs, zeta4_decomposition
 from .sequences import (
     FAMILIES,
     RECURRENCES,
@@ -300,24 +300,6 @@ def beukers_integral(n: int, digits: int) -> mpf:
 # -- the derivative series for the zeta4 family ----------------------------------
 
 
-def _zeta4_inner(n: int, t: int) -> Fraction:
-    """H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4 at an integer t > n,
-    as one exact product."""
-    outer = math.prod(range(t - n, t)) * math.prod(range(t + n + 1, t + 2 * n + 1))
-    return Fraction((2 * t + n) * outer**2, math.prod(range(t, t + n + 1)) ** 4)
-
-
-def _zeta4_slope(n: int, t: int) -> Fraction:
-    """H_n'(t) at an integer t > n: H_n(t) times its log-derivative
-    2/(2t+n) + 2 sum 1/(t-i) + 2 sum 1/(t+n+i) - 4 sum 1/(t+i), summed over
-    one common denominator in integers."""
-    top, bottom = 2, 2 * t + n
-    factors = [(x, 2) for x in (*range(t - n, t), *range(t + n + 1, t + 2 * n + 1))]
-    for x, m in factors + [(x, -4) for x in range(t, t + n + 1)]:
-        top, bottom = top * x + m * bottom, bottom * x
-    return _zeta4_inner(n, t) * Fraction(top, bottom)
-
-
 def _zeta4_stop_index(n: int, digits: int, max_terms: int) -> int:
     """The index T at which the derivative series is cut.
 
@@ -325,22 +307,27 @@ def _zeta4_stop_index(n: int, digits: int, max_terms: int) -> int:
     |H_n(T)| + |H_n'(T+1)| < 10^-(digits+5) and |H_n'| strictly decreases
     over T-8..T: the integral comparison bound for an eventually monotone
     single-signed tail.  Only those points are evaluated, each exact value
-    rounded once at digits+15, the tolerance first and the run of decrease
-    only where it passes.
+    rounded once at digits+15: |H_n(T)| first, H_n'(T+1) where that alone
+    passes, and the run of decrease where the sum passes.
     """
     from mpmath import mp, mpf
 
     working = digits + 15
+    inner = factor_runs("zeta4", n)  # H_n
 
     def size(value: Fraction) -> mpf:
         return abs(to_mpf(value, working))
+
+    def slope(t: int) -> Fraction:  # H_n'(t)
+        return inner.value(t) * inner.log_derivative(t)
 
     with mp.workdps(working):
         tolerance = mpf(10) ** (-(digits + 5))
         first = -(-max(16, 5 * n + 5) // 64) * 64
         for t in range(first, max_terms + 1, 64):
-            if size(_zeta4_inner(n, t)) + size(_zeta4_slope(n, t + 1)) < tolerance:
-                slopes = [size(_zeta4_slope(n, s)) for s in range(t - 8, t + 1)]
+            height = size(inner.value(t))
+            if height < tolerance and height + size(slope(t + 1)) < tolerance:
+                slopes = [size(slope(s)) for s in range(t - 8, t + 1)]
                 if all(a > b for a, b in zip(slopes, slopes[1:])):
                     return t
     raise PrecisionError(

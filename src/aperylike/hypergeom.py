@@ -1,37 +1,32 @@
-"""The rational kernel R_n, its partial-fraction table, and the linear-form
-coefficients it produces.
+"""The two rational kernels, their pole tables, and the linear-form
+coefficients they produce.
 
-For each n the kernel is
+Each kernel is described once, as data (`KERNELS`): a scale and runs of
+consecutive linear factors, a run (r0, L, m) standing for
+prod_{i<L} (t-r0-i)^m.  The run with m < 0 holds the poles, of order -m.
 
-    R_n(t) = n! (2t+n+1) * t(t-1)...(t-n+1) * (t+n+1)...(t+2n)
-             / ((t+1/2)(t+3/2)...(t+n+1/2))^3,
+    R_n(t) = n! (2t+n+1) t(t-1)...(t-n+1) (t+n+1)...(t+2n) / ((t+1/2)...(t+n+1/2))^3
+           = sum_{j<3} sum_{k<=n} A_jk / (t+k+1/2)^(3-j)
 
-a proper rational function whose poles are the half-integers -k-1/2 for
-k = 0..n, each of order at most 3.  Writing
+is the catalan kernel, and
 
-    R_n(t) = sum_{j=0}^{2} sum_{k=0}^{n} A_jk / (t+k+1/2)^(3-j),
+    H_n(t) = (2t+n) ((t-1)...(t-n))^2 ((t+n+1)...(t+2n))^2 / (t(t+1)...(t+n))^4
+           = sum_{j<4} sum_{k<=n} B_jk / (t+k)^(4-j)
 
-the numbers A_jk are the order-3 jet of the pole-cleared function
-C_k(t) = R_n(t) (t+k+1/2)^3 at t = -k-1/2.  C_k is a product of linear
-factors, so its jet in x = t+k+1/2 is C_k(-k-1/2) (1 + s1 x + (s1^2-s2) x^2/2),
-where s_j sums m/offset^j over the factors (offset from the pole, m the
-multiplicity).  The offsets are runs of consecutive half-integers and
-integers, so each s_j is a difference of prefix tables: the table costs O(n)
-Fraction operations in all, and the kernel is never built for it.
+the zeta4 family's inner function.  From a description follow the exact
+value and log-derivative at a point (`FactorRuns`) and the pole table
+(`pole_table`): each column is the jet at a pole of a product of linear
+factors, which `exp_jet` gives from the power sums of the factors' offsets
+from the pole, and prefix tables over the runs give those in integers.
 
-Alternating sums of the table columns produce the coefficients
-(U, U', U'', V) for which the alternating series F_n = sum_t (-1)^t R_n(t)
-equals U' G - V with U = U'' = 0, G being Catalan's constant.  That identity
-is the cross-check between this module and the recurrence-generated
-sequences: U'_n = 8 u_n and V_n = 8 v_n.  F_n itself has one numerical
-route, `f_numeric`, whose accelerated term count is proved from the table.
-
-The zeta4 family gets the same treatment one order higher: its inner
-function H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4 has poles of order
-at most 4 at t = -k, and `zeta4_decomposition` reads its table B_jk off the
-closed-form jets (`exp_jet`, which both tables use) and sums
-sum_{t>=1} H_n'(t) into exact coefficients of zeta(2..5) and a rational
-part: the exact second route to u_n zeta(4) - v_n.
+Alternating sums of the columns of A_jk produce the coefficients
+(U, U', U'', V) for which F_n = sum_t (-1)^t R_n(t) equals U' G - V with
+U = U'' = 0, G being Catalan's constant: the cross-check with the
+recurrence is U'_n = 8 u_n and V_n = 8 v_n.  F_n has one numerical route,
+`f_numeric`, whose accelerated term count is proved from the table.
+`zeta4_decomposition` sums sum_{t>=1} H_n'(t) from B_jk into exact
+coefficients of zeta(2..5) and a rational part: the exact second route to
+u_n zeta(4) - v_n.
 """
 
 from __future__ import annotations
@@ -111,17 +106,15 @@ def build_kernel(n: int) -> KernelParts:
     if cached is not None:
         return cached
 
+    scale, runs = factor_runs("catalan", n)
+    # t + (n+1)/2, t(t-1)...(t-n+1), (t+n+1)...(t+2n), (t+1/2)...(t+n+1/2)
+    two_t, falling, rising, poch = (
+        Polynomial.from_roots([r0 + i for i in range(length)]) for r0, length, _ in runs
+    )
     fact = math.factorial(n)
-    falling = Polynomial.from_roots(range(n))                # t(t-1)...(t-n+1)
-    rising = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
-    p1 = falling * Fraction(1, fact)
-    p2 = rising * Fraction(1, fact)
-    poch = Polynomial.from_roots([_half(k) for k in range(n + 1)])
-    q = RationalFunction(fact, poch)
-    two_t = Polynomial([Fraction(n + 1), Fraction(2)])     # 2t + n + 1
-    r = RationalFunction(falling * rising * two_t * fact, poch**3)
-
-    parts = KernelParts(n=n, P1=p1, P2=p2, Q=q, R=r)
+    r = RationalFunction(falling * rising * two_t * scale, poch**3)
+    p1, p2 = falling * Fraction(1, fact), rising * Fraction(1, fact)
+    parts = KernelParts(n=n, P1=p1, P2=p2, Q=RationalFunction(fact, poch), R=r)
     with _kernel_lock:
         _kernel_cache[n] = parts
     return parts
@@ -136,33 +129,7 @@ def q_residues(n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("index must be nonnegative")
     fact = math.factorial(n)
-    out = []
-    for k in range(n + 1):
-        prod = 1
-        for l in range(n + 1):
-            if l != k:
-                prod *= l - k
-        out.append(Fraction(fact, prod))
-    return out
-
-
-def _prefix_tables(points: range, depth: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Entry m of the first list is the product of the first m integer
-    points; entry m of row j-1 (j = 1..depth) is the sum of 1/x^j over them."""
-    prod, sums = [1], [[Fraction(0)] for _ in range(depth)]
-    for x in points:
-        prod.append(prod[-1] * x)
-        inverse = Fraction(1, x)
-        power = Fraction(1)
-        for row in sums:
-            power *= inverse
-            row.append(row[-1] + power)
-    return prod, sums
-
-
-def _pole_tables(n: int) -> tuple[tuple, tuple]:
-    """Prefix tables over the odd numbers 2i+1 (i < 2n) and over 1..n."""
-    return _prefix_tables(range(1, 4 * n, 2), 2), _prefix_tables(range(1, n + 1), 2)
+    return [Fraction(fact, math.prod(l - k for l in range(n + 1) if l != k)) for k in range(n + 1)]
 
 
 def exp_jet(
@@ -184,50 +151,137 @@ def exp_jet(
     return TruncatedSeries(center, [value * c for c in e])
 
 
-def _closed_form_jet(n: int, k: int, tables) -> TruncatedSeries:
-    """pole_jet(n, k) for 0 <= k <= n in O(1) Fractions from `_pole_tables(n)`."""
-    (odd, (h1, h2)), (f, (w1, w2)) = tables
-    center = _half(k)
-    # offsets from the center: t - i (i < n) at -(2(k+i)+1)/2; t + n + i
-    # (1 <= i <= n) at (2j+1)/2 for n-k <= j < 2n-k; t + l + 1/2 at l - k
-    value = Fraction(
-        (-1) ** n * f[n] * (odd[k + n] // odd[k]) * (odd[2 * n - k] // odd[n - k]),
-        4**n,
-    )
-    s1 = 2 * (h1[2 * n - k] - h1[n - k] - h1[k + n] + h1[k])
-    s2 = 4 * (h2[2 * n - k] - h2[n - k] + h2[k + n] - h2[k])
-    gap = n - 2 * k  # 2t + n + 1 = 2 (t - center) + gap
-    if gap:
-        numerator = exp_jet(
-            center, value * gap, (s1 + Fraction(2, gap), s2 + Fraction(4, gap * gap)), 3
-        )
-    else:
-        # the middle pole of even n: 2t + n + 1 = 2x shifts the jet one place
-        numerator = TruncatedSeries(center, [0, 2 * value, 2 * value * s1])
-    reciprocal = exp_jet(
-        center,
-        Fraction(1, ((-1) ** k * f[k] * f[n - k]) ** 3),
-        (-3 * (w1[n - k] - w1[k]), -3 * (w2[n - k] + w2[k])),
-        3,
-    )
-    return numerator * reciprocal
+# -- the kernels as factor runs ------------------------------------------------
 
 
-def pole_jet(n: int, k: int) -> TruncatedSeries:
-    """Exact order-3 jet of C_k(t) = R_n(t) (t+k+1/2)^3 at t = -k-1/2.
+class FactorRuns(NamedTuple):
+    """A kernel as data: K(t) = scale * prod over runs (r0, L, m) of
+    prod_{i<L} (t - r0 - i)^m.  The run with m < 0 holds the poles, of
+    order -m."""
 
-    Coefficient j of the jet is A_jk, in closed form (see the module
-    docstring): the product of the jet of the numerator factors and the jet
-    of the reciprocal of the other poles' factors.  For even n the factor
-    2t+n+1 vanishes at the middle pole k = n/2, which shifts the jet by one
-    place (A_0k = 0).  For k outside 0..n, C_k has a triple zero at the
-    center and the jet vanishes identically.
-    """
+    scale: int
+    runs: tuple[tuple[Fraction | int, int, int], ...]
+
+    def value(self, t: Fraction | int) -> Fraction:
+        """K(t) at a rational t that is not a pole.  With t - r0 = p/q, a run
+        contributes (prod_{i<L} (p - iq) / q^L)^m, one integer product."""
+        tn, td = t.as_integer_ratio()
+        num, den = self.scale, 1
+        for first, length, mult in self.runs:
+            q = td * first.denominator
+            p = tn * first.denominator - first.numerator * td
+            part = math.prod(range(p - (length - 1) * q, p + 1, q))
+            if mult > 0:
+                num *= part**mult
+                den *= q ** (length * mult)
+            else:
+                den *= part**-mult
+                num *= q ** (-length * mult)
+        return Fraction(num, den)
+
+    def log_derivative(self, t: Fraction | int) -> Fraction:
+        """K'(t)/K(t) = sum m/(t - r) = sum m q/(p - iq) over the factors, at a
+        rational t that is not a pole, over one common denominator in integers."""
+        tn, td = t.as_integer_ratio()
+        top, bottom = 0, 1
+        for first, length, mult in self.runs:
+            q = td * first.denominator
+            p = tn * first.denominator - first.numerator * td
+            weight = mult * q
+            for x in range(p - (length - 1) * q, p + 1, q):
+                top, bottom = top * x + weight * bottom, bottom * x
+        return Fraction(top, bottom)
+
+
+#: Each kernel's description as a function of n.
+KERNELS = {
+    # R_n: 2t+n+1, t(t-1)...(t-n+1), (t+n+1)...(t+2n); poles -n-1/2..-1/2, order 3
+    "catalan": lambda n: FactorRuns(2 * math.factorial(n), (
+        (Fraction(-n - 1, 2), 1, 1), (0, n, 1), (-2 * n, n, 1),
+        (Fraction(-2 * n - 1, 2), n + 1, -3),
+    )),
+    # H_n: 2t+n, ((t-1)...(t-n))^2, ((t+n+1)...(t+2n))^2; poles -n..0, order 4
+    "zeta4": lambda n: FactorRuns(2, (
+        (Fraction(-n, 2), 1, 1), (1, n, 2), (-2 * n, n, 2), (-n, n + 1, -4),
+    )),
+}
+
+
+def factor_runs(kernel: str, n: int) -> FactorRuns:
+    """The description of R_n (kernel "catalan") or H_n ("zeta4")."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {tuple(KERNELS)}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if k < 0 or k > n:
-        return TruncatedSeries.constant(0, _half(k), 3)
-    return _closed_form_jet(n, k, _pole_tables(n))
+    return KERNELS[kernel](n)
+
+
+def _grid_count(v: int) -> int:
+    """How many of 1, 3, 5, ... (v odd) or 2, 4, 6, ... (v even) are <= v."""
+    return (v + 1) // 2 if v > 0 else 0
+
+
+def pole_table(kernel: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact pole table of a kernel: row j, column k holds the
+    coefficient of 1/(t-p_k)^(order-j), where the run (r0, L, -order) gives
+    the poles p_k = r0+L-1-k.
+
+    Column k is the jet of K(t) (t-p_k)^order at p_k.  In doubled units,
+    the offsets 2(p_k-r0-i) of a run are a step-2 stretch of the odd or the
+    even integers, so prefix products and prefix sums of (2/x)^j (integers
+    over one common denominator) give each run's value and power sums in
+    O(1) per pole.  Factors that vanish at p_k enter as the monomial x^z, z
+    the order plus their multiplicities (the pole's own among them), so
+    z > 0 only where the numerator vanishes too.
+    """
+    scale, runs = factor_runs(kernel, n)
+    first, count, mult = next(run for run in runs if run[2] < 0)
+    order, depth = -mult, -mult - 1
+    # doubled offset 2(p_k - r0) of each run: start - 2k
+    starts = [int(2 * (first + count - 1 - r0)) for r0, _, _ in runs]
+    extents = [0, 0]
+    for start, (_, length, _) in zip(starts, runs):
+        low = start - 2 * (count - 1) - 2 * (length - 1)
+        extents[start % 2] = max(extents[start % 2], abs(start), abs(low))
+    grids = [range(2, extents[0] + 1, 2), range(1, extents[1] + 1, 2)]
+    common = math.lcm(*grids[0], *grids[1])
+    denominators = [common**j for j in range(1, order)]  # of the power sums
+    tables = []
+    for grid in grids:
+        prod, sums = [1], [[0] for _ in range(depth)]
+        for x in grid:
+            prod.append(prod[-1] * x)
+            base, power = 2 * common // x, 1  # 1/(x/2)^j = base^j / common^j
+            for row in sums:
+                power *= base
+                row.append(row[-1] + power)
+        tables.append((prod, sums))
+    jets = []
+    for k in range(count):
+        pole = first + count - 1 - k
+        num, den, twos, zeros = scale, 1, 0, order
+        power_sums = [0] * depth
+        for start, (_, length, m) in zip(starts, runs):
+            high = start - 2 * k
+            low = high - 2 * (length - 1)
+            prod, sums = tables[high % 2]
+            a, b = _grid_count(low - 2), _grid_count(high)  # positive offsets
+            c, d = _grid_count(-high - 2), _grid_count(-low)  # negative offsets
+            if low <= 0 <= high and high % 2 == 0:
+                zeros += m
+            part = (prod[b] // prod[a]) * (prod[d] // prod[c]) * (-1) ** (d - c)
+            if m > 0:
+                num *= part**m
+            else:
+                den *= part**-m
+            twos += m * (b - a + d - c)
+            for j, row in enumerate(sums, 1):
+                power_sums[j - 1] += m * (row[b] - row[a] + (-1) ** j * (row[d] - row[c]))
+        value = Fraction(num, den << twos) if twos >= 0 else Fraction(num << -twos, den)
+        monomial = TruncatedSeries(pole, [int(i == zeros) for i in range(order)])
+        sums_at_pole = [Fraction(p, q) for p, q in zip(power_sums, denominators)]
+        jets.append(monomial * exp_jet(pole, value, sums_at_pole, order))
+    return tuple(tuple(jet.coeffs[j] for jet in jets) for j in range(order))
 
 
 _table_lock = threading.Lock()
@@ -235,48 +289,31 @@ _table_cache: dict[int, PartialFractionTable] = {}
 
 
 def partial_fractions(n: int) -> PartialFractionTable:
-    """The exact 3 x (n+1) coefficient table of the pole expansion of R_n.
-
-    Column k is the closed-form jet `pole_jet(n, k)`; the prefix tables are
-    built once for all n+1 poles, so the table costs O(n) Fraction operations
-    and no series product beyond one per pole.
-    """
+    """The exact 3 x (n+1) coefficient table of the pole expansion of R_n,
+    `pole_table("catalan", n)`, memoized per n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     with _table_lock:
         cached = _table_cache.get(n)
     if cached is not None:
         return cached
-    tables = _pole_tables(n)
-    jets = [_closed_form_jet(n, k, tables) for k in range(n + 1)]
-    table = PartialFractionTable(
-        n=n,
-        A=tuple(tuple(jet.coefficient(j) for jet in jets) for j in range(3)),
-    )
+    table = PartialFractionTable(n=n, A=pole_table("catalan", n))
     with _table_lock:
         _table_cache[n] = table
     return table
 
 
 def reconstruction(table: PartialFractionTable) -> RationalFunction:
-    """Reassemble sum_{j,k} A_jk / (t+k+1/2)^(3-j) as one rational function."""
-    n = table.n
-    factors = [_pole_factor(k) for k in range(n + 1)]
-    cubes = [f**3 for f in factors]
-    # prefix[i] = product of cubes[:i], suffix[i] = product of cubes[i+1:]
-    prefix = [Polynomial.constant(1)]
-    for c in cubes:
-        prefix.append(prefix[-1] * c)
-    suffix = [Polynomial.constant(1)] * (n + 2)
-    for i in range(n, -1, -1):
-        suffix[i] = suffix[i + 1] * cubes[i]
-    num = Polynomial()
-    for k in range(n + 1):
+    """Reassemble sum_{j,k} A_jk / (t+k+1/2)^(3-j) as one rational function,
+    over the product of the cubed pole factors."""
+    num, den = Polynomial(), Polynomial.constant(1)
+    for k in range(table.n + 1):
+        factor = _pole_factor(k)
         local = Polynomial()
         for j in range(3):
-            local = local + factors[k] ** j * table.A[j][k]
-        num = num + local * (prefix[k] * suffix[k + 1])
-    return RationalFunction(num, prefix[n + 1])
+            local = local + factor**j * table.A[j][k]
+        num, den = num * factor**3 + local * den, den * factor**3
+    return RationalFunction(num, den)
 
 
 def beta_partial_sum(k: int, power: int) -> Fraction:
@@ -340,61 +377,29 @@ class Zeta4Decomposition(NamedTuple):
     rational: Fraction
 
 
-def _zeta4_pole_jet(n: int, k: int, f: list[int], h: list[list[Fraction]]) -> TruncatedSeries:
-    """Order-4 jet of H_n(t) (t+k)^4 at t = -k, 0 <= k <= n, from the prefix
-    tables `f, h = _prefix_tables(range(1, 2n+1), depth)`, depth >= 3."""
-    center = Fraction(-k)
-    # offsets from the center: t - i (1 <= i <= n) at -(k+i), squared;
-    # t + n + i (1 <= i <= n) at n-k+i, squared; t + i (i != k) at i-k, to -4
-    value = Fraction((f[k + n] * f[2 * n - k]) ** 2, (f[k] * f[n - k]) ** 6)
-    sums = [
-        2 * (-1) ** j * (h[j - 1][k + n] - h[j - 1][k])
-        + 2 * (h[j - 1][2 * n - k] - h[j - 1][n - k])
-        - 4 * (h[j - 1][n - k] + (-1) ** j * h[j - 1][k])
-        for j in (1, 2, 3)
-    ]
-    gap = n - 2 * k  # 2t + n = 2 (t - center) + gap
-    if gap:
-        return exp_jet(
-            center, value * gap, [p + Fraction(2, gap) ** j for j, p in enumerate(sums, 1)], 4
-        )
-    # the middle pole of even n: 2t + n = 2x shifts the jet one place
-    rest = exp_jet(center, value, sums, 3)
-    return TruncatedSeries(center, [0] + [2 * c for c in rest.coeffs])
-
-
 def zeta4_decomposition(n: int) -> Zeta4Decomposition:
-    """The exact 4 x (n+1) pole table of the zeta4 family's inner function
-
-        H_n(t) = (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4,
-        G1 = (t-1)...(t-n),  G2 = (t+n+1)...(t+2n),
-
-    and the zeta and rational coefficients of sum_{t>=1} H_n'(t).
+    """The exact 4 x (n+1) pole table `pole_table("zeta4", n)` of the zeta4
+    family's inner function H_n, and the zeta and rational coefficients of
+    sum_{t>=1} H_n'(t).
 
     H_n is proper (degree gap 3) with poles of order 4 at t = -k, k = 0..n,
-    except the middle pole of even n, of order 3, where 2t+n vanishes.
-    Column k is the order-4 jet of the pole-cleared product H_n(t) (t+k)^4,
-    a product of linear factors, so `exp_jet` gives it from the power sums
-    of its offsets, each a difference of the prefix sums H_m^(j) over
-    1..2n: the table costs O(n) Fraction operations, as the catalan one
-    does.  The identity (-1)^(n+1)/6 sum_t H_n'(t) = u_n zeta(4) - v_n of
-    the zeta4 family means zeta[0], zeta[1] and zeta[3] vanish,
+    except the middle pole of even n, of order 3, where 2t+n vanishes.  The
+    rational part is summed by columns, -sum_k c_jk H_k^(s) =
+    -sum_{m>=1} m^-s sum_{k>=m} c_jk.  The identity (-1)^(n+1)/6 sum_t H_n'(t) = u_n zeta(4) - v_n of the zeta4
+    family means zeta[0], zeta[1] and zeta[3] vanish,
     (-1)^(n+1) zeta[2]/6 = u_n and (-1)^(n+1) rational/6 = -v_n; tests
     assert it exactly.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    f, h = _prefix_tables(range(1, 2 * n + 1), 5)
-    jets = [_zeta4_pole_jet(n, k, f, h) for k in range(n + 1)]
-    table = tuple(tuple(jet.coefficient(j) for jet in jets) for j in range(4))
+    table = pole_table("zeta4", n)
     zeta = [Fraction(0)] * 4
     rational = Fraction(0)
     for j, row in enumerate(table):
-        s = 5 - j
-        for k, b in enumerate(row):
-            c = -(4 - j) * b
-            zeta[s - 2] += c
-            rational -= c * h[s - 1][k]
+        tail, weighted = Fraction(0), Fraction(0)  # sum_{k>=m} B_jk, its m^-s sum
+        for m in range(n, 0, -1):
+            tail += row[m]
+            weighted += tail / m ** (5 - j)
+        zeta[3 - j] = -(4 - j) * (tail + row[0])
+        rational += (4 - j) * weighted
     return Zeta4Decomposition(n=n, B=table, zeta=tuple(zeta), rational=rational)
 
 
@@ -475,8 +480,6 @@ def f_numeric(n: int, digits: int) -> mpf:
     Chebyshev estimate within 10^-(digits+5) of F_n (Cohen, Rodriguez Villegas
     and Zagier 2000).  It is rounded once, at digits+15.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     if digits < 1:
         raise ValueError("digits must be positive")
     mass = sum(
@@ -484,6 +487,7 @@ def f_numeric(n: int, digits: int) -> mpf:
         for j, row in enumerate(partial_fractions(n).A)
         for k, a in enumerate(row)
     )
-    kernel = build_kernel(n).R
     count = terms_for_bound(mass, digits + 5)
-    return to_mpf(alternating_sum([kernel(t) for t in range(count)]), digits + 15)
+    kernel = factor_runs("catalan", n)
+    terms = [kernel.value(t) for t in range(count)]
+    return to_mpf(alternating_sum(terms), digits + 15)

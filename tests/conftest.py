@@ -110,7 +110,7 @@ def series_pole_jets(n: int) -> list[TruncatedSeries]:
     """The jets of R_n(t) (t+k+1/2)^3 at t = -k-1/2 for k = 0..n, by products
     of Taylor jets in Fraction.
 
-    The reference for the package's closed-form pole jets: the numerator
+    The reference for `pole_table("catalan", n)`: the numerator
     n! (2t+n+1) t(t-1)...(t-n+1) (t+n+1)...(t+2n) is expanded as one
     polynomial and each other pole's cube is multiplied in as a jet.
     """
@@ -136,9 +136,9 @@ def series_zeta4_pole_jets(n: int) -> list[TruncatedSeries]:
     Taylor jets in Fraction, H_n being the zeta4 family's inner function
     (2t+n) G1^2 G2^2 / (t(t+1)...(t+n))^4.
 
-    The reference for the package's closed-form zeta4 pole table: the
-    numerator is expanded as one polynomial and each other pole's fourth
-    power is multiplied in as a jet.
+    The reference for `pole_table("zeta4", n)`: the numerator is expanded
+    as one polynomial and each other pole's fourth power is multiplied in as
+    a jet.
     """
     g1 = Polynomial.from_roots(range(1, n + 1))
     g2 = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])

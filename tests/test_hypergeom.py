@@ -15,14 +15,17 @@ from aperylike.exact import (
     lcm_upto,
 )
 from aperylike.hypergeom import (
+    KERNELS,
+    FactorRuns,
     beta_partial_sum,
     build_kernel,
     check_arith_lemmas,
     coefficient_quadruple,
     exp_jet,
     f_numeric,
+    factor_runs,
     partial_fractions,
-    pole_jet,
+    pole_table,
     q_residues,
     reconstruction,
     zeta4_decomposition,
@@ -33,6 +36,23 @@ from tests.conftest import mpf_frac, series_pole_jets, series_zeta4_pole_jets
 
 def pole_factor(k: int) -> Polynomial:
     return Polynomial([Fraction(2 * k + 1, 2), 1])
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def zeta4_inner(n: int) -> RationalFunction:
+    """H_n = (2t+n) ((t-1)...(t-n))^2 ((t+n+1)...(t+2n))^2 / (t(t+1)...(t+n))^4,
+    expanded as polynomials."""
+    g1 = Polynomial.from_roots(range(1, n + 1))
+    g2 = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
+    den = Polynomial.from_roots([-i for i in range(n + 1)]) ** 4
+    return RationalFunction(Polynomial([n, 2]) * g1 * g1 * g2 * g2, den)
+
+
+def reference_table(jets) -> tuple:
+    return tuple(tuple(jet.coefficient(j) for jet in jets) for j in range(jets[0].order))
 
 
 class TestKernel:
@@ -156,12 +176,6 @@ class TestPartialFractions:
             for j in range(3):
                 assert jet.coefficient(j) == table.A[j][k], (n, j, k)
 
-    @pytest.mark.parametrize("n", range(6))
-    def test_extended_window_vanishes_off_the_poles(self, n):
-        for k in list(range(-2 * n, 0)) + list(range(n + 1, 2 * n + 1)):
-            jet = pole_jet(n, k)
-            assert all(c == 0 for c in jet.coeffs), (n, k)
-
 
 class TestClosedFormJets:
     @pytest.mark.parametrize("n", list(range(31)) + [60])
@@ -183,8 +197,18 @@ class TestClosedFormJets:
                 assert table.A[0][k] != 0
 
     def test_jets_are_centered_at_their_poles(self):
-        for k in range(-3, 9):
-            assert pole_jet(5, k).center == Fraction(-(2 * k + 1), 2)
+        # column k leads with the value of the pole-cleared kernel at its
+        # pole, -k-1/2 for R_n and -k for H_n, from the expanded polynomials
+        for n in (5, 6):
+            for kernel, numerator, order, pole in [
+                ("catalan", build_kernel(n).R.num, 3, lambda k: Fraction(-(2 * k + 1), 2)),
+                ("zeta4", zeta4_inner(n).num, 4, lambda k: Fraction(-k)),
+            ]:
+                leading = pole_table(kernel, n)[0]
+                for k in range(n + 1):
+                    p = pole(k)
+                    cleared = math.prod((p - pole(l)) ** order for l in range(n + 1) if l != k)
+                    assert leading[k] == numerator(p) / cleared, (kernel, n, k)
 
     def test_integrality_to_one_hundred(self):
         # 2^(4n) D_n^j A_jk is an integer; check_arith_lemmas checks it by
@@ -228,7 +252,7 @@ class TestExpJet:
 
 
 class TestZeta4Decomposition:
-    @pytest.mark.parametrize("n", range(21))
+    @pytest.mark.parametrize("n", range(31))
     def test_table_equals_the_series_reference(self, n):
         jets = series_zeta4_pole_jets(n)
         assert zeta4_decomposition(n).B == tuple(
@@ -260,6 +284,69 @@ class TestZeta4Decomposition:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             zeta4_decomposition(-1)
+
+
+class TestFactorRuns:
+    @staticmethod
+    def points(n: int) -> list[Fraction]:
+        """Integers and halves from -2n-3 to n+3/2, which cover every pole
+        and every root of both kernels."""
+        return [Fraction(x, 2) for x in range(-4 * n - 6, 2 * n + 4)]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_values_equal_the_expanded_kernels(self, n):
+        r, h = build_kernel(n).R, zeta4_inner(n)
+        catalan, zeta4 = factor_runs("catalan", n), factor_runs("zeta4", n)
+        for t in self.points(n):
+            if r.den(t) != 0:
+                assert catalan.value(t) == r(t), t
+            if h.den(t) != 0:
+                assert zeta4.value(t) == h(t), t
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7, 12])
+    def test_log_derivatives_equal_the_quotient_rule(self, n):
+        for kernel, rational in [("catalan", build_kernel(n).R), ("zeta4", zeta4_inner(n))]:
+            runs = factor_runs(kernel, n)
+            num, den = rational.num, rational.den
+            for t in self.points(n):
+                if num(t) != 0 and den(t) != 0:
+                    expected = derivative(num)(t) / num(t) - derivative(den)(t) / den(t)
+                    assert runs.log_derivative(t) == expected, (kernel, t)
+
+    def test_tables_are_the_pole_tables(self):
+        for n in (0, 1, 8):
+            assert partial_fractions(n).A == pole_table("catalan", n)
+            assert zeta4_decomposition(n).B == pole_table("zeta4", n)
+
+    @pytest.mark.parametrize("change", ["multiplicity", "first root"])
+    @pytest.mark.parametrize("run", range(4))
+    @pytest.mark.parametrize(
+        "kernel, reference", [("catalan", series_pole_jets), ("zeta4", series_zeta4_pole_jets)]
+    )
+    def test_a_changed_run_changes_the_table(self, monkeypatch, kernel, reference, run, change):
+        n = 6
+        expected = reference_table(reference(n))
+        assert pole_table(kernel, n) == expected
+        describe = KERNELS[kernel]
+
+        def changed(m: int) -> FactorRuns:
+            scale, runs = describe(m)
+            first, length, mult = runs[run]
+            runs = list(runs)
+            if change == "multiplicity":
+                runs[run] = (first, length, mult + 1)
+            else:
+                runs[run] = (first + 1, length, mult)
+            return FactorRuns(scale, tuple(runs))
+
+        monkeypatch.setitem(KERNELS, kernel, changed)
+        assert pole_table(kernel, n) != expected
+
+    def test_rejects_unknown_kernels_and_negative_indices(self):
+        with pytest.raises(ValueError):
+            factor_runs("apery", 3)
+        with pytest.raises(ValueError):
+            pole_table("catalan", -1)
 
 
 class TestQuadruple:

@@ -1,10 +1,12 @@
-"""Package hygiene: the public name list, imports that nothing uses, the
-imports that startup pays for, and the shape of the result records.
+"""Package hygiene: the public name list, imports and definitions that
+nothing uses, the imports that startup pays for, and the shape of the
+result records.
 
 Standard library only, so that it runs wherever the tests run.  An import
 that its module never reads is left over from deleted code; one that is
 kept on purpose (say, so that a tool can rebind it) carries ``# noqa: F401``
-on the line of its name.
+on the line of its name.  A module-level function or class that no module
+reads is either exported in ``aperylike.__all__`` or left over.
 
 Importing the package must not load mpmath: no module imports it at module
 level, except under ``if TYPE_CHECKING:`` for annotations, and the functions
@@ -72,6 +74,50 @@ def test_unused_import_detection():
         "x = gcd(4, 6)\n"
     )
     assert unused_imports(source) == ["os", "F"]
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names loaded, and attributes taken, anywhere under `node`."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute)
+    }
+
+
+def unread_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Module-level functions and classes, as "module.name", that no module
+    reads outside their own definition and that are not in `exported`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(node, names_read(node)) for tree in trees.values() for node in tree.body]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                continue
+            if not any(node.name in names for other, names in reads if other is not node):
+                unread.append(f"{module}.{node.name}")
+    return unread
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unread_definitions(sources, aperylike.__all__) == []
+
+
+def test_unread_definition_detection():
+    sources = {
+        "a": (
+            "def used(): return helper()\n"
+            "def helper(): return 1\n"
+            "def recursive(k): return recursive(k - 1) if k else 0\n"
+            "class Record: pass\n"
+            "def public(): pass\n"
+        ),
+        "b": "from . import a\nx = a.used()\ny: 'Record' = None\n",
+    }
+    assert unread_definitions(sources, ["public"]) == ["a.recursive", "a.Record"]
 
 
 def imports_module(node: ast.AST, module: str) -> bool:
@@ -149,6 +195,7 @@ RECORDS = {
     "sequences.AsymptoticRates": ("rate_u", "rate_form"),
     "sequences.Recurrence": ("lead", "mid", "back", "initial"),
     "hypergeom.KernelParts": ("n", "P1", "P2", "Q", "R"),
+    "hypergeom.FactorRuns": ("scale", "runs"),
     "hypergeom.PartialFractionTable": ("n", "A"),
     "hypergeom.CoefficientQuadruple": ("n", "U", "Uprime", "Udoubleprime", "V"),
     "certificate.Certificate": ("n", "s", "S"),
