@@ -60,7 +60,6 @@ from .analytic import (
     beukers_integral,
     catalan_digits,
     cf_convergent,
-    characteristic_residual,
     linear_form,
     reference_catalan,
     reference_zeta4,
@@ -95,7 +94,6 @@ __all__ = [
     "catalan_pair",
     "catalan_q",
     "cf_convergent",
-    "characteristic_residual",
     "check_arith_lemmas",
     "check_inclusions",
     "coefficient_quadruple",

@@ -7,7 +7,7 @@ function (`hypergeom.zeta4_decomposition`) up to its stop index.
 
 Reference constants are computed by routes independent of the recurrences:
 Catalan's constant by Chebyshev acceleration of its defining alternating
-series, and zeta(4) from pi obtained with a Machin arctangent formula.  The
+series, and zeta(4) as pi^4/90 from mpmath's pi, within one ulp.  The
 digit-extraction routines then certify the recurrence ratios against an
 a posteriori bound built from consecutive convergents, never against the
 reference values, so the two paths stay independent cross-checks.
@@ -25,7 +25,6 @@ from .errors import PrecisionError, QuadratureError
 from .exact import decimal_string, to_mpf
 from .hypergeom import factor_runs, zeta4_decomposition
 from .sequences import (
-    FAMILIES,
     RECURRENCES,
     _check_family,
     _consecutive_values,
@@ -37,7 +36,10 @@ from .sequences import (
 if TYPE_CHECKING:
     from mpmath import mpf
 
-#: Decimal digits gained per recurrence step by the convergents v_n/u_n.
+#: Decimal digits gained per step by v_n/u_n: log10(lambda_1/|lambda_2|) for the
+#: leading terms lambda^2 - (mid/lead) lambda - back/lead of RECURRENCES, i.e.
+#: lambda^2 - 11 lambda - 1 (2.0898...) and lambda^2 - 270 lambda - 27 (3.4317...),
+#: rounded down so that the start index errs high.
 DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
 
 
@@ -78,8 +80,9 @@ def reference_catalan(digits: int) -> mpf:
     Fraction is rounded at working precision digits+15.  The terms are the
     moments of (1/4) x^(-1/2) (-log x) dx on [0, 1], a positive measure of
     mass 1, so the exact estimate is within G/d_N < 1/d_N < 10^-(digits+10)
-    of G, d_N = chebyshev_scale(N).  Serves as the oracle that is independent
-    of the recurrence route.
+    of G, d_N = chebyshev_scale(N).  The oracle independent of the recurrence
+    route; kept over mpmath's catalan (about as fast) as the CLI's only caller
+    of alternating_sum, which the benchmark's tracer times.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -88,50 +91,31 @@ def reference_catalan(digits: int) -> mpf:
     return to_mpf(alternating_sum(terms), digits + 15)
 
 
-def _arctan_reciprocal(x: int, working_digits: int) -> tuple[int, int]:
-    """(P, Q) with P/Q = S_K = sum_{k<=K} (-1)^k / ((2k+1) x^(2k+1)) exactly.
-
-    S_K is the Taylor partial sum of arctan(1/x), x >= 2 an integer, with
-    K = floor(working_digits ln 10 / (2 ln x)) + 2, formed by binary
-    splitting.  Its terms decrease, so |arctan(1/x) - S_K| < 1/((2K+3)
-    x^(2K+3)), which is below 10^-working_digits x^-5 / (2K+3).
-    """
-    def split(lo: int, hi: int) -> tuple[int, int, int]:
-        # (P, Q, (-x^2)^(hi-lo)) with P/Q = sum_{lo<=k<hi} (-x^2)^(lo-k) / (2k+1)
-        if hi - lo == 1:
-            return 1, 2 * lo + 1, -x * x
-        mid = (lo + hi) // 2
-        (p1, q1, x1), (p2, q2, x2) = split(lo, mid), split(mid, hi)
-        return p1 * q2 * x1 + p2 * q1, q1 * q2 * x1, x1 * x2
-
-    p, q, _ = split(0, int(working_digits * math.log(10) / (2 * math.log(x))) + 3)
-    return p, q * x
-
-
 @lru_cache(maxsize=32)
 def reference_zeta4(digits: int) -> mpf:
-    """zeta(4) = pi^4 / 90 with pi from the Machin formula.
+    """zeta(4) = pi^4 / 90 with pi from mpmath at digits+15 working digits.
 
-    pi = 16 arctan(1/5) - 4 arctan(1/239), each arctangent summed exactly by
-    _arctan_reciprocal for w = digits+15 working digits.  Its tail bound
-    1/((2K+3) x^(2K+3)) < 10^-w x^-5 / (2K+3), with K >= 2, puts the exact
-    pi within (16/5^5 + 4/239^5) 10^-w / 7 < 10^-(w+3); the fourth power is
-    taken at working precision.  Independent of the recurrence route and of
-    the derivative series.
+    mpmath's pi (mpf_pi) sums the Chudnovsky series with 20 guard bits and
+    rounds once, so it is within one ulp at the working precision, where the
+    fourth power is taken too.  The same pi serves beukers_integral; both are
+    independent of the recurrence route and of the derivative series.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp
 
     if digits < 1:
         raise ValueError("digits must be positive")
-    working = digits + 15
-    p5, q5 = _arctan_reciprocal(5, working)
-    p239, q239 = _arctan_reciprocal(239, working)
-    with mp.workdps(working):
-        pi = mpf(16 * p5 * q239 - 4 * p239 * q5) / (q5 * q239)
-        return +(pi**4 / 90)
+    with mp.workdps(digits + 15):
+        return mp.pi**4 / 90
 
 
 # -- digit extraction from the recurrences --------------------------------------
+
+
+def _log10_above(q: Fraction) -> int:
+    """An integer in [log10 q, log10 q + 2) for q > 0: with a, b the bit lengths
+    of its numerator and denominator, 2^(a-b-1) < q < 2^(a-b+1)."""
+    a, b = q.numerator.bit_length(), q.denominator.bit_length()
+    return math.ceil((a - b + 1) * math.log10(2))
 
 
 def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
@@ -190,11 +174,7 @@ def _linear_form(family: str, n: int, digits: int) -> tuple[Fraction, mpf]:
     (u, v), following = _consecutive_values(family, n + 1)
     u_after, v_after = _step(family, n + 1, (u, v), following)
     gap = abs(v_after / u_after - v / u)
-    # gap > 2^(bits(num) - 1 - bits(den)), so this many digits suffice
-    lost = math.ceil(
-        (gap.denominator.bit_length() - gap.numerator.bit_length() + 1) * math.log10(2)
-    )
-    working = digits + lost + 10  # 10 guard digits
+    working = digits + _log10_above(1 / gap) + 10  # 10 guard digits
     reference = reference_catalan if family == "catalan" else reference_zeta4
     with mp.workdps(working):
         form = to_mpf(u, working) * reference(working) - to_mpf(v, working)
@@ -370,11 +350,7 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
     parts = zeta4_decomposition(n)
     weights = [[-(4 - j) * b for b in row] for j, row in enumerate(parts.B)]
     mass = 2 * sum(abs(c) for row in weights for c in row)
-    # mass < 2^(bits(num) - bits(den) + 1)
-    extra = math.ceil(
-        (mass.numerator.bit_length() - mass.denominator.bit_length() + 1) * math.log10(2)
-    )
-    working = digits + 20 + extra
+    working = digits + 20 + _log10_above(mass)
     with mp.workdps(working):
         full = to_mpf(parts.rational, working) + sum(
             to_mpf(c, working) * mp.zeta(s) for s, c in enumerate(parts.zeta, 2)
@@ -389,25 +365,3 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
         value = (1 if n % 2 == 1 else -1) * (full - tail) / 6
     with mp.workdps(digits + 15):
         return +value
-
-
-# -- characteristic-root helpers (used by tests) -----------------------------------
-
-
-def characteristic_residual(family: str, digits: int) -> mpf:
-    """Value of the characteristic polynomial at its closed-form dominant root.
-
-    catalan: lambda^2 - 11 lambda - 1 at ((1+sqrt5)/2)^5;
-    zeta4:   lambda^2 - 270 lambda - 27 at (3+2 sqrt3)^3.
-    Vanishes to working precision; a sanity anchor for the measured rates.
-    """
-    from mpmath import mp
-
-    with mp.workdps(digits + 15):
-        if family == "catalan":
-            root = ((1 + mp.sqrt(5)) / 2) ** 5
-            return +(root**2 - 11 * root - 1)
-        if family == "zeta4":
-            root = (3 + 2 * mp.sqrt(3)) ** 3
-            return +(root**2 - 270 * root - 27)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

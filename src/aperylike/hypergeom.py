@@ -69,9 +69,6 @@ class PartialFractionTable(NamedTuple):
     n: int
     A: tuple[tuple[Fraction, ...], ...]
 
-    def entry(self, j: int, k: int) -> Fraction:
-        return self.A[j][k]
-
 
 class CoefficientQuadruple(NamedTuple):
     """Linear-form coefficients assembled from the partial-fraction table."""

@@ -1,6 +1,7 @@
 """Reference constants, digit extraction, continued fractions, integral, series."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,11 @@ from mpmath import mp
 from aperylike.acceleration import alternating_sum, chebyshev_scale, terms_for_bound
 from aperylike.analytic import (
     DIGITS_PER_STEP,
-    _arctan_reciprocal,
+    _log10_above,
     _zeta4_stop_index,
     beukers_integral,
     catalan_digits,
     cf_convergent,
-    characteristic_residual,
     linear_form,
     reference_catalan,
     reference_zeta4,
@@ -22,7 +22,7 @@ from aperylike.analytic import (
     zeta4_series,
 )
 from aperylike.errors import PrecisionError
-from aperylike.sequences import catalan_pair, pair, zeta4_pair
+from aperylike.sequences import catalan_pair, pair, recurrence_coefficients, zeta4_pair
 from aperylike.exact import decimal_string, to_mpf
 from tests.conftest import (
     mpf_frac,
@@ -58,21 +58,6 @@ class TestReferenceConstants:
         terms = [Fraction(1, (2 * k + 1) ** 2) for k in range(count)]
         estimate = sequential_alternating_sum(terms)
         assert reference_catalan(2136) == to_mpf(estimate, 2136 + 15)
-
-    @pytest.mark.parametrize("x", [5, 239])
-    def test_arctan_partial_sum_within_its_tail_bound(self, x):
-        # S_K with K = floor(w ln 10 / (2 ln x)) + 2 lies between the partial
-        # sums S_{K+1} and S_{K+2}: |arctan(1/x) - S_K| is below the first
-        # omitted term and above the first minus the second
-        working = 2200
-        K = int(working * math.log(10) / (2 * math.log(x))) + 2
-        first = Fraction(1, (2 * K + 3) * x ** (2 * K + 3))
-        second = Fraction(1, (2 * K + 5) * x ** (2 * K + 5))
-        assert first < Fraction(1, 10**working * x**5 * (2 * K + 3))
-        p, q = _arctan_reciprocal(x, working)
-        with mp.workdps(working + 50):
-            error = abs(mp.mpf(p) / q - mp.atan(mp.mpf(1) / x))
-            assert mpf_frac(first - second) < error < mpf_frac(first)
 
     def test_zeta4_at_linear_form_precision(self):
         # just above the 2099 digits that linear_form("zeta4", 600, 30) uses
@@ -256,12 +241,37 @@ class TestContinuedFractions:
             cf_convergent("pi", 3)
 
 
-class TestCharacteristicRoots:
-    def test_catalan_root(self):
-        assert abs(characteristic_residual("catalan", 40)) < mp.mpf(10) ** -35
+class TestDigitsPerStep:
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_rate_is_the_characteristic_root_ratio_rounded_down(self, family):
+        # the roots of lambda^2 - (mid/lead) lambda - back/lead have product
+        # -back/lead, so lambda_1/|lambda_2| = lambda_1^2 lead/back
+        lead, mid, back = recurrence_coefficients(family, 10**6)
+        a, b = float(mid / lead), float(back / lead)
+        root = (a + math.sqrt(a * a + 4 * b)) / 2
+        rate = math.log10(root * root / b)
+        assert DIGITS_PER_STEP[family] <= rate < DIGITS_PER_STEP[family] + 0.002
 
-    def test_zeta4_root(self):
-        assert abs(characteristic_residual("zeta4", 40)) < mp.mpf(10) ** -32
+
+def _sizes(digits, rng):
+    """The least, the largest and one random integer with `digits` digits."""
+    low, high = 10 ** (digits - 1), 10**digits
+    return [low, high - 1, rng.randrange(low, high)]
+
+
+class TestLog10Above:
+    @pytest.mark.parametrize(
+        "num_digits, den_digits",
+        [(1, 1), (1, 10_000), (10_000, 1), (10_000, 10_000), (50, 3_000), (3_000, 50)],
+    )
+    def test_within_two_above_log10(self, num_digits, den_digits):
+        # log10 q <= h < log10 q + 2, i.e. 10^(h-2) < q <= 10^h, compared exactly
+        rng = random.Random(num_digits * 100_003 + den_digits)
+        for num in _sizes(num_digits, rng):
+            for den in _sizes(den_digits, rng):
+                q = Fraction(num, den)
+                h = _log10_above(q)
+                assert Fraction(10) ** (h - 2) < q <= Fraction(10) ** h, (num, den)
 
 
 class TestIntegral:

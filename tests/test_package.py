@@ -17,7 +17,6 @@ that evaluate in mpmath import it themselves.  No module imports
 
 import ast
 import importlib
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -229,5 +228,3 @@ def test_record_methods():
     assert not inclusion("catalan", 1, "proved", True, False, 1, None).ok
     result = record_class("cli.CommandResult")
     assert [result(s, {}).exit_code for s in ("ok", "verification_failed", "precision_error")] == [0, 1, 3]
-    table = record_class("hypergeom.PartialFractionTable")(1, ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
-    assert table.entry(1, 0) == 3 and table.entry(0, 1) == 2
