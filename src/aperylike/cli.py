@@ -1,8 +1,11 @@
 """Command-line front end.
 
-One result object is printed per line (JSON by default, CSV on request for
-the tabular commands) so long verifications stream and stay inspectable.
-Exact rationals are serialized as "p/q" strings, never floats.
+Each command prints the library's own records, one per line, so long
+verifications stream and stay inspectable.  One rule, in `_emit`, turns a
+record into text: rationals print as "p" or "p/q" strings, in nested tables
+too; integer witnesses print as decimal strings; floats appear only as
+`mp.nstr` strings at the stated digits.  `pair`, `range` and `check` also
+write CSV: the record's keys as a header, then str() of each value.
 
 Exit codes: 0 ok, 1 verification failed, 2 usage error, 3 precision error.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +34,12 @@ FAMILY_CHOICES = sequences.FAMILIES
 
 
 class CommandResult(NamedTuple):
-    """Outcome of one CLI invocation: a status plus the last payload."""
+    """Outcome of one CLI invocation: a status plus a payload.
+
+    For a single-record command the payload is the printed record with its
+    exact values (`Fraction`s, not strings); for `range`, `check` and
+    `certify` it is a summary of the rows.
+    """
 
     status: str
     payload: Any
@@ -42,26 +49,16 @@ class CommandResult(NamedTuple):
         return EXIT_CODES[self.status]
 
 
-def _emit(record: dict, fmt: str, header: list[str] | None = None, first: bool = False) -> None:
+def _emit(record: dict, fmt: str = "json", first: bool = False) -> None:
+    """Print one record as JSON, every Fraction in it as "p" or "p/q", or as
+    a CSV row of str() values, after a header of its keys when `first`."""
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        if first and header:
-            writer.writerow(header)
-        writer.writerow([record.get(key, "") for key in (header or record.keys())])
-        sys.stdout.write(buffer.getvalue())
+        writer = csv.writer(sys.stdout)
+        if first:
+            writer.writerow(record.keys())
+        writer.writerow(record.values())
     else:
-        sys.stdout.write(json.dumps(record) + "\n")
-
-
-def _pair_record(family: str, n: int) -> dict:
-    item = sequences.pair(family, n)
-    return {
-        "family": family,
-        "n": n,
-        "u": format_rational(item.u),
-        "v": format_rational(item.v),
-    }
+        sys.stdout.write(json.dumps(record, default=format_rational) + "\n")
 
 
 def _n_max(args, least: int = 0) -> int:
@@ -72,34 +69,27 @@ def _n_max(args, least: int = 0) -> int:
 
 
 def _cmd_pair(args) -> CommandResult:
-    record = _pair_record(args.family, args.n)
-    _emit(record, args.format, header=list(record.keys()), first=True)
+    record = sequences.pair(args.family, args.n)._asdict()
+    _emit(record, args.format, first=True)
     return CommandResult("ok", record)
 
 
 def _cmd_range(args) -> CommandResult:
-    header = ["family", "n", "u", "v"]
     for n in range(_n_max(args) + 1):
-        _emit(_pair_record(args.family, n), args.format, header=header, first=(n == 0))
+        _emit(sequences.pair(args.family, n)._asdict(), args.format, first=(n == 0))
     return CommandResult("ok", {"rows": args.n_max + 1})
 
 
 def _cmd_check(args) -> CommandResult:
-    header = ["family", "n", "mode", "pass_u", "pass_v", "witness_u", "witness_v"]
     all_ok = True
     for n in range(_n_max(args) + 1):
         report = sequences.check_inclusions(args.family, n, args.mode)
         all_ok = all_ok and report.ok
-        record = {
-            "family": report.family,
-            "n": report.n,
-            "mode": report.mode,
-            "pass_u": report.pass_u,
-            "pass_v": report.pass_v,
-            "witness_u": "" if report.witness_u is None else str(report.witness_u),
-            "witness_v": "" if report.witness_v is None else str(report.witness_v),
-        }
-        _emit(record, args.format, header=header, first=(n == 0))
+        record = report._asdict()
+        # an int is the one exact value JSON would print as a number
+        for key in ("witness_u", "witness_v"):
+            record[key] = "" if record[key] is None else str(record[key])
+        _emit(record, args.format, first=(n == 0))
     status = "ok" if all_ok else "verification_failed"
     return CommandResult(status, {"rows": args.n_max + 1, "all_pass": all_ok})
 
@@ -109,15 +99,8 @@ def _cmd_decompose(args) -> CommandResult:
         return _decompose_zeta4(args.n)
     table = hypergeom.partial_fractions(args.n)
     quad = hypergeom.coefficient_quadruple(args.n)
-    record = {
-        "n": args.n,
-        "A": [[format_rational(entry) for entry in row] for row in table.A],
-        "U": format_rational(quad.U),
-        "Uprime": format_rational(quad.Uprime),
-        "Udoubleprime": format_rational(quad.Udoubleprime),
-        "V": format_rational(quad.V),
-    }
-    _emit(record, "json")
+    record = {**table._asdict(), **quad._asdict()}
+    _emit(record)
     return CommandResult("ok", record)
 
 
@@ -134,15 +117,12 @@ def _decompose_zeta4(n: int) -> CommandResult:
     record = {
         "family": "zeta4",
         "n": n,
-        "B": [[format_rational(entry) for entry in row] for row in parts.B],
-        "zeta2": format_rational(parts.zeta[0]),
-        "zeta3": format_rational(parts.zeta[1]),
-        "zeta4": format_rational(parts.zeta[2]),
-        "zeta5": format_rational(parts.zeta[3]),
-        "rational": format_rational(parts.rational),
+        "B": parts.B,
+        **{f"zeta{s}": coefficient for s, coefficient in enumerate(parts.zeta, start=2)},
+        "rational": parts.rational,
         "identity": holds,
     }
-    _emit(record, "json")
+    _emit(record)
     return CommandResult("ok" if holds else "verification_failed", record)
 
 
@@ -156,10 +136,10 @@ def _cmd_certify(args) -> CommandResult:
         record = {
             "n": n,
             "telescoping": telescoped,
-            "certificate_at_zero": format_rational(at_zero),
+            "certificate_at_zero": at_zero,
             "pass": ok,
         }
-        _emit(record, "json")
+        _emit(record)
     status = "ok" if all_ok else "verification_failed"
     return CommandResult(status, {"rows": args.n_max, "all_pass": all_ok})
 
@@ -171,10 +151,10 @@ def _cmd_cf(args) -> CommandResult:
     record = {
         "family": args.family,
         "n": args.n,
-        "convergent": format_rational(convergent.value),
+        "convergent": convergent.value,
         "matches_recurrence_ratio": matches,
     }
-    _emit(record, "json")
+    _emit(record)
     return CommandResult("ok" if matches else "verification_failed", record)
 
 
@@ -186,64 +166,45 @@ def _cmd_digits(args) -> CommandResult:
         if args.constant == "catalan"
         else analytic.zeta4_digits(args.digits)
     )
-    record = {
-        "constant": result.constant,
-        "digits": result.digits,
-        "value": result.value,
-        "n_used": result.n_used,
-        "error_bound": mp.nstr(result.error_bound, 6),
-    }
-    _emit(record, "json")
+    record = {**result._asdict(), "error_bound": mp.nstr(result.error_bound, 6)}
+    _emit(record)
     return CommandResult("ok", record)
 
 
-def _cmd_integral(args) -> CommandResult:
+def _check_form(family: str, args, name: str, value, factors: dict) -> CommandResult:
+    """Print `value` beside the linear form u_n C - v_n and the residuals
+    |factor value - form| named in `factors`; pass if the first is below
+    10^-(digits-1) |form|, a test relative to the form since it shrinks with
+    n far below any fixed bound.  The form carries 15 digits past the
+    comparison, so that its own error stays out of the residuals."""
     from mpmath import mp
 
-    value = analytic.beukers_integral(args.n, args.digits)
-    # the form carries 15 digits past the comparison, so that its own error
-    # stays out of the residuals; linear_form sizes the cancellation itself
     working = args.digits + 15
-    form = analytic.linear_form("catalan", args.n, working)
+    form = analytic.linear_form(family, args.n, working)
     with mp.workdps(working):
-        sign = 1 if args.n % 2 == 0 else -1
-        residual_eighth = abs(sign * value / 8 - form)
-        residual_quarter = abs(sign * value / 4 - form)
-        tolerance = mp.mpf(10) ** (-(args.digits - 1))
-        ok = residual_eighth < tolerance * abs(form)
+        residuals = [abs(factor * value - form) for factor in factors.values()]
+        ok = residuals[0] < mp.mpf(10) ** (-(args.digits - 1)) * abs(form)
     record = {
         "n": args.n,
         "digits": args.digits,
-        "integral": mp.nstr(value, args.digits + 2),
+        name: mp.nstr(value, args.digits + 2),
         "linear_form": mp.nstr(form, args.digits + 2),
-        "residual_eighth": mp.nstr(residual_eighth, 4),
-        "residual_quarter": mp.nstr(residual_quarter, 4),
+        **{key: mp.nstr(residual, 4) for key, residual in zip(factors, residuals)},
     }
-    _emit(record, "json")
+    _emit(record)
     return CommandResult("ok" if ok else "verification_failed", record)
+
+
+def _cmd_integral(args) -> CommandResult:
+    value = analytic.beukers_integral(args.n, args.digits)
+    sign = 1 if args.n % 2 == 0 else -1
+    factors = {"residual_eighth": sign / 8, "residual_quarter": sign / 4}
+    return _check_form("catalan", args, "integral", value, factors)
 
 
 def _cmd_series(args) -> CommandResult:
-    from mpmath import mp
-
     value = analytic.zeta4_series(args.n, args.digits)
-    # the form carries 15 digits past the comparison, so that its own error
-    # stays out of the residual; the test is relative to the form, as in
-    # `integral`, since the form shrinks with n far below any fixed bound
-    working = args.digits + 15
-    form = analytic.linear_form("zeta4", args.n, working)
-    with mp.workdps(working):
-        residual = abs(value - form)
-        ok = residual < mp.mpf(10) ** (-(args.digits - 1)) * abs(form)
-    record = {
-        "n": args.n,
-        "digits": args.digits,
-        "value": mp.nstr(value, args.digits + 2),
-        "linear_form": mp.nstr(form, args.digits + 2),
-        "residual": mp.nstr(residual, 4),
-    }
-    _emit(record, "json")
-    return CommandResult("ok" if ok else "verification_failed", record)
+    return _check_form("zeta4", args, "value", value, {"residual": 1})
 
 
 def _cmd_asymptotics(args) -> CommandResult:
@@ -257,7 +218,7 @@ def _cmd_asymptotics(args) -> CommandResult:
         "rate_u": mp.nstr(rates.rate_u, min(args.digits, 12)),
         "rate_form": mp.nstr(rates.rate_form, min(args.digits, 12)),
     }
-    _emit(record, "json")
+    _emit(record)
     return CommandResult("ok", record)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, round-trips."""
 
+import csv
 import hashlib
 import json
 import os
@@ -71,7 +72,7 @@ class TestCheck:
         assert len(lines) == 11
         row = json.loads(lines[2])
         assert row["pass_u"] and row["pass_v"]
-        assert row["witness_u"] == "2596" or row["n"] != 2 or row["mode"] != "strong"
+        assert (row["n"], row["witness_u"], row["witness_v"]) == (2, "41536", "4108416")
 
     def test_csv_header(self, capsys):
         _, lines = run_lines(
@@ -147,6 +148,26 @@ class TestIntegral:
         record = json.loads(lines[0])
         assert result.status == "ok"
         assert float(record["linear_form"]) != 0.0
+
+    @pytest.mark.parametrize(
+        "n, digits, stdout",
+        [
+            (1, 8, '{"n": 1, "digits": 8, "integral": "0.1764816815", '
+             '"linear_form": "-0.02206021019", "residual_eighth": "1.196e-21", '
+             '"residual_quarter": "0.02206"}'),
+            (5, 12, '{"n": 5, "digits": 12, "integral": "2.9119412877383e-6", '
+             '"linear_form": "-3.6399266096729e-7", "residual_eighth": "2.111e-31", '
+             '"residual_quarter": "3.64e-7"}'),
+            (20, 10, '{"n": 20, "digits": 10, "integral": "1.61403820146e-22", '
+             '"linear_form": "2.01754775183e-23", "residual_eighth": "1.783e-45", '
+             '"residual_quarter": "2.018e-23"}'),
+        ],
+    )
+    def test_recorded_stdout(self, capsys, n, digits, stdout):
+        # the benchmark digests no integral output, so these lines pin it
+        result = run(["integral", "--n", str(n), "--digits", str(digits)])
+        assert capsys.readouterr().out == stdout + "\n"
+        assert result.exit_code == 0
 
 
 class TestImports:
@@ -289,11 +310,17 @@ class TestErrorPaths:
         assert lines == []
 
     def test_precision_error_exit_code(self, capsys):
-        # quadrature digits out of supported range -> usage; a genuine
-        # precision failure surfaces exit code 3
+        # digits out of the series' supported range -> usage error
         result = run(["series", "--constant", "zeta4", "--n", "0", "--digits", "11"])
         assert result.status == "usage_error"
-        assert EXIT_CODES["precision_error"] == 3
+        capsys.readouterr()
+        # at n = 200000 the first candidate stop index lies past max_terms,
+        # a genuine precision failure: exit 3, nothing on stdout
+        result = run(["series", "--constant", "zeta4", "--n", "200000", "--digits", "8"])
+        captured = capsys.readouterr()
+        assert result.status == "precision_error" and result.exit_code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("precision error:")
 
     def test_exit_code_table(self):
         assert EXIT_CODES == {
@@ -371,6 +398,84 @@ class TestDeterminism:
         _, first = run_lines(capsys, ["digits", "--constant", "catalan", "--digits", "15"])
         _, second = run_lines(capsys, ["digits", "--constant", "catalan", "--digits", "15"])
         assert first == second
+
+
+def _leaves(value, key=None):
+    """(key, leaf) for every leaf of a JSON value; list items keep their key."""
+    if isinstance(value, dict):
+        for k, item in value.items():
+            yield from _leaves(item, k)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, key)
+    else:
+        yield key, value
+
+
+class TestSerialization:
+    SIZE_KEYS = {"n", "digits", "n_used"}
+    NAME_KEYS = {"family", "mode"}
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "pair --family catalan --n 7",
+            "pair --family zeta4 --n 9",
+            "range --family catalan --n-max 6",
+            "range --family zeta4 --n-max 6",
+            "check --family catalan --n-max 6 --mode strong",
+            "check --family zeta4 --n-max 6 --mode proved",
+            "cf --family catalan --n 5",
+            "cf --family zeta4 --n 5",
+            "certify --family catalan --n-max 3",
+            "decompose --n 4",
+            "decompose --family zeta4 --n 4",
+        ],
+    )
+    def test_json_leaves_are_strings_bools_or_sizes(self, capsys, command):
+        # rationals and witnesses print as strings, so no exact value is
+        # ever a JSON number; only the size fields are ints
+        result, lines = run_lines(capsys, command.split())
+        assert result.exit_code == 0 and lines
+        for line in lines:
+            for key, leaf in _leaves(json.loads(line)):
+                if isinstance(leaf, bool):
+                    continue
+                if isinstance(leaf, int):
+                    assert key in self.SIZE_KEYS, (command, key)
+                    continue
+                assert isinstance(leaf, str), (command, key, leaf)
+                if key not in self.NAME_KEYS and leaf != "":
+                    Fraction(leaf)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "pair --family catalan --n 7",
+            "pair --family zeta4 --n 1",
+            "range --family catalan --n-max 5",
+            "range --family zeta4 --n-max 5",
+            "check --family catalan --n-max 5 --mode strong",
+            "check --family zeta4 --n-max 5 --mode proved",
+        ],
+    )
+    def test_csv_is_the_json_record(self, capsys, command):
+        _, json_lines = run_lines(capsys, command.split())
+        _, csv_lines = run_lines(capsys, [*command.split(), "--format", "csv"])
+        header, *rows = list(csv.reader(csv_lines))
+        assert len(rows) == len(json_lines)
+        for row, line in zip(rows, json_lines):
+            record = json.loads(line)
+            assert header == list(record)
+            assert row == [str(value) for value in record.values()]
+
+    def test_single_record_payload_holds_exact_values(self, capsys):
+        result = run(["pair", "--family", "catalan", "--n", "1"])
+        assert result.payload["u"] == Fraction(7, 4)
+        assert json.loads(capsys.readouterr().out)["u"] == "7/4"
+        # streaming commands return a summary instead of their last row
+        result = run(["range", "--family", "catalan", "--n-max", "3"])
+        assert result.payload == {"rows": 4}
 
 
 class TestRecordedOutput:
