@@ -9,8 +9,17 @@ where S_n(t) = s_n(t) R_n(t) and s_n is an explicit rational certificate
 with a quartic numerator in t and denominator 2 (2t+n+1)(t+2n-1)(t+2n).
 Multiplying by (-1)^t and summing over t >= 0 telescopes the right side to
 -S_n(0) = 0, which is how the alternating kernel sums inherit the
-recurrence.  This module builds s_n exactly and verifies the identity by
-clearing to a common denominator and comparing the numerator with zero.
+recurrence.  This module builds s_n exactly and verifies the identity
+divided by R_n: R_n is a nonzero rational function, so the divided identity
+
+    lead_n R_{n+1}/R_n - mid_n - back_n R_{n-1}/R_n
+        + s_n(t+1) R_n(t+1)/R_n(t) + s_n(t)  =  0
+
+holds exactly when the undivided one does.  The kernel ratios are read off
+R_n's factor runs (`hypergeom.kernel_ratio`): consecutive runs overlap in
+all but a few factors, so each ratio has degree at most 6 in t, and the
+terms are cleared to a common denominator of low degree and the numerator
+compared with zero (Petkovsek, Wilf and Zeilberger, A = B, 1996, ch. 7).
 
 The five coefficient polynomials in n are transcribed once into the table
 below; the per-n identity check is the arbiter for that transcription.
@@ -18,12 +27,11 @@ below; the per-n identity check is the arbiter for that transcription.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrecisionError
 from .exact import Polynomial, RationalFunction, poly_gcd
-from .hypergeom import build_kernel, f_numeric
+from .hypergeom import build_kernel, f_numeric, kernel_ratio
 from .sequences import recurrence_coefficients
 
 
@@ -35,87 +43,97 @@ class Certificate(NamedTuple):
     S: RationalFunction
 
 
-def certificate_numerator_coefficients(n: int) -> list[Fraction]:
+def certificate_numerator_coefficients(n: int) -> list[int]:
     """The five t-coefficients of the certificate numerator, ascending."""
-    m = Fraction(n)
-    c4 = 8 * m * (2 * m - 1) ** 2 * (20 * m**2 + 32 * m + 13)
+    c4 = 8 * n * (2 * n - 1) ** 2 * (20 * n**2 + 32 * n + 13)
     c3 = 2 * (
-        5440 * m**6
-        + 7104 * m**5
-        + 912 * m**4
-        - 1088 * m**3
-        + 76 * m**2
-        + 68 * m
+        5440 * n**6
+        + 7104 * n**5
+        + 912 * n**4
+        - 1088 * n**3
+        + 76 * n**2
+        + 68 * n
         + 7
     )
     c2 = (
-        44800 * m**7
-        + 65600 * m**6
-        + 17568 * m**5
-        - 7056 * m**4
-        - 1088 * m**3
-        + 372 * m**2
-        + 146 * m
+        44800 * n**7
+        + 65600 * n**6
+        + 17568 * n**5
+        - 7056 * n**4
+        - 1088 * n**3
+        + 372 * n**2
+        + 146 * n
         - 1
     )
-    c1 = (2 * m + 1) * (
-        34880 * m**7
-        + 39328 * m**6
-        - 2176 * m**5
-        - 8416 * m**4
-        + 964 * m**3
-        + 154 * m**2
-        + 58 * m
+    c1 = (2 * n + 1) * (
+        34880 * n**7
+        + 39328 * n**6
+        - 2176 * n**5
+        - 8416 * n**4
+        + 964 * n**3
+        + 154 * n**2
+        + 58 * n
         - 13
     )
     c0 = (
-        m
-        * (2 * m - 1)
-        * (2 * m + 1) ** 2
-        * (4720 * m**5 + 6192 * m**4 + 816 * m**3 - 864 * m**2 + 69 * m + 13)
+        n
+        * (2 * n - 1)
+        * (2 * n + 1) ** 2
+        * (4720 * n**5 + 6192 * n**4 + 816 * n**3 - 864 * n**2 + 69 * n + 13)
     )
     return [c0, c1, c2, c3, c4]
 
 
 def certificate_denominator(n: int) -> Polynomial:
     """2 (2t+n+1) (t+2n-1) (t+2n) as a polynomial in t."""
-    two_t = Polynomial([Fraction(n + 1), Fraction(2)])
+    two_t = Polynomial([n + 1, 2])
     return 2 * two_t * Polynomial.linear(-(2 * n - 1)) * Polynomial.linear(-2 * n)
+
+
+def _certificate_function(n: int) -> RationalFunction:
+    """s_n as the transcribed numerator over `certificate_denominator(n)`."""
+    return RationalFunction(
+        Polynomial(certificate_numerator_coefficients(n)), certificate_denominator(n)
+    )
 
 
 def build_certificate(n: int) -> Certificate:
     """Exact construction of s_n and S_n; defined for n >= 1 only."""
     if n < 1:
         raise ValueError("the telescoping certificate is defined for n >= 1")
-    s = RationalFunction(
-        Polynomial(certificate_numerator_coefficients(n)), certificate_denominator(n)
-    )
-    big_s = s * build_kernel(n).R
-    return Certificate(n=n, s=s, S=big_s)
+    s = _certificate_function(n)
+    return Certificate(n=n, s=s, S=s * build_kernel(n).R)
 
 
 def verify_telescoping(n: int) -> bool:
-    """Exact check that the weighted kernel combination telescopes to -S_n.
+    """Exact check of the telescoping identity at n, divided by R_n:
 
-    The five rational terms are cleared to a common denominator (gcd-based
-    lcm of the denominators, no final reduction) and the combined numerator
-    is compared with the zero polynomial.  No tolerance is involved.
+        lead_n R_{n+1}/R_n - mid_n - back_n R_{n-1}/R_n
+            + s_n(t+1) R_n(t+1)/R_n(t) + s_n(t)  =  0.
+
+    R_n is a nonzero rational function, so this holds exactly when the
+    undivided identity does.  The three kernel ratios come from the factor
+    runs (`hypergeom.kernel_ratio`), where all but a few linear factors at
+    the ends of the runs cancel, so every term has degree about 10 in t
+    whatever n is.  The five terms are cleared to a common denominator
+    (gcd-based lcm of the denominators, no final reduction) and the combined
+    numerator is compared with the zero polynomial.  No tolerance is
+    involved.
     """
     if n < 1:
         raise ValueError("the telescoping identity is stated for n >= 1")
     forward, middle, backward = recurrence_coefficients("catalan", n)
-    r_next = build_kernel(n + 1).R
-    r_cur = build_kernel(n).R
-    r_prev = build_kernel(n - 1).R
-    big_s = build_certificate(n).S
-    shifted = big_s.shift(1)
+    up = kernel_ratio("catalan", n, dn=1)
+    down = kernel_ratio("catalan", n, dn=-1)
+    s = _certificate_function(n)
+    shifted = s.shift(1) * kernel_ratio("catalan", n, dt=1)
 
     terms = [
-        (r_next.num * forward, r_next.den),
-        (r_cur.num * (-middle), r_cur.den),
-        (r_prev.num * (-backward), r_prev.den),
+        (up.num * forward, up.den),
+        (Polynomial.constant(-middle), Polynomial.constant(1)),
+        (down.num * (-backward), down.den),
         (shifted.num, shifted.den),
-        (big_s.num, big_s.den),
+        (s.num, s.den),
     ]
     acc_num, acc_den = terms[0]
     for num, den in terms[1:]:

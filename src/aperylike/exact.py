@@ -15,7 +15,8 @@ Representations:
 
 Polynomial products, Taylor shifts and divisions run over the integers, each
 operand scaled by one common denominator (``integer_coefficients``), and form
-one reduced Fraction per output coefficient.  Taylor recentering has one
+one reduced Fraction per output coefficient; so do products of linear
+factors (``Polynomial.from_roots``).  Taylor recentering has one
 routine, ``_taylor_coefficients`` (synthetic division), behind ``Polynomial.shift``
 and ``TruncatedSeries.from_polynomial``; division has one, the integer
 pseudo-division ``_pseudo_division``, behind ``divmod`` and ``poly_gcd``; their
@@ -95,11 +96,19 @@ class Polynomial:
         return cls([-as_fraction(root), 1])
 
     @classmethod
-    def from_roots(cls, roots: Iterable[RationalLike]) -> "Polynomial":
-        result = cls.constant(1)
+    def from_roots(
+        cls, roots: Iterable[RationalLike], scale: RationalLike = 1
+    ) -> "Polynomial":
+        """scale * prod (t - r) over the roots.  A root p/q enters as q t - p,
+        so the product is multiplied out over the integers and divided once,
+        one Fraction per coefficient."""
+        scale = as_fraction(scale)
+        coeffs, divisor = [scale.numerator], scale.denominator
         for r in roots:
-            result = result * cls.linear(r)
-        return result
+            p, q = r.numerator, r.denominator
+            coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+            divisor *= q
+        return cls(Fraction(c, divisor) for c in coeffs)
 
     # -- structure ---------------------------------------------------------
 

@@ -14,7 +14,8 @@ is the catalan kernel, and
            = sum_{j<4} sum_{k<=n} B_jk / (t+k)^(4-j)
 
 the zeta4 family's inner function.  From a description follow the exact
-value and log-derivative at a point (`FactorRuns`) and the pole table
+value and log-derivative at a point (`FactorRuns`), the ratios in n and in t
+(`kernel_ratio`), R_n's polynomials (`build_kernel`) and the pole table
 (`pole_table`): each column is the jet at a pole of a product of linear
 factors, which `exp_jet` gives from the power sums of the factors' offsets
 from the pole, and prefix tables over the runs give those in integers.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -95,7 +97,11 @@ _kernel_cache: dict[int, KernelParts] = {}
 
 
 def build_kernel(n: int) -> KernelParts:
-    """Exact construction of R_n and its factors, memoized per n."""
+    """Exact construction of R_n and its factors from `factor_runs("catalan",
+    n)`, memoized per n.  Each polynomial is multiplied out over the
+    integers (`Polynomial.from_roots`), the Pochhammer product three times
+    over in the denominator of R_n.
+    """
     if n < 0:
         raise ValueError("kernel index must be nonnegative")
     with _kernel_lock:
@@ -104,14 +110,18 @@ def build_kernel(n: int) -> KernelParts:
         return cached
 
     scale, runs = factor_runs("catalan", n)
-    # t + (n+1)/2, t(t-1)...(t-n+1), (t+n+1)...(t+2n), (t+1/2)...(t+n+1/2)
-    two_t, falling, rising, poch = (
-        Polynomial.from_roots([r0 + i for i in range(length)]) for r0, length, _ in runs
-    )
+    # (2t+n+1)/2, t(t-1)...(t-n+1), (t+n+1)...(t+2n), (t+1/2)...(t+n+1/2)
+    roots = [[first + i for i in range(length)] for first, length, _ in runs]
+    top = [r for rs, (_, _, m) in zip(roots, runs) if m > 0 for r in rs * m]
+    bottom = [r for rs, (_, _, m) in zip(roots, runs) if m < 0 for r in rs * -m]
     fact = math.factorial(n)
-    r = RationalFunction(falling * rising * two_t * scale, poch**3)
-    p1, p2 = falling * Fraction(1, fact), rising * Fraction(1, fact)
-    parts = KernelParts(n=n, P1=p1, P2=p2, Q=RationalFunction(fact, poch), R=r)
+    parts = KernelParts(
+        n=n,
+        P1=Polynomial.from_roots(roots[1], Fraction(1, fact)),
+        P2=Polynomial.from_roots(roots[2], Fraction(1, fact)),
+        Q=RationalFunction(fact, Polynomial.from_roots(roots[3])),
+        R=RationalFunction(Polynomial.from_roots(top, scale), Polynomial.from_roots(bottom)),
+    )
     with _kernel_lock:
         _kernel_cache[n] = parts
     return parts
@@ -211,6 +221,29 @@ def factor_runs(kernel: str, n: int) -> FactorRuns:
     if n < 0:
         raise ValueError("index must be nonnegative")
     return KERNELS[kernel](n)
+
+
+def kernel_ratio(kernel: str, n: int, dn: int = 0, dt: int = 0) -> RationalFunction:
+    """K_{n+dn}(t+dt) / K_n(t) with the common linear factors cancelled: the
+    ratio in n for dn = +-1, dt = 0, and the ratio in t for dn = 0, dt = 1.
+
+    Both descriptions are read into one multiset of roots in doubled
+    integer units (a factor t + dt - r of the top has the doubled root
+    2r - 2dt), the bottom's with their multiplicities negated; what is left
+    are the few factors at the ends of the runs.
+    """
+    top, bottom = factor_runs(kernel, n + dn), factor_runs(kernel, n)
+    roots: Counter[int] = Counter()
+    for description, sign, shift in ((top, 1, 2 * dt), (bottom, -1, 0)):
+        for first, length, mult in description.runs:
+            start = int(2 * first) - shift
+            for i in range(length):
+                roots[start + 2 * i] += sign * mult
+    num = [Fraction(x, 2) for x, mult in roots.items() for _ in range(mult)]
+    den = [Fraction(x, 2) for x, mult in roots.items() for _ in range(-mult)]
+    return RationalFunction(
+        Polynomial.from_roots(num, Fraction(top.scale, bottom.scale)), Polynomial.from_roots(den)
+    )
 
 
 def _grid_count(v: int) -> int:

@@ -87,16 +87,22 @@ class AsymptoticRates(NamedTuple):
 
 # -- coefficient polynomials -------------------------------------------------
 
+#: Ascending integer coefficients of p(n), q(n) and r(n): the one copy that
+#: both the public polynomials and RECURRENCES read.
+_CATALAN_P = (1, -8, 20)
+_CATALAN_Q = (7, 16, -156, -384, 2064, 5632, 3520)
+_ZETA4_R = (12, 105, 378, 702, 675, 270)
+
 
 def catalan_p(n: RationalLike) -> Fraction:
     """20 n^2 - 8 n + 1 (no real roots, so the recurrence never degenerates)."""
-    return as_fraction(horner_int((1, -8, 20), n))
+    return as_fraction(horner_int(_CATALAN_P, n))
 
 
 def catalan_q(n: RationalLike) -> Fraction:
     """3520 n^6 + 5632 n^5 + 2064 n^4 - 384 n^3 - 156 n^2 + 16 n + 7, the middle
     coefficient of the catalan recurrence."""
-    return as_fraction(horner_int((7, 16, -156, -384, 2064, 5632, 3520), n))
+    return as_fraction(horner_int(_CATALAN_Q, n))
 
 
 def zeta4_r(n: RationalLike) -> Fraction:
@@ -105,7 +111,7 @@ def zeta4_r(n: RationalLike) -> Fraction:
     Equals the factored form 3 (2n+1)(3n^2+3n+1)(15n^2+15n+4); the identity is
     covered by tests.
     """
-    return as_fraction(horner_int((12, 105, 378, 702, 675, 270), n))
+    return as_fraction(horner_int(_ZETA4_R, n))
 
 
 # -- the recurrence table -----------------------------------------------------
@@ -113,11 +119,12 @@ def zeta4_r(n: RationalLike) -> Fraction:
 
 class Recurrence(NamedTuple):
     """lead(k) x_{k+1} = mid(k) x_k + back(k) x_{k-1} for k >= 1, started from
-    the pairs initial = ((u_0, v_0), (u_1, v_1))."""
+    the pairs initial = ((u_0, v_0), (u_1, v_1)).  The coefficients are
+    integers at integer k."""
 
-    lead: Callable[[int], Fraction]
-    mid: Callable[[int], Fraction]
-    back: Callable[[int], Fraction]
+    lead: Callable[[int], int]
+    mid: Callable[[int], int]
+    back: Callable[[int], int]
     initial: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
@@ -125,14 +132,14 @@ class Recurrence(NamedTuple):
 #: certificate weights and the continued fractions all read it.
 RECURRENCES = {
     "catalan": Recurrence(
-        lead=lambda k: (2 * k + 1) ** 2 * (2 * k + 2) ** 2 * catalan_p(k),
-        mid=catalan_q,
-        back=lambda k: (2 * k - 1) ** 2 * (2 * k) ** 2 * catalan_p(k + 1),
+        lead=lambda k: (2 * k + 1) ** 2 * (2 * k + 2) ** 2 * horner_int(_CATALAN_P, k),
+        mid=lambda k: horner_int(_CATALAN_Q, k),
+        back=lambda k: (2 * k - 1) ** 2 * (2 * k) ** 2 * horner_int(_CATALAN_P, k + 1),
         initial=((Fraction(1), Fraction(0)), (Fraction(7, 4), Fraction(13, 8))),
     ),
     "zeta4": Recurrence(
-        lead=lambda k: Fraction((k + 1) ** 5),
-        mid=zeta4_r,
+        lead=lambda k: (k + 1) ** 5,
+        mid=lambda k: horner_int(_ZETA4_R, k),
         back=lambda k: 3 * k**3 * (3 * k - 1) * (3 * k + 1),
         initial=((Fraction(1), Fraction(0)), (Fraction(12), Fraction(13))),
     ),
@@ -141,7 +148,7 @@ RECURRENCES = {
 FAMILIES = tuple(RECURRENCES)
 
 
-def recurrence_coefficients(family: str, k: int) -> tuple[Fraction, Fraction, Fraction]:
+def recurrence_coefficients(family: str, k: int) -> tuple[int, int, int]:
     """(lead(k), mid(k), back(k)) of the family's recurrence."""
     _check_family(family)
     rec = RECURRENCES[family]
@@ -174,13 +181,10 @@ def _matrix_product(
     tree (lo < hi).
 
     M_k = [[mid_k, back_k], [lead_k, 0]] maps (x_k, x_{k-1}) to
-    lead_k (x_{k+1}, x_k); the coefficients are scaled to integers by the lcm
-    of their denominators, which leaves the recurrence unchanged.
+    lead_k (x_{k+1}, x_k).
     """
     if hi - lo == 1:
-        coefficients = recurrence_coefficients(family, lo)
-        scale = math.lcm(*(c.denominator for c in coefficients))
-        lead, mid, back = (c.numerator * (scale // c.denominator) for c in coefficients)
+        lead, mid, back = recurrence_coefficients(family, lo)
         return (mid, back, lead, 0), lead
     half = (lo + hi) // 2
     (a, b, c, d), upper = _matrix_product(family, half, hi)
@@ -290,24 +294,29 @@ def _clearing_factors(family: str, n: int, mode: str) -> tuple[int, int]:
     return 1, d_n**4
 
 
+def _cleared(x: Fraction, factor: int) -> int | None:
+    """factor * x if it is an integer, else None.  x is reduced, so that
+    holds exactly when its denominator divides the factor: one divmod, no
+    gcd."""
+    quotient, remainder = divmod(factor, x.denominator)
+    return x.numerator * quotient if remainder == 0 else None
+
+
 def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionReport:
     """Multiply (u_n, v_n) by the mode's clearing factors and test integrality."""
     # validate the family and the mode before the pair, which may be costly
     _check_family(family)
     factor_u, factor_v = _clearing_factors(family, n, mode)
     u, v = _values(family, n)
-    cleared_u = u * factor_u
-    cleared_v = v * factor_v
-    pass_u = cleared_u.denominator == 1
-    pass_v = cleared_v.denominator == 1
+    witness_u, witness_v = _cleared(u, factor_u), _cleared(v, factor_v)
     return InclusionReport(
         family=family,
         n=n,
         mode=mode,
-        pass_u=pass_u,
-        pass_v=pass_v,
-        witness_u=cleared_u.numerator if pass_u else None,
-        witness_v=cleared_v.numerator if pass_v else None,
+        pass_u=witness_u is not None,
+        pass_v=witness_v is not None,
+        witness_u=witness_u,
+        witness_v=witness_v,
     )
 
 

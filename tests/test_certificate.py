@@ -1,5 +1,7 @@
 """Telescoping certificate: transcription, exact identity, numeric transfer."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -55,7 +57,7 @@ class TestCertificateStructure:
 
 
 class TestTelescoping:
-    @pytest.mark.parametrize("n", list(range(1, 13)))
+    @pytest.mark.parametrize("n", list(range(1, 101)))
     def test_identity_exact(self, n):
         assert verify_telescoping(n)
 
@@ -112,6 +114,45 @@ class TestCheckerSensitivity:
         monkeypatch.setattr(cert_module, "recurrence_coefficients", off_by_one)
         assert not cert_module.verify_telescoping(2)
         assert not cert_module.verify_telescoping(7)
+
+    @pytest.mark.parametrize("weight", [0, 2])
+    def test_detects_wrong_outer_weights(self, monkeypatch, weight):
+        # forward + 1 (weight 0) or back + 1 (weight 2)
+        from aperylike import certificate as cert_module
+
+        original = cert_module.recurrence_coefficients
+
+        def off_by_one(family, k):
+            weights = list(original(family, k))
+            weights[weight] += 1
+            return tuple(weights)
+
+        monkeypatch.setattr(cert_module, "recurrence_coefficients", off_by_one)
+        for n in (1, 2, 7):
+            assert not cert_module.verify_telescoping(n), n
+
+    @pytest.mark.parametrize("change", ["pole factor dropped", "scale off by one"])
+    def test_detects_a_wrong_ratio_in_n(self, monkeypatch, change):
+        # R_{n+1}/R_n = (n+1) (...) / ((2t+n+1)(t+n+1)(t+n+3/2)^3): drop one
+        # (t+n+3/2) from the denominator, or use the scale ratio n+2
+        from aperylike import certificate as cert_module
+
+        original = cert_module.kernel_ratio
+
+        def changed(kernel, n, dn=0, dt=0):
+            ratio = original(kernel, n, dn=dn, dt=dt)
+            if dn != 1:
+                return ratio
+            if change == "pole factor dropped":
+                pole = Polynomial([Fraction(2 * n + 3, 2), 1])
+                quotient, remainder = divmod(ratio.den, pole)
+                assert remainder.is_zero
+                return RationalFunction(ratio.num, quotient)
+            return RationalFunction(ratio.num * Fraction(n + 2, n + 1), ratio.den)
+
+        monkeypatch.setattr(cert_module, "kernel_ratio", changed)
+        for n in (1, 2, 7):
+            assert not cert_module.verify_telescoping(n), n
 
 
 class TestRecurrenceTransfer:

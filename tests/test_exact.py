@@ -58,6 +58,17 @@ class TestPolynomial:
         assert Polynomial([0, 0]).is_zero
         assert Polynomial().degree == -1
 
+    def test_from_roots_is_the_product_of_linear_factors(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            roots = [random_fraction(rng) for _ in range(rng.randint(0, 9))]
+            scale = random_fraction(rng)
+            expected = Polynomial.constant(scale)
+            for r in roots:
+                expected = expected * Polynomial.linear(r)
+            assert Polynomial.from_roots(roots, scale) == expected
+        assert Polynomial.from_roots(range(3)) == Polynomial([0, 2, -3, 1])
+
     def test_degree_additivity(self):
         rng = random.Random(23)
         for _ in range(100):

@@ -13,6 +13,7 @@ from aperylike.exact import (
     horner_int,
     integer_coefficients,
     lcm_upto,
+    poly_gcd,
 )
 from aperylike.hypergeom import (
     KERNELS,
@@ -24,6 +25,7 @@ from aperylike.hypergeom import (
     exp_jet,
     f_numeric,
     factor_runs,
+    kernel_ratio,
     partial_fractions,
     pole_table,
     q_residues,
@@ -90,15 +92,21 @@ class TestKernel:
         assembled = two_t * RationalFunction(parts.P1) * RationalFunction(parts.P2) * q_cubed
         assert parts.R == assembled
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(61))
     def test_construction_matches_public_constructor(self, n):
+        # Polynomial products of linear factors, coefficient by coefficient
+        def linear_product(roots):
+            return math.prod(map(Polynomial.linear, roots), start=Polynomial.constant(1))
+
         parts = build_kernel(n)
         fact = math.factorial(n)
-        num = Polynomial.constant(fact) * Polynomial([n + 1, 2])
-        num = num * Polynomial.from_roots(range(n))
-        num = num * Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])
-        den = Polynomial.from_roots([Fraction(-(2 * k + 1), 2) for k in range(n + 1)]) ** 3
-        assert parts.R == RationalFunction(num, den)
+        falling = linear_product(range(n))
+        rising = linear_product([-(n + i) for i in range(1, n + 1)])
+        poch = linear_product([Fraction(-(2 * k + 1), 2) for k in range(n + 1)])
+        num = Polynomial.constant(fact) * Polynomial([n + 1, 2]) * falling * rising
+        assert (parts.R.num, parts.R.den) == (num, poch**3)
+        assert (parts.P1, parts.P2) == (falling * Fraction(1, fact), rising * Fraction(1, fact))
+        assert (parts.Q.num, parts.Q.den) == (Polynomial.constant(fact), poch)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_kernel_vanishes_at_zero(self, n):
@@ -346,7 +354,54 @@ class TestFactorRuns:
         with pytest.raises(ValueError):
             factor_runs("apery", 3)
         with pytest.raises(ValueError):
+            kernel_ratio("catalan", 0, dn=-1)
+        with pytest.raises(ValueError):
             pole_table("catalan", -1)
+
+
+class TestKernelRatios:
+    #: (dn, dt) of the ratios in n and the ratio in t
+    STEPS = [(1, 0), (-1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("n", [*range(13), 40])
+    @pytest.mark.parametrize("kernel", ["catalan", "zeta4"])
+    def test_ratios_are_quotients_of_values(self, kernel, n):
+        # every root and pole of both kernels is an integer or a half
+        points = [Fraction(1, 3), Fraction(-7, 5), Fraction(10**6 + 1, 7)]
+        for dn, dt in self.STEPS:
+            if n + dn < 0:
+                continue
+            ratio = kernel_ratio(kernel, n, dn=dn, dt=dt)
+            top, bottom = factor_runs(kernel, n + dn), factor_runs(kernel, n)
+            for t in points:
+                assert ratio(t) == top.value(t + dt) / bottom.value(t), (dn, dt, t)
+
+    @pytest.mark.parametrize("n", [*range(13), 40])
+    @pytest.mark.parametrize("kernel", ["catalan", "zeta4"])
+    def test_common_factors_are_cancelled(self, kernel, n):
+        # at most the factors at the ends of the runs are left: degree at most
+        # 9 (the zeta4 ratio in t), and no root shared by num and den
+        for dn, dt in self.STEPS:
+            if n + dn >= 0:
+                ratio = kernel_ratio(kernel, n, dn=dn, dt=dt)
+                assert max(ratio.num.degree, ratio.den.degree) <= 9
+                assert poly_gcd(ratio.num, ratio.den) == Polynomial.constant(1)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_catalan_ratios_are_quotients_of_kernels(self, n):
+        # compared by cross-multiplication (RationalFunction.__eq__)
+        r = build_kernel(n).R
+        assert kernel_ratio("catalan", n, dn=1) == RationalFunction(
+            build_kernel(n + 1).R.num * r.den, build_kernel(n + 1).R.den * r.num
+        )
+        if n > 0:
+            assert kernel_ratio("catalan", n, dn=-1) == RationalFunction(
+                build_kernel(n - 1).R.num * r.den, build_kernel(n - 1).R.den * r.num
+            )
+        shifted = r.shift(1)
+        assert kernel_ratio("catalan", n, dt=1) == RationalFunction(
+            shifted.num * r.den, shifted.den * r.num
+        )
 
 
 class TestQuadruple:

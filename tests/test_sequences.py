@@ -218,7 +218,10 @@ class TestProductTree:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert sequences._pairs["zeta4"] == reference[:200]
+        # the jump from n = 50 to 200 appends one step when another thread
+        # has already walked the memo to 200 entries
+        memo = sequences._pairs["zeta4"]
+        assert len(memo) in (200, 201) and memo == reference[: len(memo)]
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
@@ -282,6 +285,27 @@ class TestInclusions:
     def test_sweep_to_sixty(self, family, mode):
         for n in range(61):
             assert check_inclusions(family, n, mode).ok, (family, mode, n)
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    @pytest.mark.parametrize("mode", ["proved", "strong"])
+    def test_divmod_clearing_equals_the_fraction_route(self, monkeypatch, family, mode):
+        # at odd n the factors are replaced by 1, so that some rows fail
+        clearing = sequences._clearing_factors
+
+        def factors(fam, n, m):
+            return clearing(fam, n, m) if n % 2 == 0 else (1, 1)
+
+        monkeypatch.setattr(sequences, "_clearing_factors", factors)
+        failed = 0
+        for n in range(201):
+            report = check_inclusions(family, n, mode)
+            cleared = [x * f for x, f in zip(sequences._values(family, n), factors(family, n, mode))]
+            passes = [c.denominator == 1 for c in cleared]
+            witnesses = [c.numerator if ok else None for c, ok in zip(cleared, passes)]
+            assert [report.pass_u, report.pass_v] == passes, n
+            assert [report.witness_u, report.witness_v] == witnesses, n
+            failed += not report.ok
+        assert failed > 0
 
     def test_bad_mode_rejected(self, monkeypatch):
         # before the pair, which at a deep index takes minutes to compute
