@@ -299,7 +299,7 @@ def _zeta4_stop_index(n: int, digits: int, max_terms: int) -> int:
         return abs(to_mpf(value, working))
 
     def slope(t: int) -> Fraction:  # H_n'(t)
-        return inner.value(t) * inner.log_derivative(t)
+        return inner.jet(t, 2).coeffs[1]
 
     with mp.workdps(working):
         tolerance = mpf(10) ** (-(digits + 5))

@@ -11,7 +11,8 @@ Representations:
   multiplied, shifted and evaluated, never added (callers that need a sum,
   such as the telescoping check, clear denominators themselves);
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j;
-  it is multiplied and inverted, for the pole jets and the integrality checks.
+  the pole jets multiply it, and ``from_polynomial`` and ``reciprocal`` give
+  the jets of expanded polynomials and of their quotients, as references.
 
 Polynomial products, Taylor shifts and divisions run over the integers, each
 operand scaled by one common denominator (``integer_coefficients``), and form

@@ -14,11 +14,12 @@ is the catalan kernel, and
            = sum_{j<4} sum_{k<=n} B_jk / (t+k)^(4-j)
 
 the zeta4 family's inner function.  From a description follow the exact
-value and log-derivative at a point (`FactorRuns`), the ratios in n and in t
-(`kernel_ratio`), R_n's polynomials (`build_kernel`) and the pole table
-(`pole_table`): each column is the jet at a pole of a product of linear
-factors, which `exp_jet` gives from the power sums of the factors' offsets
-from the pole, and prefix tables over the runs give those in integers.
+value, jet and poles (`FactorRuns`), the ratios in n and in t
+(`kernel_ratio`), R_n (`build_kernel`), the integrality windows
+(`check_arith_lemmas`) and the pole table (`pole_table`): each column is
+the jet at a pole of a product of linear factors, which `exp_jet` gives
+from the power sums of the factors' offsets from the pole, and prefix
+tables over the runs give those in integers.
 
 Alternating sums of the columns of A_jk produce the coefficients
 (U, U', U'', V) for which F_n = sum_t (-1)^t R_n(t) equals U' G - V with
@@ -46,18 +47,11 @@ if TYPE_CHECKING:
 
 
 class KernelParts(NamedTuple):
-    """The kernel R_n together with its building blocks.
-
-    P1 and P2 are the integer-valued falling/rising factorial polynomials
-    scaled by 1/n!; Q is n! over the half-integer Pochhammer product, so that
-    R = (2t+n+1) P1 P2 Q^3.  Q and R are unreduced pairs: R's denominator is
-    the cubed product for every n, though for even n one factor cancels.
-    """
+    """The kernel R_n as one unreduced rational function: its denominator is
+    the cubed Pochhammer product for every n, though for even n one factor
+    cancels."""
 
     n: int
-    P1: Polynomial
-    P2: Polynomial
-    Q: RationalFunction
     R: RationalFunction
 
 
@@ -82,25 +76,14 @@ class CoefficientQuadruple(NamedTuple):
     V: Fraction
 
 
-def _half(k: int) -> Fraction:
-    """The pole location -k-1/2."""
-    return Fraction(-(2 * k + 1), 2)
-
-
-def _pole_factor(k: int) -> Polynomial:
-    """The monic linear factor (t + k + 1/2)."""
-    return Polynomial([Fraction(2 * k + 1, 2), Fraction(1)])
-
-
 _kernel_lock = threading.Lock()
 _kernel_cache: dict[int, KernelParts] = {}
 
 
 def build_kernel(n: int) -> KernelParts:
-    """Exact construction of R_n and its factors from `factor_runs("catalan",
-    n)`, memoized per n.  Each polynomial is multiplied out over the
-    integers (`Polynomial.from_roots`), the Pochhammer product three times
-    over in the denominator of R_n.
+    """Exact construction of R_n from `factor_runs("catalan", n)`, memoized
+    per n: the runs with m > 0 and those with m < 0, each root repeated |m|
+    times, are multiplied out over the integers (`Polynomial.from_roots`).
     """
     if n < 0:
         raise ValueError("kernel index must be nonnegative")
@@ -110,17 +93,11 @@ def build_kernel(n: int) -> KernelParts:
         return cached
 
     scale, runs = factor_runs("catalan", n)
-    # (2t+n+1)/2, t(t-1)...(t-n+1), (t+n+1)...(t+2n), (t+1/2)...(t+n+1/2)
-    roots = [[first + i for i in range(length)] for first, length, _ in runs]
-    top = [r for rs, (_, _, m) in zip(roots, runs) if m > 0 for r in rs * m]
-    bottom = [r for rs, (_, _, m) in zip(roots, runs) if m < 0 for r in rs * -m]
-    fact = math.factorial(n)
+    top, bottom = [], []
+    for first, length, mult in runs:
+        (top if mult > 0 else bottom).extend([first + i for i in range(length)] * abs(mult))
     parts = KernelParts(
-        n=n,
-        P1=Polynomial.from_roots(roots[1], Fraction(1, fact)),
-        P2=Polynomial.from_roots(roots[2], Fraction(1, fact)),
-        Q=RationalFunction(fact, Polynomial.from_roots(roots[3])),
-        R=RationalFunction(Polynomial.from_roots(top, scale), Polynomial.from_roots(bottom)),
+        n=n, R=RationalFunction(Polynomial.from_roots(top, scale), Polynomial.from_roots(bottom))
     )
     with _kernel_lock:
         _kernel_cache[n] = parts
@@ -164,7 +141,9 @@ def exp_jet(
 class FactorRuns(NamedTuple):
     """A kernel as data: K(t) = scale * prod over runs (r0, L, m) of
     prod_{i<L} (t - r0 - i)^m.  The run with m < 0 holds the poles, of
-    order -m."""
+    order -m.  The value and the jet at a point, the poles, and so the pole
+    table, `build_kernel`'s polynomials and the integrality windows all
+    follow from it."""
 
     scale: int
     runs: tuple[tuple[Fraction | int, int, int], ...]
@@ -186,18 +165,29 @@ class FactorRuns(NamedTuple):
                 num *= q ** (-length * mult)
         return Fraction(num, den)
 
-    def log_derivative(self, t: Fraction | int) -> Fraction:
-        """K'(t)/K(t) = sum m/(t - r) = sum m q/(p - iq) over the factors, at a
-        rational t that is not a pole, over one common denominator in integers."""
+    def jet(self, t: Fraction | int, order: int) -> TruncatedSeries:
+        """The order-`order` jet of K at a rational t that is no root or pole,
+        by `exp_jet`.  The power sums sum m/(t - r)^j = sum m q^j/(p - iq)^j
+        over the factors are accumulated in integers, over one common
+        denominator per j."""
         tn, td = t.as_integer_ratio()
-        top, bottom = 0, 1
+        tops, bottoms = [0] * (order - 1), [1] * (order - 1)
         for first, length, mult in self.runs:
             q = td * first.denominator
             p = tn * first.denominator - first.numerator * td
-            weight = mult * q
             for x in range(p - (length - 1) * q, p + 1, q):
-                top, bottom = top * x + weight * bottom, bottom * x
-        return Fraction(top, bottom)
+                for j in range(1, order):
+                    tops[j - 1] = tops[j - 1] * x**j + mult * q**j * bottoms[j - 1]
+                    bottoms[j - 1] *= x**j
+        sums = [Fraction(top, bottom) for top, bottom in zip(tops, bottoms)]
+        return exp_jet(t, self.value(t), sums, order)
+
+    @property
+    def poles(self) -> tuple[Fraction | int, ...]:
+        """The pole run's locations r0+L-1-k, k = 0..L-1: column k of the
+        pole table is the expansion at the k-th."""
+        first, count, _ = next(run for run in self.runs if run[2] < 0)
+        return tuple(first + count - 1 - k for k in range(count))
 
 
 #: Each kernel's description as a function of n.
@@ -264,7 +254,8 @@ def pole_table(kernel: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
     the order plus their multiplicities (the pole's own among them), so
     z > 0 only where the numerator vanishes too.
     """
-    scale, runs = factor_runs(kernel, n)
+    description = factor_runs(kernel, n)
+    scale, runs = description
     first, count, mult = next(run for run in runs if run[2] < 0)
     order, depth = -mult, -mult - 1
     # doubled offset 2(p_k - r0) of each run: start - 2k
@@ -287,8 +278,7 @@ def pole_table(kernel: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
                 row.append(row[-1] + power)
         tables.append((prod, sums))
     jets = []
-    for k in range(count):
-        pole = first + count - 1 - k
+    for k, pole in enumerate(description.poles):
         num, den, twos, zeros = scale, 1, 0, order
         power_sums = [0] * depth
         for start, (_, length, m) in zip(starts, runs):
@@ -337,8 +327,8 @@ def reconstruction(table: PartialFractionTable) -> RationalFunction:
     """Reassemble sum_{j,k} A_jk / (t+k+1/2)^(3-j) as one rational function,
     over the product of the cubed pole factors."""
     num, den = Polynomial(), Polynomial.constant(1)
-    for k in range(table.n + 1):
-        factor = _pole_factor(k)
+    for k, pole in enumerate(factor_runs("catalan", table.n).poles):
+        factor = Polynomial.linear(pole)
         local = Polynomial()
         for j in range(3):
             local = local + factor**j * table.A[j][k]
@@ -436,64 +426,43 @@ def zeta4_decomposition(n: int) -> Zeta4Decomposition:
 # -- auxiliary integrality checks ---------------------------------------------
 
 
-def _is_integer(q: Fraction) -> bool:
-    return q.denominator == 1
-
-
 def check_arith_lemmas(n: int) -> bool:
-    """Exact verification of the auxiliary integrality statements for one n.
+    """Exact verification of the auxiliary integrality statements for one n,
+    every jet taken from the runs of R_n (`FactorRuns.jet`): n! P1 and n! P2
+    are runs 1 and 2, t(t-1)...(t-n+1) and (t+n+1)...(t+2n), and
+    Q_n = n!/((t+1/2)...(t+n+1/2)) is n! over the pole run.
 
     Over the window k = -2n..2n:
       * 2^(2n) P(-k-1/2) is an integer for P in {P1, P2};
       * 2^(2n) D_n^j (1/j!) P^(j)(-k-1/2) is an integer for j = 1, 2.
-    Over k = 0..n:
-      * the j-th jet coefficient of Q_n(t)(t+k+1/2) at the pole equals
-        (-1)^(j-1) sum_{l != k} a_l / (l-k)^j, and D_n^j times it is an
-        integer, for j = 1, 2;
+    Over the poles -k-1/2, k = 0..n:
+      * the j-th jet coefficient of Q_n(t)(t+k+1/2), n! over the other pole
+        factors, equals (-1)^(j-1) sum_{l != k} a_l / (l-k)^j with a_l the
+        residues (`q_residues`), and D_n^j times it is an integer, j = 1, 2;
       * 2^(4n) D_n^j A_jk is an integer for j = 0, 1, 2.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    kern = build_kernel(n)
-    table = partial_fractions(n)
-    residues = q_residues(n)
-    d_n = lcm_upto(n)
-    two_2n = 2 ** (2 * n)
-    two_4n = 2 ** (4 * n)
-
-    for poly in (kern.P1, kern.P2):
+    kernel = factor_runs("catalan", n)
+    _, falling, rising, (first, count, _) = kernel.runs
+    poles = kernel.poles
+    table, residues = partial_fractions(n).A, q_residues(n)
+    fact, d_n = math.factorial(n), lcm_upto(n)
+    scaled = []  # the numbers that must be integers
+    for part in (FactorRuns(1, (falling,)), FactorRuns(1, (rising,))):
         for k in range(-2 * n, 2 * n + 1):
-            jet = TruncatedSeries.from_polynomial(poly, _half(k), 3).coeffs
-            if not _is_integer(two_2n * jet[0]):
-                return False
-            for j in (1, 2):
-                if not _is_integer(two_2n * d_n**j * jet[j]):
-                    return False
-
-    fact = math.factorial(n)
-    for k in range(n + 1):
-        center = _half(k)
-        den_jet = TruncatedSeries.constant(1, center, 3)
-        for l in range(n + 1):
-            if l != k:
-                den_jet = den_jet * TruncatedSeries.from_polynomial(
-                    _pole_factor(l), center, 3
-                )
-        cleared = TruncatedSeries.constant(fact, center, 3) * den_jet.reciprocal()
+            jet = part.jet(poles[0] - k, 3)
+            scaled += [2 ** (2 * n) * d_n**j * c / fact for j, c in enumerate(jet.coeffs)]
+    for k, pole in enumerate(poles):
+        i = count - 1 - k  # the pole's place in its run
+        cleared = FactorRuns(fact, ((first, i, -1), (first + i + 1, k, -1))).jet(pole, 3)
         for j in (1, 2):
-            expected = Fraction(0)
-            for l in range(n + 1):
-                if l != k:
-                    expected += residues[l] / Fraction(l - k) ** j
-            expected *= (-1) ** (j - 1)
-            if cleared.coefficient(j) != expected:
+            terms = (residues[l] / Fraction(l - k) ** j for l in range(n + 1) if l != k)
+            if cleared.coeffs[j] != (-1) ** (j - 1) * sum(terms):
                 return False
-            if not _is_integer(d_n**j * cleared.coefficient(j)):
-                return False
-        for j in range(3):
-            if not _is_integer(two_4n * d_n**j * table.A[j][k]):
-                return False
-    return True
+            scaled.append(d_n**j * cleared.coeffs[j])
+        scaled += [2 ** (4 * n) * d_n**j * table[j][k] for j in range(3)]
+    return all(x.denominator == 1 for x in scaled)
 
 
 # -- numerical evaluation of the alternating kernel sum -------------------------
@@ -512,12 +481,12 @@ def f_numeric(n: int, digits: int) -> mpf:
     """
     if digits < 1:
         raise ValueError("digits must be positive")
+    kernel = factor_runs("catalan", n)
     mass = sum(
-        abs(a) / Fraction(2 * k + 1, 2) ** (3 - j)
+        abs(a) / abs(pole) ** (3 - j)
         for j, row in enumerate(partial_fractions(n).A)
-        for k, a in enumerate(row)
+        for pole, a in zip(kernel.poles, row)
     )
     count = terms_for_bound(mass, digits + 5)
-    kernel = factor_runs("catalan", n)
     terms = [kernel.value(t) for t in range(count)]
     return to_mpf(alternating_sum(terms), digits + 15)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from aperylike import hypergeom
 from aperylike.exact import (
     Polynomial,
     RationalFunction,
@@ -18,6 +19,7 @@ from aperylike.exact import (
 from aperylike.hypergeom import (
     KERNELS,
     FactorRuns,
+    PartialFractionTable,
     beta_partial_sum,
     build_kernel,
     check_arith_lemmas,
@@ -38,6 +40,21 @@ from tests.conftest import mpf_frac, series_pole_jets, series_zeta4_pole_jets
 
 def pole_factor(k: int) -> Polynomial:
     return Polynomial([Fraction(2 * k + 1, 2), 1])
+
+
+def linear_product(roots) -> Polynomial:
+    return math.prod(map(Polynomial.linear, roots), start=Polynomial.constant(1))
+
+
+def kernel_parts(n: int) -> tuple[Polynomial, Polynomial, RationalFunction]:
+    """R_n's building blocks from their roots: P1 = t(t-1)...(t-n+1)/n!,
+    P2 = (t+n+1)...(t+2n)/n! and Q = n!/((t+1/2)...(t+n+1/2)), so that
+    R_n = (2t+n+1) P1 P2 Q^3."""
+    fact = math.factorial(n)
+    p1 = linear_product(range(n)) * Fraction(1, fact)
+    p2 = linear_product(range(-2 * n, -n)) * Fraction(1, fact)
+    q = RationalFunction(fact, linear_product(Fraction(-(2 * k + 1), 2) for k in range(n + 1)))
+    return p1, p2, q
 
 
 def derivative(p: Polynomial) -> Polynomial:
@@ -86,27 +103,20 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", range(7))
     def test_factorization_into_parts(self, n):
-        parts = build_kernel(n)
+        p1, p2, q = kernel_parts(n)
         two_t = RationalFunction(Polynomial([n + 1, 2]))  # 2t + n + 1
-        q_cubed = parts.Q * parts.Q * parts.Q
-        assembled = two_t * RationalFunction(parts.P1) * RationalFunction(parts.P2) * q_cubed
-        assert parts.R == assembled
+        assembled = two_t * RationalFunction(p1) * RationalFunction(p2) * q * q * q
+        assert build_kernel(n).R == assembled
 
     @pytest.mark.parametrize("n", range(61))
     def test_construction_matches_public_constructor(self, n):
         # Polynomial products of linear factors, coefficient by coefficient
-        def linear_product(roots):
-            return math.prod(map(Polynomial.linear, roots), start=Polynomial.constant(1))
-
-        parts = build_kernel(n)
-        fact = math.factorial(n)
+        r = build_kernel(n).R
         falling = linear_product(range(n))
         rising = linear_product([-(n + i) for i in range(1, n + 1)])
         poch = linear_product([Fraction(-(2 * k + 1), 2) for k in range(n + 1)])
-        num = Polynomial.constant(fact) * Polynomial([n + 1, 2]) * falling * rising
-        assert (parts.R.num, parts.R.den) == (num, poch**3)
-        assert (parts.P1, parts.P2) == (falling * Fraction(1, fact), rising * Fraction(1, fact))
-        assert (parts.Q.num, parts.Q.den) == (Polynomial.constant(fact), poch)
+        num = Polynomial.constant(math.factorial(n)) * Polynomial([n + 1, 2]) * falling * rising
+        assert (r.num, r.den) == (num, poch**3)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_kernel_vanishes_at_zero(self, n):
@@ -114,10 +124,10 @@ class TestKernel:
 
     def test_integer_valued_building_blocks(self):
         for n in range(6):
-            parts = build_kernel(n)
+            p1, p2, _ = kernel_parts(n)
             for t in range(-12, 13):
-                assert parts.P1(t).denominator == 1
-                assert parts.P2(t).denominator == 1
+                assert p1(t).denominator == 1
+                assert p2(t).denominator == 1
 
 
 class TestResidues:
@@ -138,7 +148,7 @@ class TestResidues:
         # difference has degree at most n: agreement at the n+1 non-poles
         # t = 0..n proves it.
         residues = q_residues(n)
-        q = build_kernel(n).Q
+        _, _, q = kernel_parts(n)
         for t in range(n + 1):
             factors = [Fraction(2 * (t + k) + 1, 2) for k in range(n + 1)]  # t+k+1/2
             assert q(t) == sum(a / x for a, x in zip(residues, factors))
@@ -163,16 +173,14 @@ class TestPartialFractions:
     def test_jets_match_factored_product_form(self, n):
         # same coefficients from the product (2t+n+1) P1 P2 (Q (t+k+1/2))^3,
         # expanded factor by factor
-        from aperylike.exact import TruncatedSeries
-
-        parts = build_kernel(n)
+        p1, p2, _ = kernel_parts(n)
         fact = math.factorial(n)
         table = partial_fractions(n)
         for k in range(n + 1):
             center = Fraction(-(2 * k + 1), 2)
             jet = TruncatedSeries.from_polynomial(Polynomial([n + 1, 2]), center, 3)
-            jet = jet * TruncatedSeries.from_polynomial(parts.P1.shift(0), center, 3)
-            jet = jet * TruncatedSeries.from_polynomial(parts.P2, center, 3)
+            jet = jet * TruncatedSeries.from_polynomial(p1, center, 3)
+            jet = jet * TruncatedSeries.from_polynomial(p2, center, 3)
             cleared_den = Polynomial.constant(1)
             for l in range(n + 1):
                 if l != k:
@@ -312,14 +320,38 @@ class TestFactorRuns:
                 assert zeta4.value(t) == h(t), t
 
     @pytest.mark.parametrize("n", [0, 1, 4, 7, 12])
+    def test_jets_equal_the_expanded_kernels(self, n):
+        # the numerator's jet times the reciprocal of the denominator's
+        for kernel, rational in [("catalan", build_kernel(n).R), ("zeta4", zeta4_inner(n))]:
+            runs = factor_runs(kernel, n)
+            num, den = rational.num, rational.den
+            for t in self.points(n):
+                if num(t) != 0 and den(t) != 0:
+                    for order in range(1, 5):
+                        expected = TruncatedSeries.from_polynomial(num, t, order) * (
+                            TruncatedSeries.from_polynomial(den, t, order).reciprocal()
+                        )
+                        assert runs.jet(t, order) == expected, (kernel, t, order)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7, 12])
     def test_log_derivatives_equal_the_quotient_rule(self, n):
+        # K'/K from the order-2 jet
         for kernel, rational in [("catalan", build_kernel(n).R), ("zeta4", zeta4_inner(n))]:
             runs = factor_runs(kernel, n)
             num, den = rational.num, rational.den
             for t in self.points(n):
                 if num(t) != 0 and den(t) != 0:
                     expected = derivative(num)(t) / num(t) - derivative(den)(t) / den(t)
-                    assert runs.log_derivative(t) == expected, (kernel, t)
+                    value, slope = runs.jet(t, 2).coeffs
+                    assert slope / value == expected, (kernel, t)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7, 12])
+    def test_poles_are_the_table_columns(self, n):
+        # column k of R_n's table is at -k-1/2, of H_n's at -k
+        assert factor_runs("catalan", n).poles == tuple(
+            Fraction(-(2 * k + 1), 2) for k in range(n + 1)
+        )
+        assert factor_runs("zeta4", n).poles == tuple(-k for k in range(n + 1))
 
     def test_tables_are_the_pole_tables(self):
         for n in (0, 1, 8):
@@ -460,6 +492,26 @@ class TestArithLemmas:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10])
     def test_window_checks_pass(self, n):
         assert check_arith_lemmas(n)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("change", ["A01", "A12", "A2n", "residue"])
+    def test_a_changed_input_fails(self, monkeypatch, change, n):
+        # A_01 off by 2^-(4n+1), A_12 or A_2n by 1/1009 (a prime above n),
+        # or one residue off by 1
+        rows = [list(row) for row in partial_fractions(n).A]
+        residues = q_residues(n)
+        if change == "A01":
+            rows[0][1] += Fraction(1, 2 ** (4 * n + 1))
+        elif change == "A12":
+            rows[1][2] += Fraction(1, 1009)
+        elif change == "A2n":
+            rows[2][n] += Fraction(1, 1009)
+        else:
+            residues[1] += 1
+        table = PartialFractionTable(n, tuple(map(tuple, rows)))
+        monkeypatch.setattr(hypergeom, "partial_fractions", lambda m: table)
+        monkeypatch.setattr(hypergeom, "q_residues", lambda m: residues)
+        assert not check_arith_lemmas(n)
 
 
 class TestKernelSum:

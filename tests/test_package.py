@@ -193,7 +193,7 @@ RECORDS = {
     "sequences.InclusionReport": ("family", "n", "mode", "pass_u", "pass_v", "witness_u", "witness_v"),
     "sequences.AsymptoticRates": ("rate_u", "rate_form"),
     "sequences.Recurrence": ("lead", "mid", "back", "initial"),
-    "hypergeom.KernelParts": ("n", "P1", "P2", "Q", "R"),
+    "hypergeom.KernelParts": ("n", "R"),
     "hypergeom.FactorRuns": ("scale", "runs"),
     "hypergeom.PartialFractionTable": ("n", "A"),
     "hypergeom.CoefficientQuadruple": ("n", "U", "Uprime", "Udoubleprime", "V"),
