@@ -25,20 +25,15 @@ from .sequences import (
     InclusionReport,
     SequencePair,
     asymptotic_report,
-    catalan_p,
     catalan_pair,
-    catalan_q,
     check_inclusions,
-    recurrence_residual,
     zeta4_pair,
-    zeta4_r,
 )
 from .hypergeom import (
     CoefficientQuadruple,
     KernelParts,
     PartialFractionTable,
     Zeta4Decomposition,
-    beta_partial_sum,
     build_kernel,
     coefficient_quadruple,
     check_arith_lemmas,
@@ -51,7 +46,6 @@ from .hypergeom import (
 from .certificate import (
     Certificate,
     build_certificate,
-    verify_recurrence_transfer,
     verify_telescoping,
 )
 from .analytic import (
@@ -85,14 +79,11 @@ __all__ = [
     "TruncatedSeries",
     "Zeta4Decomposition",
     "asymptotic_report",
-    "beta_partial_sum",
     "beukers_integral",
     "build_certificate",
     "build_kernel",
     "catalan_digits",
-    "catalan_p",
     "catalan_pair",
-    "catalan_q",
     "cf_convergent",
     "check_arith_lemmas",
     "check_inclusions",
@@ -104,15 +95,12 @@ __all__ = [
     "poly_gcd",
     "q_residues",
     "reconstruction",
-    "recurrence_residual",
     "reference_catalan",
     "reference_zeta4",
-    "verify_recurrence_transfer",
     "verify_telescoping",
     "zeta4_decomposition",
     "zeta4_digits",
     "zeta4_pair",
-    "zeta4_r",
     "zeta4_series",
 ]
 

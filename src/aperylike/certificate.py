@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import PrecisionError
 from .exact import Polynomial, RationalFunction, poly_gcd
-from .hypergeom import build_kernel, f_numeric, kernel_ratio
+from .hypergeom import build_kernel, kernel_ratio
 from .sequences import recurrence_coefficients
 
 
@@ -143,33 +142,3 @@ def verify_telescoping(n: int) -> bool:
         acc_num = acc_num * den_extra + num * acc_extra
         acc_den = acc_den * den_extra
     return acc_num.is_zero
-
-
-def verify_recurrence_transfer(n: int, digits: int) -> bool:
-    """Numeric confirmation that the alternating sums obey the recurrence.
-
-    Evaluates the three consecutive kernel sums and checks that the weighted
-    combination vanishes to within 10^-(digits-5).  Complements the exact
-    identity check along an entirely numerical route.
-    """
-    from mpmath import mp, mpf
-
-    if n < 1:
-        raise ValueError("the recurrence transfer is stated for n >= 1")
-    if digits < 6:
-        raise ValueError("digits must be at least 6")
-    forward, middle, backward = recurrence_coefficients("catalan", n)
-    working = digits + 10
-    f_prev = f_numeric(n - 1, working)
-    f_cur = f_numeric(n, working)
-    f_next = f_numeric(n + 1, working)
-    with mp.workdps(working):
-        residual = abs(
-            int(forward) * f_next - int(middle) * f_cur - int(backward) * f_prev
-        )
-        tolerance = mpf(10) ** (-(digits - 5))
-        if residual < tolerance:
-            return True
-    raise PrecisionError(
-        f"recurrence residual {residual} not certified below {tolerance} at n={n}"
-    )

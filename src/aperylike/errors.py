@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Both are numeric failures, which the CLI reports with exit code 3:
-PrecisionError when a routine cannot certify its accuracy (the recurrence
-transfer check, the zeta4 series), QuadratureError when the error estimate of
-`beukers_integral` misses.  Invalid input raises the built-in ValueError or
+PrecisionError when a routine cannot certify its accuracy (the zeta4
+series), QuadratureError when the error estimate of `beukers_integral`
+misses.  Invalid input raises the built-in ValueError or
 ZeroDivisionError instead, a usage error (exit code 2).
 """
 

@@ -11,17 +11,15 @@ Representations:
   multiplied, shifted and evaluated, never added (callers that need a sum,
   such as the telescoping check, clear denominators themselves);
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j;
-  the pole jets multiply it, and ``from_polynomial`` and ``reciprocal`` give
-  the jets of expanded polynomials and of their quotients, as references.
+  the pole jets multiply it.
 
 Polynomial products, Taylor shifts and divisions run over the integers, each
 operand scaled by one common denominator (``integer_coefficients``), and form
 one reduced Fraction per output coefficient; so do products of linear
-factors (``Polynomial.from_roots``).  Taylor recentering has one
-routine, ``_taylor_coefficients`` (synthetic division), behind ``Polynomial.shift``
-and ``TruncatedSeries.from_polynomial``; division has one, the integer
-pseudo-division ``_pseudo_division``, behind ``divmod`` and ``poly_gcd``; their
-one library caller is the denominator clearing in
+factors (``Polynomial.from_roots``).  Taylor recentering is
+``Polynomial.shift`` (synthetic division); division has one routine, the
+integer pseudo-division ``_pseudo_division``, behind ``divmod`` and
+``poly_gcd``; their one library caller is the denominator clearing in
 ``certificate.verify_telescoping``.
 
 Everything in this module is exact; nothing rounds.  The only floating-point
@@ -64,7 +62,7 @@ class Polynomial:
     """Dense univariate polynomial with Fraction coefficients.
 
     Immutable.  ``coeffs[i]`` is the coefficient of t^i and the last entry is
-    nonzero; the zero polynomial has an empty coefficient tuple and degree -1.
+    nonzero; the zero polynomial has an empty coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -114,10 +112,6 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -138,20 +132,12 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     # -- ring operations ---------------------------------------------------
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -163,12 +149,6 @@ class Polynomial:
         )
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -245,11 +225,25 @@ class Polynomial:
         return acc
 
     def shift(self, offset: RationalLike) -> "Polynomial":
-        """Compose with a translation: returns f(t + offset)."""
+        """Compose with a translation: returns f(t + offset), whose
+        coefficients are the Taylor coefficients of f at the offset."""
         a = as_fraction(offset)
         if a == 0 or not self.coeffs:
             return self
-        return Polynomial._trusted(_taylor_coefficients(self, a, len(self.coeffs)))
+        # f = sum_i F_i t^i / L and a = p/q.  G_i = F_i q^(d-i) are the integer
+        # coefficients of g(x) = L q^d f(x/q), and g(p + y) = sum H_j y^j with
+        # y = q (t - a), so coefficient j is H_j / (L q^(d-j)).  Each pass of
+        # synthetic division by (x - p) fixes the next H_j in O(d) integer
+        # steps, O(d^2) in all.
+        [f], scale = integer_coefficients(self)
+        d = len(f) - 1
+        p, q = a.numerator, a.denominator
+        g = [c * q ** (d - i) for i, c in enumerate(f)]
+        for j in range(d):
+            for i in range(d - 1, j - 1, -1):
+                g[i] += p * g[i + 1]
+        out = [Fraction(g[j], scale * q ** (d - j)) for j in range(d + 1)]
+        return Polynomial._trusted(out)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -258,27 +252,6 @@ class Polynomial:
         if lead == 1:
             return self
         return Polynomial([c / lead for c in self.coeffs])
-
-
-def _taylor_coefficients(
-    poly: Polynomial, center: Fraction, order: int
-) -> list[Fraction]:
-    """The first `order` Taylor coefficients of `poly` at `center`, i.e. the
-    coefficients of (t - center)^j for j < order."""
-    # poly = sum_i F_i t^i / L and center = p/q.  G_i = F_i q^(d-i) are the
-    # integer coefficients of g(x) = L q^d poly(x/q), and g(p + y) = sum H_j y^j
-    # with y = q (t - center), so coefficient j is H_j / (L q^(d-j)).  Each
-    # pass of synthetic division by (x - p) fixes the next H_j in O(d) integer
-    # steps: a jet of `order` terms costs O(order d), a recentering O(d^2).
-    [f], scale = integer_coefficients(poly)
-    d = len(f) - 1
-    p, q = center.numerator, center.denominator
-    g = [c * q ** (d - i) for i, c in enumerate(f)]
-    for j in range(min(order, d)):
-        for i in range(d - 1, j - 1, -1):
-            g[i] += p * g[i + 1]
-    out = [Fraction(g[j], scale * q ** (d - j)) for j in range(min(order, d + 1))]
-    return out + [Fraction(0)] * (order - len(out))
 
 
 def integer_coefficients(*polys: Polynomial) -> tuple[list[list[int]], int]:
@@ -440,37 +413,10 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    @classmethod
-    def from_polynomial(
-        cls, poly: Polynomial, center: RationalLike, order: int
-    ) -> "TruncatedSeries":
-        c = as_fraction(center)
-        return cls(c, _taylor_coefficients(poly, c, order))
-
-    @classmethod
-    def constant(cls, value: RationalLike, center: RationalLike, order: int):
-        return cls(center, [value] + [0] * (order - 1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.center == other.center and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.center, self.coeffs))
-
     def __repr__(self) -> str:
         return f"TruncatedSeries(center={self.center}, coeffs={[str(c) for c in self.coeffs]})"
 
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            f = as_fraction(other)
-            return TruncatedSeries(self.center, [c * f for c in self.coeffs])
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.center != other.center or self.order != other.order:
             raise ValueError("series have different centers or orders")
         m = self.order
@@ -482,22 +428,6 @@ class TruncatedSeries:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return TruncatedSeries(self.center, out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse modulo (t - center)^order; needs c_0 != 0."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        inv0 = 1 / c0
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc * inv0
         return TruncatedSeries(self.center, out)
 
 

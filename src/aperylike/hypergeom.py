@@ -33,6 +33,7 @@ u_n zeta(4) - v_n.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import Counter
@@ -304,23 +305,14 @@ def pole_table(kernel: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(jet.coeffs[j] for jet in jets) for j in range(order))
 
 
-_table_lock = threading.Lock()
-_table_cache: dict[int, PartialFractionTable] = {}
-
-
+@functools.cache
 def partial_fractions(n: int) -> PartialFractionTable:
     """The exact 3 x (n+1) coefficient table of the pole expansion of R_n,
-    `pole_table("catalan", n)`, memoized per n."""
+    `pole_table("catalan", n)`, memoized per n: `decompose` reads the table
+    and then `coefficient_quadruple(n)`, which reads it again."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    with _table_lock:
-        cached = _table_cache.get(n)
-    if cached is not None:
-        return cached
-    table = PartialFractionTable(n=n, A=pole_table("catalan", n))
-    with _table_lock:
-        _table_cache[n] = table
-    return table
+    return PartialFractionTable(n=n, A=pole_table("catalan", n))
 
 
 def reconstruction(table: PartialFractionTable) -> RationalFunction:
@@ -336,28 +328,19 @@ def reconstruction(table: PartialFractionTable) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def beta_partial_sum(k: int, power: int) -> Fraction:
-    """Exact partial sum sum_{l=0}^{k-1} (-1)^l / (2l+1)^power."""
-    total = Fraction(0)
-    for l in range(k):
-        term = Fraction(1, (2 * l + 1) ** power)
-        total += term if l % 2 == 0 else -term
-    return total
-
-
 def coefficient_quadruple(n: int) -> CoefficientQuadruple:
-    """Alternating column sums of the table, with exact inner beta partial sums
-    carried along k in one pass.
+    """Alternating column sums of the table, with the exact beta partial
+    sums b_s(k) = sum_{l<k} (-1)^l/(2l+1)^s carried along k in one pass.
 
     U  = 8 sum (-1)^k A_0k        (coefficient that multiplies beta(3))
     U' = 4 sum (-1)^k A_1k        (coefficient of beta(2) = G)
     U''= 2 sum (-1)^k A_2k        (coefficient of beta(1))
-    V  = sum_j 2^(3-j) sum_k (-1)^k A_jk sum_{l<k} (-1)^l/(2l+1)^(3-j)
+    V  = sum_j 2^(3-j) sum_k (-1)^k A_jk b_(3-j)(k)
     """
     table = partial_fractions(n)
     sums = [Fraction(0)] * 3    # sum_k (-1)^k A_jk
-    inner = [Fraction(0)] * 3   # sum_k (-1)^k A_jk beta_partial_sum(k, 3-j)
-    beta = [Fraction(0)] * 3    # beta_partial_sum(k, 3-j), carried along k
+    inner = [Fraction(0)] * 3   # sum_k (-1)^k A_jk b_(3-j)(k)
+    beta = [Fraction(0)] * 3    # b_(3-j)(k), carried along k
     for k in range(n + 1):
         sign = 1 if k % 2 == 0 else -1
         for j in range(3):

@@ -17,9 +17,9 @@ solving
 whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 
 RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
-back(n) and its initial pairs; stepping, the residual check, the telescoping
-certificate's weights and the continued fractions all read it.  Everything is
-exact rational arithmetic.  A memo grows one recurrence step at a time, so
+back(n) and its initial pairs; stepping, the telescoping certificate's
+weights and the continued fractions all read it.  Everything is exact
+rational arithmetic.  A memo grows one recurrence step at a time, so
 walking n upwards (range, check) streams; a deep index past the memo's end is
 reached instead by multiplying the 2x2 step matrices in a product tree
 (binary splitting) and dividing once, and is not stored.  The integrality
@@ -34,7 +34,7 @@ import threading
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .exact import RationalLike, as_fraction, horner_int, lcm_upto, to_mpf
+from .exact import horner_int, lcm_upto, to_mpf
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -87,31 +87,12 @@ class AsymptoticRates(NamedTuple):
 
 # -- coefficient polynomials -------------------------------------------------
 
-#: Ascending integer coefficients of p(n), q(n) and r(n): the one copy that
-#: both the public polynomials and RECURRENCES read.
+#: Ascending integer coefficients of p(n), q(n) and r(n), read by
+#: RECURRENCES.  p has discriminant 8^2 - 80 < 0, so the catalan lead never
+#: vanishes; r(n) = 3 (2n+1)(3n^2+3n+1)(15n^2+15n+4).
 _CATALAN_P = (1, -8, 20)
 _CATALAN_Q = (7, 16, -156, -384, 2064, 5632, 3520)
 _ZETA4_R = (12, 105, 378, 702, 675, 270)
-
-
-def catalan_p(n: RationalLike) -> Fraction:
-    """20 n^2 - 8 n + 1 (no real roots, so the recurrence never degenerates)."""
-    return as_fraction(horner_int(_CATALAN_P, n))
-
-
-def catalan_q(n: RationalLike) -> Fraction:
-    """3520 n^6 + 5632 n^5 + 2064 n^4 - 384 n^3 - 156 n^2 + 16 n + 7, the middle
-    coefficient of the catalan recurrence."""
-    return as_fraction(horner_int(_CATALAN_Q, n))
-
-
-def zeta4_r(n: RationalLike) -> Fraction:
-    """270 n^5 + 675 n^4 + 702 n^3 + 378 n^2 + 105 n + 12.
-
-    Equals the factored form 3 (2n+1)(3n^2+3n+1)(15n^2+15n+4); the identity is
-    covered by tests.
-    """
-    return as_fraction(horner_int(_ZETA4_R, n))
 
 
 # -- the recurrence table -----------------------------------------------------
@@ -128,8 +109,8 @@ class Recurrence(NamedTuple):
     initial: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
-#: The one copy of each family's coefficients; stepping, residuals, the
-#: certificate weights and the continued fractions all read it.
+#: The one copy of each family's coefficients; stepping, the certificate
+#: weights and the continued fractions all read it.
 RECURRENCES = {
     "catalan": Recurrence(
         lead=lambda k: (2 * k + 1) ** 2 * (2 * k + 2) ** 2 * horner_int(_CATALAN_P, k),
@@ -169,7 +150,7 @@ _pairs: dict[str, list[_Pair]] = {
 def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
     """The exact pair at k+1 from the pairs at k-1 and k (k >= 1)."""
     lead, mid, back = recurrence_coefficients(family, k)
-    assert lead != 0  # catalan_p has negative discriminant
+    assert lead != 0  # _CATALAN_P has negative discriminant
     (u_prev, v_prev), (u_cur, v_cur) = previous, current
     return (mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead
 
@@ -259,22 +240,6 @@ def zeta4_pair(n: int) -> SequencePair:
 def pair(family: str, n: int) -> SequencePair:
     u, v = _values(family, n)
     return SequencePair(family, n, u, v)
-
-
-def recurrence_residual(family: str, n: int) -> tuple[Fraction, Fraction]:
-    """Substitute the stored triples back into the recurrence (index n >= 1).
-
-    Returns the two residuals (for the u- and v-solutions); both must be the
-    exact rational zero.
-    """
-    if n < 1:
-        raise ValueError("the recurrence holds for n >= 1")
-    prev, cur, nxt = (_values(family, n - 1), _values(family, n), _values(family, n + 1))
-    lead, mid, back = recurrence_coefficients(family, n)
-    return (
-        lead * nxt[0] - mid * cur[0] - back * prev[0],
-        lead * nxt[1] - mid * cur[1] - back * prev[1],
-    )
 
 
 # -- integrality reports -------------------------------------------------------

@@ -106,6 +106,25 @@ def naive_taylor(f: tuple, center: Fraction, order: int) -> list[Fraction]:
     return out
 
 
+def taylor_jet(poly: Polynomial, center, order: int) -> TruncatedSeries:
+    """The first `order` Taylor coefficients of `poly` at `center`: the
+    coefficients of poly(t + center), padded with zeros."""
+    coeffs = poly.shift(center).coeffs
+    return TruncatedSeries(center, (coeffs + (0,) * order)[:order])
+
+
+def series_reciprocal(jet: TruncatedSeries) -> TruncatedSeries:
+    """The inverse of a jet modulo (t - center)^order, by solving
+    sum_{i<=k} c_i out_(k-i) = [k = 0] for out_k in turn; needs c_0 != 0."""
+    c = jet.coeffs
+    if c[0] == 0:
+        raise ZeroDivisionError("series has zero constant term")
+    out = [1 / c[0]]
+    for k in range(1, len(c)):
+        out.append(-sum(c[i] * out[k - i] for i in range(1, k + 1)) / c[0])
+    return TruncatedSeries(jet.center, out)
+
+
 def series_pole_jets(n: int) -> list[TruncatedSeries]:
     """The jets of R_n(t) (t+k+1/2)^3 at t = -k-1/2 for k = 0..n, by products
     of Taylor jets in Fraction.
@@ -120,14 +139,12 @@ def series_pole_jets(n: int) -> list[TruncatedSeries]:
     jets = []
     for k in range(n + 1):
         center = Fraction(-(2 * k + 1), 2)
-        den_jet = TruncatedSeries.constant(1, center, 3)
+        den_jet = taylor_jet(Polynomial([1]), center, 3)
         for l in range(n + 1):
             if l != k:
-                factor = Polynomial([Fraction(2 * l + 1, 2), 1])
-                factor_jet = TruncatedSeries.from_polynomial(factor, center, 3)
+                factor_jet = taylor_jet(Polynomial([Fraction(2 * l + 1, 2), 1]), center, 3)
                 den_jet *= factor_jet * factor_jet * factor_jet
-        num_jet = TruncatedSeries.from_polynomial(numerator, center, 3)
-        jets.append(num_jet * den_jet.reciprocal())
+        jets.append(taylor_jet(numerator, center, 3) * series_reciprocal(den_jet))
     return jets
 
 
@@ -145,13 +162,12 @@ def series_zeta4_pole_jets(n: int) -> list[TruncatedSeries]:
     numerator = Polynomial([n, 2]) * g1 * g1 * g2 * g2
     jets = []
     for k in range(n + 1):
-        den_jet = TruncatedSeries.constant(1, -k, 4)
+        den_jet = taylor_jet(Polynomial([1]), Fraction(-k), 4)
         for l in range(n + 1):
             if l != k:
-                factor_jet = TruncatedSeries.from_polynomial(Polynomial([l, 1]), -k, 4)
+                factor_jet = taylor_jet(Polynomial([l, 1]), Fraction(-k), 4)
                 den_jet *= factor_jet * factor_jet * factor_jet * factor_jet
-        num_jet = TruncatedSeries.from_polynomial(numerator, -k, 4)
-        jets.append(num_jet * den_jet.reciprocal())
+        jets.append(taylor_jet(numerator, Fraction(-k), 4) * series_reciprocal(den_jet))
     return jets
 
 
@@ -174,7 +190,7 @@ def termwise_zeta4_series(n: int, digits: int) -> tuple[int, mpf]:
     num = Polynomial([n, 2]) * g1**2 * g2**2
     den = Polynomial.from_roots([-i for i in range(n + 1)]) ** 4
     h_num, h_den, hp_num, hp_den = integer_coefficients(
-        num, den, derivative(num) * den - num * derivative(den), den * den
+        num, den, derivative(num) * den + num * derivative(den) * -1, den * den
     )[0]
 
     def ratio(top, bottom, t):

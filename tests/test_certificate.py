@@ -9,12 +9,11 @@ from aperylike.certificate import (
     build_certificate,
     certificate_denominator,
     certificate_numerator_coefficients,
-    verify_recurrence_transfer,
     verify_telescoping,
 )
 from aperylike.exact import Polynomial, RationalFunction
-from aperylike.hypergeom import coefficient_quadruple
-from aperylike.sequences import catalan_p, catalan_q
+from aperylike.hypergeom import coefficient_quadruple, f_numeric
+from aperylike.sequences import recurrence_coefficients
 
 
 class TestTranscription:
@@ -71,9 +70,7 @@ class TestTelescoping:
             prev = coefficient_quadruple(n - 1)
             cur = coefficient_quadruple(n)
             nxt = coefficient_quadruple(n + 1)
-            forward = (2 * n + 1) ** 2 * (2 * n + 2) ** 2 * catalan_p(n)
-            middle = catalan_q(n)
-            backward = (2 * n - 1) ** 2 * (2 * n) ** 2 * catalan_p(n + 1)
+            forward, middle, backward = recurrence_coefficients("catalan", n)
             for field in ("U", "Uprime", "Udoubleprime", "V"):
                 combo = (
                     forward * getattr(nxt, field)
@@ -155,19 +152,33 @@ class TestCheckerSensitivity:
             assert not cert_module.verify_telescoping(n), n
 
 
+def transfer_residual(n, digits):
+    """|lead F_{n+1} - mid F_n - back F_{n-1}| for the accelerated kernel
+    sums F_m = f_numeric(m), each within 10^-(digits+10)."""
+    forward, middle, backward = recurrence_coefficients("catalan", n)
+    working = digits + 10
+    f_prev, f_cur, f_next = (f_numeric(m, working) for m in (n - 1, n, n + 1))
+    with mp.workdps(working):
+        return abs(forward * f_next - middle * f_cur - backward * f_prev)
+
+
 class TestRecurrenceTransfer:
+    # the numeric route: the alternating kernel sums obey the recurrence
+    # that the exact identity proves
+
     def test_depth_one_at_thirty_digits(self):
-        assert verify_recurrence_transfer(1, 30)
+        assert transfer_residual(1, 30) < mp.mpf(10) ** -25
 
     def test_depth_two_at_thirty_digits(self):
-        assert verify_recurrence_transfer(2, 30)
+        assert transfer_residual(2, 30) < mp.mpf(10) ** -25
 
     def test_depth_five_at_twenty_digits(self):
-        assert verify_recurrence_transfer(5, 20)
+        assert transfer_residual(5, 20) < mp.mpf(10) ** -15
 
     def test_rejects_index_zero(self):
+        # the transfer at n = 0 needs F_{-1}, which f_numeric rejects
         with pytest.raises(ValueError):
-            verify_recurrence_transfer(0, 20)
+            transfer_residual(0, 20)
 
     def test_residual_is_small_not_just_true(self, catalan_200):
         # reconstruct the residual by hand from the quadruple forms
@@ -180,10 +191,6 @@ class TestRecurrenceTransfer:
                     mp.mpf(q.Uprime.numerator) / q.Uprime.denominator * catalan_200
                     - mp.mpf(q.V.numerator) / q.V.denominator
                 )
-            forward = (2 * n + 1) ** 2 * (2 * n + 2) ** 2 * catalan_p(n)
-            middle = catalan_q(n)
-            backward = (2 * n - 1) ** 2 * (2 * n) ** 2 * catalan_p(n + 1)
-            residual = abs(
-                int(forward) * values[2] - int(middle) * values[1] - int(backward) * values[0]
-            )
+            forward, middle, backward = recurrence_coefficients("catalan", n)
+            residual = abs(forward * values[2] - middle * values[1] - backward * values[0])
             assert residual < mp.mpf(10) ** -45

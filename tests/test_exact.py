@@ -18,11 +18,22 @@ from aperylike.exact import (
     to_mpf,
 )
 from aperylike.hypergeom import build_kernel
-from tests.conftest import naive_divmod, naive_product, naive_taylor
+from tests.conftest import (
+    naive_divmod,
+    naive_product,
+    naive_taylor,
+    series_reciprocal,
+    taylor_jet,
+)
 
 
 def random_fraction(rng, span=30):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+
+def degree(p: Polynomial) -> int:
+    """The degree; -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
 
 
 def random_poly(rng, max_degree=8):
@@ -56,7 +67,7 @@ class TestPolynomial:
     def test_canonical_no_trailing_zeros(self):
         assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert Polynomial([0, 0]).is_zero
-        assert Polynomial().degree == -1
+        assert Polynomial().coeffs == ()
 
     def test_from_roots_is_the_product_of_linear_factors(self):
         rng = random.Random(19)
@@ -76,7 +87,7 @@ class TestPolynomial:
             if f.is_zero or g.is_zero:
                 assert (f * g).is_zero
             else:
-                assert (f * g).degree == f.degree + g.degree
+                assert degree(f * g) == degree(f) + degree(g)
 
     def test_ring_identities(self):
         rng = random.Random(31)
@@ -94,7 +105,7 @@ class TestPolynomial:
                 continue
             q, r = divmod(f, g)
             assert q * g + r == f
-            assert r.is_zero or r.degree < g.degree
+            assert r.is_zero or degree(r) < degree(g)
 
     def test_evaluation(self):
         assert Polynomial([1, -2, 3])(2) == 9  # 3t^2 - 2t + 1 at t = 2
@@ -128,7 +139,7 @@ class TestPolynomial:
             right = g * h
             d = poly_gcd(left, right)
             assert divmod(left, d)[1].is_zero and divmod(right, d)[1].is_zero
-            assert d.degree >= h.degree  # at least the planted common factor
+            assert degree(d) >= degree(h)  # at least the planted common factor
 
     def test_integer_coefficients_share_one_scale(self):
         half_plus_third_t = Polynomial([Fraction(1, 2), Fraction(1, 3)])
@@ -198,7 +209,7 @@ class TestIntegerKernels:
             for f in kernel_operands()[::2]:
                 dividend = f * g
                 if not exact:
-                    dividend = dividend + mixed_poly(rng, max(g.degree - 1, 0))
+                    dividend = dividend + mixed_poly(rng, max(degree(g) - 1, 0))
                 quotient, remainder = divmod(dividend, g)
                 want_q, want_r = naive_divmod(dividend.coeffs, g.coeffs)
                 assert list(quotient.coeffs) == want_q
@@ -217,8 +228,9 @@ class TestIntegerKernels:
         center = Fraction(center)
         for f in kernel_operands():
             # orders below, at and above degree + 1
-            for order in {1, 2, f.degree, f.degree + 1, f.degree + 4} - {-1, 0}:
-                jet = TruncatedSeries.from_polynomial(f, center, order).coeffs
+            d = degree(f)
+            for order in {1, 2, d, d + 1, d + 4} - {-1, 0}:
+                jet = taylor_jet(f, center, order).coeffs
                 assert list(jet) == naive_taylor(f.coeffs, center, order)
                 assert_reduced(jet)
             shifted = f.shift(center)
@@ -285,11 +297,13 @@ class TestRationalFunction:
 def jet(f, center, order):
     """Taylor jet of a rational function at a non-pole, as the quotient of
     the jets of its numerator and denominator."""
-    num = TruncatedSeries.from_polynomial(f.num, center, order)
-    return num * TruncatedSeries.from_polynomial(f.den, center, order).reciprocal()
+    num = taylor_jet(f.num, center, order)
+    return num * series_reciprocal(taylor_jet(f.den, center, order))
 
 
 class TestTruncatedSeries:
+    # the jet references of tests/conftest.py, multiplied by the package's
+    # TruncatedSeries
     def test_geometric_series(self):
         f = RationalFunction(Polynomial([1]), Polynomial([1, 1]))  # 1/(t+1)
         s = jet(f, 0, 3)
@@ -331,7 +345,7 @@ class TestTruncatedSeries:
 
     def test_reciprocal_inverts(self):
         s = TruncatedSeries(0, [Fraction(2), Fraction(1), Fraction(-3), Fraction(5)])
-        product = s * s.reciprocal()
+        product = s * series_reciprocal(s)
         assert list(product.coeffs) == [1, 0, 0, 0]
 
     def test_series_matches_derivatives(self):
@@ -343,8 +357,7 @@ class TestTruncatedSeries:
         value = f(c)
         # quotient-rule first derivative
         d1 = (num_prime(c) * den(c) - num(c) * den_prime(c)) / den(c) ** 2
-        assert s.coefficient(0) == value
-        assert s.coefficient(1) == d1
+        assert s.coeffs[:2] == (value, d1)
 
 
 class TestLcmTable:
@@ -371,7 +384,9 @@ class TestLcmTable:
 class TestEdgeCases:
     def test_series_order_must_be_positive(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.from_polynomial(Polynomial([1, 1]), 0, 0)
+            TruncatedSeries(0, [])
+        with pytest.raises(ValueError):
+            taylor_jet(Polynomial([1, 1]), 0, 0)
 
     def test_negative_polynomial_power_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Kernel construction, partial fractions, linear-form coefficients."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from aperylike import hypergeom
 from aperylike.exact import (
     Polynomial,
     RationalFunction,
-    TruncatedSeries,
     horner_int,
     integer_coefficients,
     lcm_upto,
@@ -20,7 +21,6 @@ from aperylike.hypergeom import (
     KERNELS,
     FactorRuns,
     PartialFractionTable,
-    beta_partial_sum,
     build_kernel,
     check_arith_lemmas,
     coefficient_quadruple,
@@ -35,7 +35,13 @@ from aperylike.hypergeom import (
     zeta4_decomposition,
 )
 from aperylike.sequences import catalan_pair, zeta4_pair
-from tests.conftest import mpf_frac, series_pole_jets, series_zeta4_pole_jets
+from tests.conftest import (
+    mpf_frac,
+    series_pole_jets,
+    series_reciprocal,
+    series_zeta4_pole_jets,
+    taylor_jet,
+)
 
 
 def pole_factor(k: int) -> Polynomial:
@@ -71,7 +77,13 @@ def zeta4_inner(n: int) -> RationalFunction:
 
 
 def reference_table(jets) -> tuple:
-    return tuple(tuple(jet.coefficient(j) for jet in jets) for j in range(jets[0].order))
+    """Row j holds coefficient j of every jet."""
+    return tuple(zip(*(jet.coeffs for jet in jets)))
+
+
+def beta_partial_sum(k: int, power: int) -> Fraction:
+    """sum_{l<k} (-1)^l / (2l+1)^power, term by term."""
+    return sum((Fraction((-1) ** l, (2 * l + 1) ** power) for l in range(k)), Fraction(0))
 
 
 class TestKernel:
@@ -99,7 +111,7 @@ class TestKernel:
     @pytest.mark.parametrize("n", range(7))
     def test_degree_gap(self, n):
         r = build_kernel(n).R
-        assert r.num.degree - r.den.degree == -(n + 2)
+        assert len(r.num.coeffs) - len(r.den.coeffs) == -(n + 2)
 
     @pytest.mark.parametrize("n", range(7))
     def test_factorization_into_parts(self, n):
@@ -165,6 +177,36 @@ class TestPartialFractions:
         assert table.A[1] == (Fraction(7, 4), Fraction(-7, 4))
         assert table.A[2] == (Fraction(0), Fraction(0))
 
+    def test_threads_share_the_memoized_tables(self):
+        # concurrent first calls may each build a table; every caller gets
+        # the exact one, and later calls get the stored one.  Other tests
+        # fill the memo up to n = 100, so these indices start cold.
+        indices = (101, 102)
+        results, errors = [], []
+
+        def worker():
+            try:
+                results.extend(partial_fractions(n) for n in indices)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * len(indices)
+        for n in indices:
+            expected = pole_table("catalan", n)
+            assert all(table.A == expected for table in results if table.n == n)
+            assert partial_fractions(n) is partial_fractions(n)
+
     @pytest.mark.parametrize("n", list(range(13)) + [20])
     def test_reconstruction_identity(self, n):
         assert reconstruction(partial_fractions(n)) == build_kernel(n).R
@@ -178,28 +220,25 @@ class TestPartialFractions:
         table = partial_fractions(n)
         for k in range(n + 1):
             center = Fraction(-(2 * k + 1), 2)
-            jet = TruncatedSeries.from_polynomial(Polynomial([n + 1, 2]), center, 3)
-            jet = jet * TruncatedSeries.from_polynomial(p1, center, 3)
-            jet = jet * TruncatedSeries.from_polynomial(p2, center, 3)
+            jet = taylor_jet(Polynomial([n + 1, 2]), center, 3)
+            jet = jet * taylor_jet(p1, center, 3)
+            jet = jet * taylor_jet(p2, center, 3)
             cleared_den = Polynomial.constant(1)
             for l in range(n + 1):
                 if l != k:
                     cleared_den = cleared_den * pole_factor(l)
-            cleared = TruncatedSeries.constant(fact, center, 3) * (
-                TruncatedSeries.from_polynomial(cleared_den, center, 3).reciprocal()
+            cleared = taylor_jet(Polynomial([fact]), center, 3) * series_reciprocal(
+                taylor_jet(cleared_den, center, 3)
             )
             jet = jet * cleared * cleared * cleared
             for j in range(3):
-                assert jet.coefficient(j) == table.A[j][k], (n, j, k)
+                assert jet.coeffs[j] == table.A[j][k], (n, j, k)
 
 
 class TestClosedFormJets:
     @pytest.mark.parametrize("n", list(range(31)) + [60])
     def test_table_equals_the_series_reference(self, n):
-        jets = series_pole_jets(n)
-        assert partial_fractions(n).A == tuple(
-            tuple(jet.coefficient(j) for jet in jets) for j in range(3)
-        )
+        assert partial_fractions(n).A == reference_table(series_pole_jets(n))
 
     @pytest.mark.parametrize("n", range(25))
     def test_pole_orders(self, n):
@@ -253,27 +292,25 @@ class TestExpJet:
         # (t-1)^2 (t+3)^-1 (t-4/3)^3 at t = 1/2
         center = Fraction(1, 2)
         factors = [(Fraction(1), 2), (Fraction(-3), -1), (Fraction(4, 3), 3)]
-        product = TruncatedSeries.constant(1, center, 4)
+        product = taylor_jet(Polynomial([1]), center, 4)
         for root, m in factors:
-            jet = TruncatedSeries.from_polynomial(Polynomial([-root, 1]), center, 4)
+            jet = taylor_jet(Polynomial([-root, 1]), center, 4)
             if m < 0:
-                jet = jet.reciprocal()
+                jet = series_reciprocal(jet)
             for _ in range(abs(m)):
                 product = product * jet
         value = Fraction(1)
         for root, m in factors:
             value *= (center - root) ** m
         sums = [sum(m / (center - root) ** j for root, m in factors) for j in (1, 2, 3)]
-        assert exp_jet(center, value, sums, 4) == product
+        jet = exp_jet(center, value, sums, 4)
+        assert (jet.center, jet.coeffs) == (product.center, product.coeffs)
 
 
 class TestZeta4Decomposition:
     @pytest.mark.parametrize("n", range(31))
     def test_table_equals_the_series_reference(self, n):
-        jets = series_zeta4_pole_jets(n)
-        assert zeta4_decomposition(n).B == tuple(
-            tuple(jet.coefficient(j) for jet in jets) for j in range(4)
-        )
+        assert zeta4_decomposition(n).B == reference_table(series_zeta4_pole_jets(n))
 
     @pytest.mark.parametrize("n", range(61))
     def test_series_identity_is_exact(self, n):
@@ -328,10 +365,12 @@ class TestFactorRuns:
             for t in self.points(n):
                 if num(t) != 0 and den(t) != 0:
                     for order in range(1, 5):
-                        expected = TruncatedSeries.from_polynomial(num, t, order) * (
-                            TruncatedSeries.from_polynomial(den, t, order).reciprocal()
+                        expected = taylor_jet(num, t, order) * series_reciprocal(
+                            taylor_jet(den, t, order)
                         )
-                        assert runs.jet(t, order) == expected, (kernel, t, order)
+                        jet = runs.jet(t, order)
+                        assert jet.center == expected.center, (kernel, t, order)
+                        assert jet.coeffs == expected.coeffs, (kernel, t, order)
 
     @pytest.mark.parametrize("n", [0, 1, 4, 7, 12])
     def test_log_derivatives_equal_the_quotient_rule(self, n):
@@ -416,7 +455,7 @@ class TestKernelRatios:
         for dn, dt in self.STEPS:
             if n + dn >= 0:
                 ratio = kernel_ratio(kernel, n, dn=dn, dt=dt)
-                assert max(ratio.num.degree, ratio.den.degree) <= 9
+                assert max(len(ratio.num.coeffs), len(ratio.den.coeffs)) <= 10
                 assert poly_gcd(ratio.num, ratio.den) == Polynomial.constant(1)
 
     @pytest.mark.parametrize("n", range(13))

@@ -1,12 +1,15 @@
 """Package hygiene: the public name list, imports and definitions that
-nothing uses, the imports that startup pays for, and the shape of the
-result records.
+nothing uses, functions that neither the CLI nor the acceptance API runs,
+the imports that startup pays for, and the shape of the result records.
 
 Standard library only, so that it runs wherever the tests run.  An import
 that its module never reads is left over from deleted code; one that is
 kept on purpose (say, so that a tool can rebind it) carries ``# noqa: F401``
 on the line of its name.  A module-level function or class that no module
-reads is either exported in ``aperylike.__all__`` or left over.
+reads is either exported in ``aperylike.__all__`` or left over.  A function
+or method that no subcommand and no name imported by
+``tests/test_acceptance.py`` runs is kept alive only by its own tests, and
+is deleted instead.
 
 Importing the package must not load mpmath: no module imports it at module
 level, except under ``if TYPE_CHECKING:`` for annotations, and the functions
@@ -16,14 +19,23 @@ that evaluate in mpmath import it themselves.  No module imports
 """
 
 import ast
+import contextlib
 import importlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import aperylike
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "aperylike").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "aperylike"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_every_public_name_resolves_once():
@@ -117,6 +129,199 @@ def test_unread_definition_detection():
         "b": "from . import a\nx = a.used()\ny: 'Record' = None\n",
     }
     assert unread_definitions(sources, ["public"]) == ["a.recursive", "a.Record"]
+
+
+#: One small run of every subcommand, both families, CSV once.  `pair` at
+#: n = 30 jumps past the memo's two initial pairs, so it runs the product tree.
+CLI_RUNS = [
+    "pair --family catalan --n 30 --format csv",
+    "pair --family zeta4 --n 3",
+    "range --family catalan --n-max 3",
+    "range --family zeta4 --n-max 3 --format csv",
+    "check --family catalan --n-max 3 --mode proved",
+    "check --family zeta4 --n-max 3 --mode strong",
+    "decompose --family catalan --n 3",
+    "decompose --family zeta4 --n 3",
+    "certify --family catalan --n-max 2",
+    "cf --family catalan --n 3",
+    "cf --family zeta4 --n 3",
+    "digits --constant catalan --digits 10",
+    "digits --constant zeta4 --digits 10",
+    "integral --n 1 --digits 8",
+    "series --constant zeta4 --n 2 --digits 8",
+    "asymptotics --family catalan --n 6 --digits 8",
+    "asymptotics --family zeta4 --n 6 --digits 8",
+]
+
+#: Functions that nothing needs to run: the reprs and the immutability
+#: guards, and Polynomial.__bool__, which keeps a zero polynomial falsy for
+#: any caller that tests one in a condition.
+UNREACHED_ON_PURPOSE = {
+    "exact.Polynomial.__repr__",
+    "exact.RationalFunction.__repr__",
+    "exact.TruncatedSeries.__repr__",
+    "exact.Polynomial.__setattr__",
+    "exact.RationalFunction.__setattr__",
+    "exact.TruncatedSeries.__setattr__",
+    "exact.Polynomial.__bool__",
+}
+
+
+def acceptance_calls() -> dict:
+    """One small call of each name that tests/test_acceptance.py imports
+    from the package, keyed by that name."""
+    from aperylike import analytic, certificate, hypergeom, sequences
+
+    return {
+        "beukers_integral": lambda: analytic.beukers_integral(1, 8),
+        "cf_convergent": lambda: analytic.cf_convergent("catalan", 3),
+        "reference_catalan": lambda: analytic.reference_catalan(20),
+        "reference_zeta4": lambda: analytic.reference_zeta4(20),
+        "zeta4_series": lambda: analytic.zeta4_series(2, 8),
+        "build_certificate": lambda: certificate.build_certificate(2),
+        "verify_telescoping": lambda: certificate.verify_telescoping(2),
+        "build_kernel": lambda: hypergeom.build_kernel(3),
+        "check_arith_lemmas": lambda: hypergeom.check_arith_lemmas(3),
+        "coefficient_quadruple": lambda: hypergeom.coefficient_quadruple(3),
+        "f_numeric": lambda: hypergeom.f_numeric(3, 10),
+        "partial_fractions": lambda: hypergeom.partial_fractions(3),
+        # as A6 uses it: compared with the kernel
+        "reconstruction": lambda: hypergeom.reconstruction(hypergeom.partial_fractions(3))
+        != hypergeom.build_kernel(3).R,
+        "asymptotic_report": lambda: sequences.asymptotic_report("zeta4", 6, 8),
+        "catalan_pair": lambda: sequences.catalan_pair(3),
+        "check_inclusions": lambda: sequences.check_inclusions("catalan", 3),
+        "pair": lambda: sequences.pair("zeta4", 3),
+        "zeta4_pair": lambda: sequences.zeta4_pair(3),
+    }
+
+
+def acceptance_imports() -> set[str]:
+    """The names tests/test_acceptance.py imports from the package."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("aperylike")
+        for alias in node.names
+    }
+
+
+def reached_functions(run, root: Path) -> set[tuple[str, int, str]]:
+    """Call `run()` under a profile hook and return the Python functions it
+    entered whose code lies under `root`, as (module, first line, name)."""
+    prefix = str(root) + os.sep
+    reached = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(prefix):
+            reached.add((Path(code.co_filename).stem, code.co_firstlineno, code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return reached
+
+
+def defined_functions(sources: dict[str, str]) -> dict[tuple[str, int, str], str]:
+    """Every function and method, nested ones too, keyed as the profile hook
+    records it (the first line is the first decorator's, as in the code
+    object), with its qualified name "module.Class.name" as the value."""
+    found = {}
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(module, first, child.name)] = f"{module}.{prefix}{child.name}"
+                visit(module, child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(module, child, f"{prefix}{child.name}.")
+            else:
+                visit(module, child, prefix)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "")
+    return found
+
+
+def unreached_functions(sources: dict[str, str], reached, allowed) -> list[str]:
+    """The functions defined in `sources` that are neither in `reached` nor
+    named in `allowed`, in order of definition."""
+    defined = defined_functions(sources)
+    return [name for key, name in defined.items() if key not in reached and name not in allowed]
+
+
+def print_package_reach() -> None:
+    """Run every CLI_RUNS command through `cli.main` and every acceptance
+    call under the profile hook; print what they reached as JSON."""
+
+    def run():
+        from aperylike import cli
+
+        calls = acceptance_calls()
+        assert set(calls) == acceptance_imports(), "acceptance_calls is out of date"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for command in CLI_RUNS:
+                with pytest.raises(SystemExit) as stop:
+                    cli.main(command.split())
+                assert stop.value.code == 0, command
+            for call in calls.values():
+                call()
+
+    print(json.dumps(sorted(reached_functions(run, PACKAGE))))
+
+
+def test_cli_and_acceptance_api_reach_every_function():
+    # a fresh process, so that no memo warmed by other tests skips a path
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    reached = {tuple(key) for key in json.loads(proc.stdout)}
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert UNREACHED_ON_PURPOSE <= set(defined_functions(sources).values())
+    assert unreached_functions(sources, reached, UNREACHED_ON_PURPOSE) == []
+
+
+def test_unreached_function_detection(tmp_path):
+    source = (
+        "import functools\n"
+        "def used(): return Box().get() + helper()\n"
+        "def helper():\n"
+        "    def inner(): return 1\n"
+        "    def unused_inner(): return 2\n"
+        "    return inner()\n"
+        "def unused(): pass\n"
+        "class Box:\n"
+        "    def get(self): return 0\n"
+        "    def __repr__(self): return 'Box'\n"
+        "    @functools.cache\n"
+        "    def cached(self): return 1\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+    )
+    (tmp_path / "mod.py").write_text(source)
+    spec = importlib.util.spec_from_file_location("mod", tmp_path / "mod.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    reached = reached_functions(module.used, tmp_path)
+    assert unreached_functions({"mod": source}, reached, {"mod.Box.__repr__"}) == [
+        "mod.helper.<locals>.unused_inner",
+        "mod.unused",
+        "mod.Box.cached",
+        "mod.Box.size",
+    ]
+    reached |= reached_functions(lambda: (module.Box().cached(), module.Box().size), tmp_path)
+    assert unreached_functions({"mod": source}, reached, {"mod.Box.__repr__"}) == [
+        "mod.helper.<locals>.unused_inner",
+        "mod.unused",
+    ]
 
 
 def imports_module(node: ast.AST, module: str) -> bool:
@@ -228,3 +433,7 @@ def test_record_methods():
     assert not inclusion("catalan", 1, "proved", True, False, 1, None).ok
     result = record_class("cli.CommandResult")
     assert [result(s, {}).exit_code for s in ("ok", "verification_failed", "precision_error")] == [0, 1, 3]
+
+
+if __name__ == "__main__":
+    print_package_reach()

@@ -9,21 +9,27 @@ import pytest
 from mpmath import mp
 
 from aperylike import sequences
+from aperylike.exact import horner_int
 from aperylike.sequences import (
     RECURRENCES,
+    _CATALAN_P,
     _consecutive_values,
     _values,
     asymptotic_report,
-    catalan_p,
     catalan_pair,
-    catalan_q,
     check_inclusions,
     recurrence_coefficients,
-    recurrence_residual,
     zeta4_pair,
-    zeta4_r,
 )
 from tests.conftest import mpf_frac, stepped_pairs
+
+
+def recurrence_residual(family, n):
+    """lead x_{n+1} - mid x_n - back x_{n-1} for the package's u and v at
+    n >= 1; both must be the exact zero."""
+    (u0, v0), (u1, v1), (u2, v2) = (_values(family, m) for m in (n - 1, n, n + 1))
+    lead, mid, back = recurrence_coefficients(family, n)
+    return lead * u2 - mid * u1 - back * u0, lead * v2 - mid * v1 - back * v0
 
 
 @pytest.fixture
@@ -34,42 +40,60 @@ def cold_memo(monkeypatch):
 
 
 class TestCoefficientPolynomials:
+    # p, q and r enter the recurrences as lead(n) = (2n+1)^2 (2n+2)^2 p(n)
+    # and mid(n) = q(n) (catalan), and mid(n) = r(n) (zeta4).
+
     @pytest.mark.parametrize("n,expected", [(0, 1), (1, 13), (2, 65)])
     def test_catalan_p(self, n, expected):
-        assert catalan_p(n) == expected
+        lead = recurrence_coefficients("catalan", n)[0]
+        assert lead == (2 * n + 1) ** 2 * (2 * n + 2) ** 2 * expected
 
     @pytest.mark.parametrize("n,expected", [(0, 7), (1, 10699), (-1, 171)])
     def test_catalan_q(self, n, expected):
-        assert catalan_q(n) == expected
+        assert recurrence_coefficients("catalan", n)[1] == expected
 
     @pytest.mark.parametrize("n,expected", [(0, 12), (1, 2142)])
     def test_zeta4_r(self, n, expected):
-        assert zeta4_r(n) == expected
+        assert recurrence_coefficients("zeta4", n)[1] == expected
 
     def test_zeta4_r_factored_form(self):
         for n in range(51):
             factored = 3 * (2 * n + 1) * (3 * n**2 + 3 * n + 1) * (15 * n**2 + 15 * n + 4)
-            assert zeta4_r(n) == factored
+            assert recurrence_coefficients("zeta4", n)[1] == factored
 
     @pytest.mark.parametrize(
         "n", [0, 7, -3, 1921, Fraction(1, 2), Fraction(-7, 3)], ids=str
     )
     def test_values_and_type_at_integer_and_rational_n(self, n):
+        # the expanded forms, in Fraction; the coefficients are ints at integer n
         x = Fraction(n)
+
+        def p(y):
+            return 20 * y**2 - 8 * y + 1
+
+        q = 3520 * x**6 + 5632 * x**5 + 2064 * x**4 - 384 * x**3 - 156 * x**2 + 16 * x + 7
+        r = 270 * x**5 + 675 * x**4 + 702 * x**3 + 378 * x**2 + 105 * x + 12
         expected = {
-            catalan_p: 20 * x**2 - 8 * x + 1,
-            catalan_q: 3520 * x**6 + 5632 * x**5 + 2064 * x**4 - 384 * x**3
-            - 156 * x**2 + 16 * x + 7,
-            zeta4_r: 270 * x**5 + 675 * x**4 + 702 * x**3 + 378 * x**2 + 105 * x + 12,
+            "catalan": (
+                (2 * x + 1) ** 2 * (2 * x + 2) ** 2 * p(x),
+                q,
+                (2 * x - 1) ** 2 * (2 * x) ** 2 * p(x + 1),
+            ),
+            "zeta4": ((x + 1) ** 5, r, 3 * x**3 * (3 * x - 1) * (3 * x + 1)),
         }
-        for coefficient, value in expected.items():
-            result = coefficient(n)
-            assert type(result) is Fraction and result == value
+        for family, values in expected.items():
+            result = recurrence_coefficients(family, n)
+            assert result == values
+            if isinstance(n, int):
+                assert all(type(c) is int for c in result)
 
     def test_catalan_p_has_no_integer_roots(self):
-        # negative discriminant: 64 - 80 < 0
+        # negative discriminant b^2 - 4ac = 64 - 80: p has no real roots, so
+        # the catalan lead that _step divides by never vanishes
+        c, b, a = _CATALAN_P
+        assert b * b - 4 * a * c == 8**2 - 80 < 0
         for n in range(-50, 51):
-            assert catalan_p(n) != 0
+            assert horner_int(_CATALAN_P, n) != 0
 
 
 class TestRecurrenceTable:
@@ -127,8 +151,7 @@ class TestPairs:
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_recurrence_residual_exactly_zero(self, family):
         for n in range(1, 301):
-            res_u, res_v = recurrence_residual(family, n)
-            assert res_u == 0 and res_v == 0
+            assert recurrence_residual(family, n) == (0, 0)
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_positivity(self, family):
@@ -187,6 +210,7 @@ class TestProductTree:
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_residual_from_three_trees(self, family, cold_memo):
+        # n-1, n and n+1 are each past the memo's end: three product trees
         assert recurrence_residual(family, 1500) == (0, 0)
         assert len(sequences._pairs[family]) == 2
 
@@ -241,7 +265,8 @@ class TestCasoratian:
     @staticmethod
     def catalan_closed_form(n):
         return Fraction(
-            (-1) ** n * catalan_p(n + 1), 2 * (2 * n + 1) ** 2 * (2 * n + 2) ** 2
+            (-1) ** n * (20 * (n + 1) ** 2 - 8 * (n + 1) + 1),
+            2 * (2 * n + 1) ** 2 * (2 * n + 2) ** 2,
         )
 
     @staticmethod
