@@ -4,8 +4,9 @@ truncated power series, the lcm table, and decimal-precision float helpers.
 Representations:
 
 * rationals are ``fractions.Fraction`` (always reduced, denominator > 0);
-* a polynomial is a tuple of Fraction coefficients, index = degree, with no
-  trailing zeros; the zero polynomial stores an empty tuple;
+* a polynomial is a tuple ``ints`` of integers over one denominator
+  ``den`` > 0 in lowest terms (gcd(den, *ints) == 1), index = degree, with
+  no trailing zero, so equal polynomials store equal pairs; zero is ((), 1);
 * a rational function is a pair num/den of polynomials kept exactly as built,
   never reduced by a gcd; two are equal when num1 den2 == num2 den1.  It is
   multiplied, shifted and evaluated, never added (callers that need a sum,
@@ -13,14 +14,13 @@ Representations:
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j;
   the pole jets multiply it.
 
-Polynomial products, Taylor shifts and divisions run over the integers, each
-operand scaled by one common denominator (``integer_coefficients``), and form
-one reduced Fraction per output coefficient; so do products of linear
-factors (``Polynomial.from_roots``).  Taylor recentering is
-``Polynomial.shift`` (synthetic division); division has one routine, the
-integer pseudo-division ``_pseudo_division``, behind ``divmod`` and
-``poly_gcd``; their one library caller is the denominator clearing in
-``certificate.verify_telescoping``.
+Polynomial products, sums, products of linear factors
+(``Polynomial.from_roots``), Taylor shifts (synthetic division) and
+divisions work on the integers directly and reduce once by the gcd with the
+denominator; evaluation is integer Horner, forming one Fraction.  Division
+has one routine, the integer pseudo-division ``_pseudo_division``, behind
+``divmod`` and ``poly_gcd``; their one library caller is the denominator
+clearing in ``certificate.verify_telescoping``.
 
 Everything in this module is exact; nothing rounds.  The only floating-point
 code is the small group of helpers at the bottom that convert exact rationals
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:
@@ -59,25 +60,34 @@ def format_rational(value: RationalLike) -> str:
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with rational coefficients, kept as
+    integers over one denominator.
 
-    Immutable.  ``coeffs[i]`` is the coefficient of t^i and the last entry is
-    nonzero; the zero polynomial has an empty coefficient tuple.
+    Immutable.  ``ints[i] / den`` is the coefficient of t^i, with den > 0,
+    gcd(den, *ints) == 1 and a nonzero last entry, so that each polynomial
+    has one stored form; the zero polynomial is ``ints == ()``, ``den == 1``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        values = [as_fraction(c) for c in coeffs]
-        while values and values[-1] == 0:
-            values.pop()
-        object.__setattr__(self, "coeffs", tuple(values))
+    def __new__(cls, coeffs: Iterable[RationalLike] = ()):
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*(q for _, q in ratios))
+        return cls._reduced([p * (den // q) for p, q in ratios], den)
 
     @classmethod
-    def _trusted(cls, values: list[Fraction]) -> "Polynomial":
-        """Trusted constructor: Fractions with a nonzero last entry, or none."""
+    def _reduced(cls, ints: list[int], den: int) -> "Polynomial":
+        """The polynomial ints / den (den != 0), brought to its stored form."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if den < 0:
+            ints, den = [-c for c in ints], -den
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints, den = [c // g for c in ints], den // g
         obj = object.__new__(cls)
-        object.__setattr__(obj, "coeffs", tuple(values))
+        object.__setattr__(obj, "ints", tuple(ints))
+        object.__setattr__(obj, "den", den)
         return obj
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -99,43 +109,31 @@ class Polynomial:
         cls, roots: Iterable[RationalLike], scale: RationalLike = 1
     ) -> "Polynomial":
         """scale * prod (t - r) over the roots.  A root p/q enters as q t - p,
-        so the product is multiplied out over the integers and divided once,
-        one Fraction per coefficient."""
-        scale = as_fraction(scale)
-        coeffs, divisor = [scale.numerator], scale.denominator
+        so the product is multiplied out over the integers, over the product
+        of the q's."""
+        ints, den = [scale.numerator], scale.denominator
         for r in roots:
-            p, q = r.numerator, r.denominator
-            coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-            divisor *= q
-        return cls(Fraction(c, divisor) for c in coeffs)
+            p, q = r.as_integer_ratio()
+            ints = [q * a - p * b for a, b in zip([0, *ints], [*ints, 0])]
+            den *= q
+        return cls._reduced(ints, den)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        return not self.ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
+        return f"Polynomial({[str(Fraction(c, self.den)) for c in self.ints]})"
 
     # -- ring operations ---------------------------------------------------
 
@@ -143,65 +141,51 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        [a, b], den = integer_coefficients(self, other)
+        return Polynomial._reduced([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            f = as_fraction(other)
-            return Polynomial([c * f for c in self.coeffs])
+            p, q = other.as_integer_ratio()
+            return Polynomial._reduced([c * p for c in self.ints], self.den * q)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self.ints, other.ints
+        if not a or not b:
             return Polynomial()
-        [a], scale_a = integer_coefficients(self)
-        [b], scale_b = integer_coefficients(other)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        scale = scale_a * scale_b
-        return Polynomial._trusted([Fraction(c, scale) for c in out])
+        return Polynomial._reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return math.prod([self] * exponent, start=Polynomial.constant(1))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        # self = a / scale_a, other = b / scale_b; step s of the pseudo-division
-        # puts c lead^(e-1-s) at t^k of q, so the quotient has c scale_b /
-        # (lead^(s+1) scale_a) there, and the remainder is r / (lead^e scale_a).
-        [a], scale_a = integer_coefficients(self)
-        [b], scale_b = integer_coefficients(other)
-        terms, r = _pseudo_division(a, b)
-        quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-        den = scale_a
-        for k, c in terms:
-            den *= b[-1]
-            quotient[k] = Fraction(c * scale_b, den)
-        remainder = [Fraction(c, den) for c in r]
-        return Polynomial._trusted(quotient), Polynomial._trusted(remainder)
+        # self = a / da, other = b / db; after e steps of the pseudo-division
+        # lead^e a = sum_s c_s lead^(e-1-s) t^k_s b + r, so over the one
+        # denominator lead^e da the quotient has c_s lead^(e-1-s) db at t^k_s
+        # and the remainder is r.
+        b = other.ints
+        terms, r = _pseudo_division(self.ints, b)
+        quotient = [0] * max(len(self.ints) - len(b) + 1, 0)
+        power = 1
+        for k, c in reversed(terms):
+            quotient[k] = c * power * other.den
+            power *= b[-1]
+        den = power * self.den
+        return Polynomial._reduced(quotient, den), Polynomial._reduced(r, den)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, self._coerce(other))[0]
@@ -217,50 +201,43 @@ class Polynomial:
     # -- evaluation and calculus -------------------------------------------
 
     def __call__(self, point: RationalLike) -> Fraction:
-        """Exact Horner evaluation."""
-        x = as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact Horner evaluation at p/q in integers, homogeneous in p and q:
+        acc = sum ints[i] p^i q^(d-i) = q^d den f(p/q), and one Fraction."""
+        p, q = point.as_integer_ratio()
+        acc, power = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * p + c * power
+            power *= q
+        return Fraction(acc * q, self.den * power)  # power = q^(d+1)
 
     def shift(self, offset: RationalLike) -> "Polynomial":
         """Compose with a translation: returns f(t + offset), whose
         coefficients are the Taylor coefficients of f at the offset."""
         a = as_fraction(offset)
-        if a == 0 or not self.coeffs:
+        if a == 0 or not self.ints:
             return self
         # f = sum_i F_i t^i / L and a = p/q.  G_i = F_i q^(d-i) are the integer
         # coefficients of g(x) = L q^d f(x/q), and g(p + y) = sum H_j y^j with
-        # y = q (t - a), so coefficient j is H_j / (L q^(d-j)).  Each pass of
+        # y = q t, so f(t + a) = sum_j H_j q^j t^j / (L q^d).  Each pass of
         # synthetic division by (x - p) fixes the next H_j in O(d) integer
         # steps, O(d^2) in all.
-        [f], scale = integer_coefficients(self)
-        d = len(f) - 1
-        p, q = a.numerator, a.denominator
-        g = [c * q ** (d - i) for i, c in enumerate(f)]
+        d, p, q = len(self.ints) - 1, a.numerator, a.denominator
+        g = [c * q ** (d - i) for i, c in enumerate(self.ints)]
         for j in range(d):
             for i in range(d - 1, j - 1, -1):
                 g[i] += p * g[i + 1]
-        out = [Fraction(g[j], scale * q ** (d - j)) for j in range(d + 1)]
-        return Polynomial._trusted(out)
+        return Polynomial._reduced([c * q**j for j, c in enumerate(g)], self.den * q**d)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading_coefficient
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self.coeffs])
+        return Polynomial._reduced(list(self.ints), self.ints[-1]) if self.ints else self
 
 
 def integer_coefficients(*polys: Polynomial) -> tuple[list[list[int]], int]:
     """The pair (lists, scale): the coefficients of all the polynomials times
     one common integer `scale`, the lcm of their denominators; ratios between
     them are kept, and zero gives []."""
-    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    lists = [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
-    return lists, scale
+    scale = math.lcm(*(p.den for p in polys))
+    return [[c * (scale // p.den) for c in p.ints] for p in polys], scale
 
 
 # -- division and gcd over the integers (pseudo-division, primitive PRS) -----

@@ -220,16 +220,22 @@ def kernel_ratio(kernel: str, n: int, dn: int = 0, dt: int = 0) -> RationalFunct
 
     Both descriptions are read into one multiset of roots in doubled
     integer units (a factor t + dt - r of the top has the doubled root
-    2r - 2dt), the bottom's with their multiplicities negated; what is left
-    are the few factors at the ends of the runs.
+    2r - 2dt), the bottom's with their multiplicities negated.  Each run of
+    the top is paired with the same run of the bottom; where both have one
+    multiplicity and parity their overlap cancels, so only the run ends
+    outside it are added, the few factors that are left: O(1) per call.
     """
     top, bottom = factor_runs(kernel, n + dn), factor_runs(kernel, n)
     roots: Counter[int] = Counter()
-    for description, sign, shift in ((top, 1, 2 * dt), (bottom, -1, 0)):
-        for first, length, mult in description.runs:
-            start = int(2 * first) - shift
-            for i in range(length):
-                roots[start + 2 * i] += sign * mult
+    for (first, length, mult), (first0, length0, mult0) in zip(top.runs, bottom.runs):
+        a, b = int(2 * first) - 2 * dt, int(2 * first0)
+        segments = [(a, a + 2 * length, mult), (b, b + 2 * length0, -mult0)]
+        lo, hi = max(a, b), min(a + 2 * length, b + 2 * length0)
+        if mult == mult0 and (a - b) % 2 == 0 and lo < hi:  # cut the overlap out
+            segments = [(x, lo, m) for x, _, m in segments] + [(hi, y, m) for _, y, m in segments]
+        for start, end, m in segments:
+            for x in range(start, end, 2):
+                roots[x] += m
     num = [Fraction(x, 2) for x, mult in roots.items() for _ in range(mult)]
     den = [Fraction(x, 2) for x, mult in roots.items() for _ in range(-mult)]
     return RationalFunction(

@@ -19,16 +19,18 @@ whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
 back(n) and its initial pairs; stepping, the telescoping certificate's
 weights and the continued fractions all read it.  Everything is exact
-rational arithmetic.  A memo grows one recurrence step at a time, so
-walking n upwards (range, check) streams; a deep index past the memo's end is
-reached instead by multiplying the 2x2 step matrices in a product tree
-(binary splitting) and dividing once, and is not stored.  The integrality
-checks multiply by the documented clearing factors and test for an integer
-exactly.
+rational arithmetic.  A memo grows one recurrence step at a time, so walking
+n upwards (range, check) streams; a step forms each new value as one integer
+over one denominator and reduces it once, the gcd's power of 2 read from the
+bits.  A deep index past the memo's end is reached instead by multiplying the
+2x2 step matrices in a product tree (binary splitting) and dividing once, and
+is not stored.  The integrality checks multiply by the documented clearing
+factors and test for an integer exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -147,12 +149,38 @@ _pairs: dict[str, list[_Pair]] = {
 }
 
 
+#: Fraction(p, q) from coprime p and q > 0 with no second gcd: the
+#: constructor's private fast path (a keyword before Python 3.12).
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(
+    Fraction, _normalize=False
+)
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """num/den (den > 0) in lowest terms, by one gcd split as in the first
+    step of Stein's binary gcd (Knuth, TAOCP vol. 2, 4.5.2): gcd(num, den) =
+    2^min(v2 num, v2 den) gcd(odd num, odd den), each v2 read from the lowest
+    set bit.  A catalan den is mostly a power of 2, so this is mostly a shift."""
+    if not num:
+        return Fraction(0)
+    v_num, v_den = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    g = math.gcd(num >> v_num, den >> v_den) << min(v_num, v_den)
+    return _coprime_fraction(num // g, den // g)
+
+
 def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
-    """The exact pair at k+1 from the pairs at k-1 and k (k >= 1)."""
+    """The exact pair at k+1 from those at k-1 and k (k >= 1): x_{k-1} = c/d
+    and x_k = a/b give one numerator over lead lcm(b, d), reduced once."""
     lead, mid, back = recurrence_coefficients(family, k)
-    assert lead != 0  # _CATALAN_P has negative discriminant
+    assert lead > 0  # _CATALAN_P has negative discriminant
+
+    def advance(prev: Fraction, cur: Fraction) -> Fraction:
+        common = math.lcm(prev.denominator, cur.denominator)
+        num = mid * cur.numerator * (common // cur.denominator)
+        return _reduced(num + back * prev.numerator * (common // prev.denominator), lead * common)
+
     (u_prev, v_prev), (u_cur, v_cur) = previous, current
-    return (mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead
+    return advance(u_prev, u_cur), advance(v_prev, v_cur)
 
 
 def _matrix_product(

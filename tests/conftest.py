@@ -1,13 +1,21 @@
 """Shared fixtures: high-precision reference values used as oracles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from aperylike.acceleration import chebyshev_scale
-from aperylike.exact import Polynomial, TruncatedSeries, horner_int, integer_coefficients
+from aperylike.exact import (
+    Polynomial,
+    RationalFunction,
+    TruncatedSeries,
+    horner_int,
+    integer_coefficients,
+)
+from aperylike.hypergeom import factor_runs
 from aperylike.sequences import RECURRENCES, recurrence_coefficients
 
 
@@ -64,6 +72,11 @@ def sequential_alternating_sum(terms) -> Fraction:
 # read only the coefficient tuples, never the package's arithmetic.
 
 
+def coefficients(p: Polynomial) -> tuple[Fraction, ...]:
+    """The coefficients of p, low to high, as the Fractions ints[i] / den."""
+    return tuple(Fraction(c, p.den) for c in p.ints)
+
+
 def naive_product(f: tuple, g: tuple) -> list[Fraction]:
     """Coefficients of f * g by the schoolbook convolution in Fraction."""
     if not f or not g:
@@ -109,7 +122,7 @@ def naive_taylor(f: tuple, center: Fraction, order: int) -> list[Fraction]:
 def taylor_jet(poly: Polynomial, center, order: int) -> TruncatedSeries:
     """The first `order` Taylor coefficients of `poly` at `center`: the
     coefficients of poly(t + center), padded with zeros."""
-    coeffs = poly.shift(center).coeffs
+    coeffs = coefficients(poly.shift(center))
     return TruncatedSeries(center, (coeffs + (0,) * order)[:order])
 
 
@@ -123,6 +136,28 @@ def series_reciprocal(jet: TruncatedSeries) -> TruncatedSeries:
     for k in range(1, len(c)):
         out.append(-sum(c[i] * out[k - i] for i in range(1, k + 1)) / c[0])
     return TruncatedSeries(jet.center, out)
+
+
+def kernel_ratio_by_walk(kernel: str, n: int, dn: int = 0, dt: int = 0) -> RationalFunction:
+    """K_{n+dn}(t+dt) / K_n(t) by adding every root of both descriptions to
+    one Counter, in doubled units (a factor t + dt - r of the top has the
+    doubled root 2r - 2dt), the bottom's multiplicities negated.
+
+    The reference for `hypergeom.kernel_ratio`, which adds only the ends of
+    the runs outside their overlap.
+    """
+    top, bottom = factor_runs(kernel, n + dn), factor_runs(kernel, n)
+    roots: Counter[int] = Counter()
+    for description, sign, shift in ((top, 1, 2 * dt), (bottom, -1, 0)):
+        for first, length, mult in description.runs:
+            start = int(2 * first) - shift
+            for i in range(length):
+                roots[start + 2 * i] += sign * mult
+    num = [Fraction(x, 2) for x, mult in roots.items() for _ in range(mult)]
+    den = [Fraction(x, 2) for x, mult in roots.items() for _ in range(-mult)]
+    return RationalFunction(
+        Polynomial.from_roots(num, Fraction(top.scale, bottom.scale)), Polynomial.from_roots(den)
+    )
 
 
 def series_pole_jets(n: int) -> list[TruncatedSeries]:
@@ -183,7 +218,7 @@ def termwise_zeta4_series(n: int, digits: int) -> tuple[int, mpf]:
     """
 
     def derivative(p: Polynomial) -> Polynomial:
-        return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+        return Polynomial([i * c for i, c in enumerate(coefficients(p))][1:])
 
     g1 = Polynomial.from_roots(range(1, n + 1))
     g2 = Polynomial.from_roots([-(n + i) for i in range(1, n + 1)])

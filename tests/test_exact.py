@@ -19,6 +19,7 @@ from aperylike.exact import (
 )
 from aperylike.hypergeom import build_kernel
 from tests.conftest import (
+    coefficients,
     naive_divmod,
     naive_product,
     naive_taylor,
@@ -33,7 +34,7 @@ def random_fraction(rng, span=30):
 
 def degree(p: Polynomial) -> int:
     """The degree; -1 for the zero polynomial."""
-    return len(p.coeffs) - 1
+    return len(p.ints) - 1
 
 
 def random_poly(rng, max_degree=8):
@@ -65,9 +66,9 @@ class TestRationalInvariants:
 
 class TestPolynomial:
     def test_canonical_no_trailing_zeros(self):
-        assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
+        assert coefficients(Polynomial([1, 2, 0, 0])) == (1, 2)
         assert Polynomial([0, 0]).is_zero
-        assert Polynomial().coeffs == ()
+        assert coefficients(Polynomial()) == ()
 
     def test_from_roots_is_the_product_of_linear_factors(self):
         rng = random.Random(19)
@@ -98,9 +99,10 @@ class TestPolynomial:
 
     def test_divmod_reconstructs(self):
         rng = random.Random(43)
-        for _ in range(60):
-            f = random_poly(rng, 8)
-            g = random_poly(rng, 4)
+        pairs = [(random_poly(rng, 8), random_poly(rng, 4)) for _ in range(60)]
+        operands = kernel_operands()  # mixed denominators, negative leads
+        pairs += [(f, g) for f in operands for g in operands[1::3]]
+        for f, g in pairs:
             if g.is_zero:
                 continue
             q, r = divmod(f, g)
@@ -109,6 +111,15 @@ class TestPolynomial:
 
     def test_evaluation(self):
         assert Polynomial([1, -2, 3])(2) == 9  # 3t^2 - 2t + 1 at t = 2
+        # integer Horner against Fraction Horner (the order-0 Taylor coefficient)
+        rng = random.Random(13)
+        points = [0, 1, -1, -5, Fraction(-7, 3), Fraction(1, 10**12 + 39)]
+        points += [mixed_fraction(rng) for _ in range(12)]
+        for f in kernel_operands():
+            for x in points:
+                value = f(x)
+                assert type(value) is Fraction
+                assert value == naive_taylor(coefficients(f), Fraction(x), 1)[0], (f, x)
 
     @pytest.mark.parametrize(
         "offset",
@@ -192,8 +203,8 @@ class TestIntegerKernels:
         for f in operands:
             for g in operands[::3]:
                 product = f * g
-                assert list(product.coeffs) == naive_product(f.coeffs, g.coeffs)
-                assert_canonical(product.coeffs)
+                assert list(coefficients(product)) == naive_product(coefficients(f), coefficients(g))
+                assert_canonical(coefficients(product))
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "remainder"])
     def test_divmod_matches_reference(self, exact):
@@ -211,11 +222,11 @@ class TestIntegerKernels:
                 if not exact:
                     dividend = dividend + mixed_poly(rng, max(degree(g) - 1, 0))
                 quotient, remainder = divmod(dividend, g)
-                want_q, want_r = naive_divmod(dividend.coeffs, g.coeffs)
-                assert list(quotient.coeffs) == want_q
-                assert list(remainder.coeffs) == want_r
-                assert_canonical(quotient.coeffs)
-                assert_canonical(remainder.coeffs)
+                want_q, want_r = naive_divmod(coefficients(dividend), coefficients(g))
+                assert list(coefficients(quotient)) == want_q
+                assert list(coefficients(remainder)) == want_r
+                assert_canonical(coefficients(quotient))
+                assert_canonical(coefficients(remainder))
                 if exact:
                     assert quotient == f and remainder.is_zero
 
@@ -231,18 +242,72 @@ class TestIntegerKernels:
             d = degree(f)
             for order in {1, 2, d, d + 1, d + 4} - {-1, 0}:
                 jet = taylor_jet(f, center, order).coeffs
-                assert list(jet) == naive_taylor(f.coeffs, center, order)
+                assert list(jet) == naive_taylor(coefficients(f), center, order)
                 assert_reduced(jet)
             shifted = f.shift(center)
-            want = naive_taylor(f.coeffs, center, len(f.coeffs))
-            assert list(shifted.coeffs) == want
-            assert_canonical(shifted.coeffs)
+            want = naive_taylor(coefficients(f), center, len(f.ints))
+            assert list(coefficients(shifted)) == want
+            assert_canonical(coefficients(shifted))
 
     def test_integer_coefficients_return_their_scale(self):
         f = Polynomial([Fraction(1, 2), Fraction(-1, 3)])
         g = Polynomial([Fraction(3, 4)])
         assert integer_coefficients(f, g) == ([[6, -4], [9]], 12)
         assert integer_coefficients(Polynomial()) == ([[]], 1)
+
+
+def assert_stored_form(p: Polynomial):
+    """Integers over one positive denominator in lowest terms, with a nonzero
+    last entry; zero is ((), 1)."""
+    assert type(p.ints) is tuple and all(type(c) is int for c in p.ints)
+    assert type(p.den) is int and p.den > 0
+    assert math.gcd(p.den, *p.ints) == 1
+    assert p.ints[-1] != 0 if p.ints else p.den == 1
+
+
+class TestStoredForm:
+    """The integer representation: one stored form per polynomial, kept by
+    every operation."""
+
+    def test_every_operation_keeps_the_stored_form(self):
+        operands = kernel_operands()
+        rng = random.Random(5)
+        for f in operands:
+            assert_stored_form(f)
+            assert_stored_form(f.shift(Fraction(-7, 3)))
+            assert_stored_form(f.monic())
+            for scalar in (0, -3, Fraction(-9, 4), Fraction(10**9 + 7, 6)):
+                assert_stored_form(f * scalar)
+            for g in operands[::5]:
+                assert_stored_form(f + g)
+                assert_stored_form(f * g)
+                if g:
+                    for part in divmod(f, g):
+                        assert_stored_form(part)
+        for _ in range(20):
+            roots = [mixed_fraction(rng) for _ in range(rng.randint(0, 6))]
+            assert_stored_form(Polynomial.from_roots(roots, mixed_fraction(rng)))
+        assert (Polynomial([0, 0]).ints, Polynomial([0, 0]).den) == ((), 1)
+        assert (Polynomial([Fraction(2, 6), Fraction(-1, 4)]).ints,
+                Polynomial([Fraction(2, 6), Fraction(-1, 4)]).den) == ((4, -3), 12)
+
+    def test_one_polynomial_built_four_ways(self):
+        roots = [Fraction(1, 2), -3, Fraction(-5, 3), 0, Fraction(7, 4), Fraction(1, 2)]
+        scale = Fraction(-6, 5)
+        listed = [scale]
+        for r in roots:
+            listed = naive_product(listed, (-Fraction(r), Fraction(1)))
+        built = [
+            Polynomial(listed),
+            Polynomial.from_roots(roots, scale),
+            math.prod(map(Polynomial.linear, roots), start=Polynomial.constant(scale)),
+        ]
+        built += [built[0].shift(a).shift(-a) for a in (Fraction(5, 3), -2, Fraction(-1, 7))]
+        for p in built:
+            assert (p.ints, p.den) == (built[0].ints, built[0].den)
+            assert p == built[0]
+        # lead -6/5 over the lcm 40 of the coefficient denominators
+        assert (built[0].den, built[0].ints[0], built[0].ints[-1]) == (40, 0, -48)
 
 
 class TestRationalFunction:
@@ -255,8 +320,8 @@ class TestRationalFunction:
 
     def test_equality_is_exact(self):
         r = build_kernel(4).R
-        for i in range(len(r.num.coeffs)):
-            coeffs = list(r.num.coeffs)
+        for i in range(len(r.num.ints)):
+            coeffs = list(coefficients(r.num))
             coeffs[i] += 1
             assert RationalFunction(Polynomial(coeffs), r.den) != r
         with pytest.raises(TypeError):
@@ -292,6 +357,12 @@ class TestRationalFunction:
         f = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
         with pytest.raises(ZeroDivisionError):
             f(0)
+        g = RationalFunction(Polynomial([1, 1]), Polynomial.from_roots([Fraction(-1, 2), 3]))
+        for pole in (Fraction(-1, 2), 3):
+            with pytest.raises(ZeroDivisionError):
+                g(pole)
+        assert g(1) == Fraction(-2, 3)  # 2 / ((3/2)(-2))
+        assert g(Fraction(1, 2)) == Fraction(-3, 5)  # (3/2) / (1 (-5/2))
 
 
 def jet(f, center, order):

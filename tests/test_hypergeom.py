@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,8 @@ from aperylike.hypergeom import (
 )
 from aperylike.sequences import catalan_pair, zeta4_pair
 from tests.conftest import (
+    coefficients,
+    kernel_ratio_by_walk,
     mpf_frac,
     series_pole_jets,
     series_reciprocal,
@@ -64,7 +67,7 @@ def kernel_parts(n: int) -> tuple[Polynomial, Polynomial, RationalFunction]:
 
 
 def derivative(p: Polynomial) -> Polynomial:
-    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+    return Polynomial([i * c for i, c in enumerate(coefficients(p))][1:])
 
 
 def zeta4_inner(n: int) -> RationalFunction:
@@ -111,7 +114,7 @@ class TestKernel:
     @pytest.mark.parametrize("n", range(7))
     def test_degree_gap(self, n):
         r = build_kernel(n).R
-        assert len(r.num.coeffs) - len(r.den.coeffs) == -(n + 2)
+        assert len(r.num.ints) - len(r.den.ints) == -(n + 2)
 
     @pytest.mark.parametrize("n", range(7))
     def test_factorization_into_parts(self, n):
@@ -455,8 +458,39 @@ class TestKernelRatios:
         for dn, dt in self.STEPS:
             if n + dn >= 0:
                 ratio = kernel_ratio(kernel, n, dn=dn, dt=dt)
-                assert max(len(ratio.num.coeffs), len(ratio.den.coeffs)) <= 10
+                assert max(len(ratio.num.ints), len(ratio.den.ints)) <= 10
                 assert poly_gcd(ratio.num, ratio.den) == Polynomial.constant(1)
+
+    @pytest.mark.parametrize("kernel", ["catalan", "zeta4"])
+    def test_equals_the_walk_over_every_root(self, kernel):
+        for n in range(1, 81):
+            for dn, dt in self.STEPS:
+                ratio = kernel_ratio(kernel, n, dn=dn, dt=dt)
+                walked = kernel_ratio_by_walk(kernel, n, dn=dn, dt=dt)
+                assert coefficients(ratio.num) == coefficients(walked.num), (n, dn, dt)
+                assert coefficients(ratio.den) == coefficients(walked.den), (n, dn, dt)
+
+    @pytest.mark.parametrize("kernel", ["catalan", "zeta4"])
+    def test_roots_added_do_not_grow_with_n(self, kernel, monkeypatch):
+        # a structural test: the ratio, and the number of root updates made
+        # to build it, are the same at n = 50 and n = 5000
+        class CountingCounter(Counter):
+            updates = 0
+
+            def __setitem__(self, key, value):
+                CountingCounter.updates += 1
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(hypergeom, "Counter", CountingCounter)
+        for dn, dt in self.STEPS:
+            sizes = []
+            for n in (50, 5000):
+                CountingCounter.updates = 0
+                ratio = kernel_ratio(kernel, n, dn=dn, dt=dt)
+                roots = len(ratio.num.ints) + len(ratio.den.ints) - 2
+                sizes.append((roots, CountingCounter.updates))
+            assert sizes[0] == sizes[1], (dn, dt, sizes)
+            assert 0 < sizes[0][0] <= 18
 
     @pytest.mark.parametrize("n", range(13))
     def test_catalan_ratios_are_quotients_of_kernels(self, n):

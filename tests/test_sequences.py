@@ -1,6 +1,7 @@
 """Recurrence families: exact generation, integrality, measured rates."""
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -175,6 +176,45 @@ class TestPairs:
                 item = catalan_pair(n)
                 signs.append(1 if mpf_frac(item.v / item.u) - catalan_200 > 0 else -1)
         assert all(a == -b for a, b in zip(signs, signs[1:]))
+
+
+class TestStep:
+    """The memo's one reduction per new value against plain Fraction
+    arithmetic."""
+
+    CASES = {
+        "zero": [(0, 1), (0, 3), (0, 2**40), (0, 2**9 * 15)],
+        "negative": [(-6, 4), (-7, 8), (-(3**50), 3 * 2**200), (-14, 21)],
+        "powers of 2": [(2**10, 2**4), (2**4, 2**10), (2**300, 2**300), (-(2**64), 8), (1, 2**4000)],
+        "odd denominator": [(10, 3), (5**40 * 4, 5**20 * 7), (-(2**90), 3**70), (9, 1)],
+        "both even": [(12, 18), (3 * 2**100, 9 * 2**50), (-15 * 2**7, 35 * 2**9), (6, 2**4001)],
+    }
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_reduction_equals_the_fraction(self, kind):
+        for num, den in self.CASES[kind]:
+            got, want = sequences._reduced(num, den), Fraction(num, den)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_reduction_on_random_pairs(self):
+        rng = random.Random(2)
+        for _ in range(3000):
+            num = rng.randint(-(10**30), 10**30) << rng.randint(0, 90)
+            den = rng.randint(1, 10**20) << rng.randint(0, 90)
+            got, want = sequences._reduced(num, den), Fraction(num, den)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_memo_equals_the_fraction_step_to_1200(self, family, cold_memo):
+        reference = stepped_pairs(family, 1200)
+        for n in range(1201):
+            _values(family, n)
+        memo = sequences._pairs[family]
+        assert len(memo) == 1201
+        for n, (got, want) in enumerate(zip(memo, reference)):
+            for x, y in zip(got, want):
+                assert (x.numerator, x.denominator) == (y.numerator, y.denominator), n
 
 
 class TestProductTree:
