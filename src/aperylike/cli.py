@@ -7,6 +7,12 @@ too; integer witnesses print as decimal strings; floats appear only as
 `mp.nstr` strings at the stated digits.  `pair`, `range` and `check` also
 write CSV: the record's keys as a header, then str() of each value.
 
+`range` and `check` hand `_emit` their values already as those strings,
+read from the memo's decimal twins (`sequences.row_texts` and
+`witness_texts`), so their rows print in linear time and at any size.
+`pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
+int->str limit they exit 2.
+
 Exit codes: 0 ok, 1 verification failed, 2 usage error, 3 precision error.
 """
 
@@ -76,7 +82,10 @@ def _cmd_pair(args) -> CommandResult:
 
 def _cmd_range(args) -> CommandResult:
     for n in range(_n_max(args) + 1):
-        _emit(sequences.pair(args.family, n)._asdict(), args.format, first=(n == 0))
+        item = sequences.pair(args.family, n)
+        record = item._asdict()
+        record["u"], record["v"] = sequences.row_texts(item)
+        _emit(record, args.format, first=(n == 0))
     return CommandResult("ok", {"rows": args.n_max + 1})
 
 
@@ -87,8 +96,7 @@ def _cmd_check(args) -> CommandResult:
         all_ok = all_ok and report.ok
         record = report._asdict()
         # an int is the one exact value JSON would print as a number
-        for key in ("witness_u", "witness_v"):
-            record[key] = "" if record[key] is None else str(record[key])
+        record["witness_u"], record["witness_v"] = sequences.witness_texts(report)
         _emit(record, args.format, first=(n == 0))
     status = "ok" if all_ok else "verification_failed"
     return CommandResult(status, {"rows": args.n_max + 1, "all_pass": all_ok})

@@ -26,13 +26,23 @@ bits.  A deep index past the memo's end is reached instead by multiplying the
 2x2 step matrices in a product tree (binary splitting) and dividing once, and
 is not stored.  The integrality checks multiply by the documented clearing
 factors and test for an integer exactly.
+
+Each row the memo appends also gets an exact decimal twin: every numerator
+and denominator kept as a `decimal.Decimal` integer, stepped with the same
+small weights and divided by the same gcd as the integers, so in time linear
+in its digits.  `row_texts` and `witness_texts` print rows and witnesses from
+the twins, with no int->str conversion, which CPython does in quadratic time
+and refuses past 4,300 digits.  A row without a twin (one reached by a jump,
+or in a memo replaced from outside) is printed by str().
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -156,31 +166,108 @@ _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.p
 )
 
 
-def _reduced(num: int, den: int) -> Fraction:
-    """num/den (den > 0) in lowest terms, by one gcd split as in the first
-    step of Stein's binary gcd (Knuth, TAOCP vol. 2, 4.5.2): gcd(num, den) =
-    2^min(v2 num, v2 den) gcd(odd num, odd den), each v2 read from the lowest
-    set bit.  A catalan den is mostly a power of 2, so this is mostly a shift."""
+def _common_divisor(num: int, den: int) -> int:
+    """gcd(num, den) for den > 0, by one split as in the first step of Stein's
+    binary gcd (Knuth, TAOCP vol. 2, 4.5.2): gcd(num, den) = 2^min(v2 num,
+    v2 den) gcd(odd num, odd den), each v2 read from the lowest set bit.  A
+    catalan den is mostly a power of 2, so this is mostly a shift."""
     if not num:
-        return Fraction(0)
+        return den
     v_num, v_den = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
-    g = math.gcd(num >> v_num, den >> v_den) << min(v_num, v_den)
+    return math.gcd(num >> v_num, den >> v_den) << min(v_num, v_den)
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """num/den (den > 0) in lowest terms, with one gcd."""
+    g = _common_divisor(num, den)
     return _coprime_fraction(num // g, den // g)
 
 
-def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
-    """The exact pair at k+1 from those at k-1 and k (k >= 1): x_{k-1} = c/d
-    and x_k = a/b give one numerator over lead lcm(b, d), reduced once."""
-    lead, mid, back = recurrence_coefficients(family, k)
+def _combined(
+    lead: int, mid: int, back: int, prev: Fraction, cur: Fraction
+) -> tuple[int, int, tuple[int, int, int]]:
+    """x_{k+1} = num/den from x_{k-1} = c/d and x_k = a/b, unreduced, and the
+    weights that form it: with L = lcm(b, d), num = mid L/b a + back L/d c and
+    den = lead L/b b."""
     assert lead > 0  # _CATALAN_P has negative discriminant
+    common = math.lcm(prev.denominator, cur.denominator)
+    scale = common // cur.denominator
+    weights = mid * scale, back * (common // prev.denominator), lead * scale
+    num = cur.numerator * weights[0] + prev.numerator * weights[1]
+    return num, cur.denominator * weights[2], weights
 
-    def advance(prev: Fraction, cur: Fraction) -> Fraction:
-        common = math.lcm(prev.denominator, cur.denominator)
-        num = mid * cur.numerator * (common // cur.denominator)
-        return _reduced(num + back * prev.numerator * (common // prev.denominator), lead * common)
 
-    (u_prev, v_prev), (u_cur, v_cur) = previous, current
-    return advance(u_prev, u_cur), advance(v_prev, v_cur)
+def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
+    """The exact pair at k+1 from those at k-1 and k (k >= 1), each value
+    reduced once."""
+    lead, mid, back = recurrence_coefficients(family, k)
+    return tuple(
+        _reduced(*_combined(lead, mid, back, prev, cur)[:2])
+        for prev, cur in zip(previous, current)
+    )
+
+
+# -- decimal twins of the memo ------------------------------------------------
+
+#: Exact integer arithmetic in decimal: at MAX_PREC digits nothing rounds.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+class _Twin(NamedTuple):
+    """The memo row `row` = (u, v) with each value also kept in decimal, so
+    that printing it converts no int.  A lookup matches `row` against the
+    memo by identity, so a replaced memo's rows have no twin."""
+
+    row: _Pair
+    u: tuple[Decimal, Decimal]  # numerator, denominator
+    v: tuple[Decimal, Decimal]
+
+
+_twins: dict[str, list[_Twin]] = {
+    family: [
+        _Twin(row, *((Decimal(x.numerator), Decimal(x.denominator)) for x in row))
+        for row in table
+    ]
+    for family, table in _pairs.items()
+}
+
+
+def _exact_quotient(x: Decimal, g: Decimal) -> Decimal:
+    quotient, remainder = _EXACT.divmod(x, g)
+    if remainder:
+        raise ArithmeticError("a decimal twin is not divisible by its step's gcd")
+    return quotient
+
+
+def _twinned_step(family: str, k: int, before: _Twin, last: _Twin) -> _Twin:
+    """_step on the twinned rows at k-1 and k, with the twin of the result.
+
+    Each decimal numerator and denominator takes the same weights as its
+    integer and is divided by the same gcd, so the twin costs time linear in
+    its digits; a division with a remainder raises ArithmeticError.
+    """
+    lead, mid, back = recurrence_coefficients(family, k)
+    values, ratios = [], []
+    for prev, cur, (c, _), (a, b) in zip(before.row, last.row, before[1:], last[1:]):
+        num, den, (w_cur, w_prev, w_den) = _combined(lead, mid, back, prev, cur)
+        g = _common_divisor(num, den)
+        values.append(_coprime_fraction(num // g, den // g))
+        divisor = Decimal(g)
+        num_dec = _EXACT.fma(a, Decimal(w_cur), _EXACT.multiply(c, Decimal(w_prev)))
+        den_dec = _EXACT.multiply(b, Decimal(w_den))
+        ratios.append((_exact_quotient(num_dec, divisor), _exact_quotient(den_dec, divisor)))
+    return _Twin(tuple(values), *ratios)
+
+
+def _twin(family: str, n: int) -> _Twin | None:
+    """The twin of memo row n, or None where the memo has no row n or the row
+    has no twin."""
+    try:
+        twin = _twins[family][n]
+    except IndexError:
+        return None
+    table = _pairs[family]
+    return twin if n < len(table) and twin.row is table[n] else None
 
 
 def _matrix_product(
@@ -249,7 +336,17 @@ def _values(family: str, n: int) -> _Pair:
         return _consecutive_values(family, n)[1]
     with _cache_lock:
         if len(table) == n:
-            table.append(_step(family, n - 1, table[n - 2], table[n - 1]))
+            before, last = _twin(family, n - 2), _twin(family, n - 1)
+            if before is None or last is None:
+                table.append(_step(family, n - 1, table[n - 2], table[n - 1]))
+            else:
+                # the twin goes in first, so that a reader who sees row n
+                # also sees its twin
+                twin = _twinned_step(family, n - 1, before, last)
+                twins = _twins[family]
+                del twins[n:]
+                twins.append(twin)
+                table.append(twin.row)
     return table[n]
 
 
@@ -310,6 +407,38 @@ def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionRepo
         pass_v=witness_v is not None,
         witness_u=witness_u,
         witness_v=witness_v,
+    )
+
+
+# -- printing rows and witnesses ---------------------------------------------
+
+
+def _ratio_text(num: Decimal, den: Decimal) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def row_texts(item: SequencePair) -> tuple[str, str]:
+    """str(item.u) and str(item.v), from the decimal twin of the memo's row
+    item.n when it has one and equals item: in time linear in the digits, and
+    past CPython's int->str limit.  Otherwise the Fractions are converted."""
+    twin = _twin(item.family, item.n)
+    if twin is None or twin.row != (item.u, item.v):
+        return str(item.u), str(item.v)
+    return _ratio_text(*twin.u), _ratio_text(*twin.v)
+
+
+def witness_texts(report: InclusionReport) -> tuple[str, str]:
+    """The report's witnesses as decimal strings, "" for a failing one.  A
+    witness is x.numerator times the small integer factor // x.denominator;
+    where row n has a twin, that product is formed in decimal and no int is
+    converted."""
+    witnesses = (report.witness_u, report.witness_v)
+    twin = _twin(report.family, report.n)
+    if twin is None:
+        return tuple("" if w is None else str(w) for w in witnesses)
+    return tuple(
+        "" if w is None else str(_EXACT.multiply(a, Decimal(w // x.numerator if w else 0)))
+        for w, x, (a, _) in zip(witnesses, twin.row, (twin.u, twin.v))
     )
 
 

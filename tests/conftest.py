@@ -1,6 +1,7 @@
 """Shared fixtures: high-precision reference values used as oracles."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -261,3 +262,12 @@ def zeta4_200():
     """zeta(4) = pi^4/90 at 200 digits from mpmath's pi."""
     with mp.workdps(210):
         return +(mp.pi**4 / 90)
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """Lift CPython's int->str digit limit, so that str() of any row works."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)

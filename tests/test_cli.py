@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,46 @@ class TestRange:
         assert result.status == "ok"
         assert len(lines) == 6
         assert json.loads(lines[0])["u"] == "1"
+
+
+def run_subprocess(argv):
+    """The CLI in a fresh process, with CPython's default int->str limit."""
+    return subprocess.run(
+        [sys.executable, "-m", "aperylike.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+class TestRowsPastTheIntStrLimit:
+    # range and check print rows from decimal twins, so that no int is
+    # converted; their last rows here have more than 4,300 digits
+
+    def test_range(self, no_int_str_limit):
+        proc = run_subprocess(["range", "--family", "catalan", "--n-max", "1100"])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1101
+        from aperylike.sequences import catalan_pair
+
+        item = catalan_pair(1100)
+        record = json.loads(lines[-1])
+        assert (record["n"], record["u"], record["v"]) == (1100, str(item.u), str(item.v))
+        assert len(record["v"]) > 4300
+
+    def test_check(self, no_int_str_limit):
+        proc = run_subprocess(["check", "--family", "zeta4", "--n-max", "1100", "--mode", "strong"])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1101
+        from aperylike.sequences import zeta4_pair
+
+        item = zeta4_pair(1100)
+        record = json.loads(lines[-1])
+        assert record["n"] == 1100 and record["pass_u"] and record["pass_v"]
+        # the strong factors are 1 and D_n^4
+        d_n = math.lcm(*range(1, 1101))
+        assert (record["witness_u"], record["witness_v"]) == (str(item.u), str(item.v * d_n**4))
+        assert len(record["witness_v"]) > 4300
 
 
 class TestCheck:

@@ -35,9 +35,19 @@ def recurrence_residual(family, n):
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """Give both families a memo holding only their initial pairs."""
+    """Give both families a memo holding only their initial pairs, with their
+    decimal twins; both memos are put back afterwards."""
     for family, rec in RECURRENCES.items():
         monkeypatch.setitem(sequences._pairs, family, list(rec.initial))
+        monkeypatch.setitem(sequences._twins, family, sequences._twins[family][:2])
+
+
+def twin_texts(family, n):
+    """The decimal twin of memo row n as the text of (u_n, v_n); the row
+    must have one."""
+    twin = sequences._twin(family, n)
+    assert twin is not None, (family, n)
+    return tuple(sequences._ratio_text(*ratio) for ratio in (twin.u, twin.v))
 
 
 class TestCoefficientPolynomials:
@@ -286,10 +296,96 @@ class TestProductTree:
         # has already walked the memo to 200 entries
         memo = sequences._pairs["zeta4"]
         assert len(memo) in (200, 201) and memo == reference[: len(memo)]
+        for n, (u, v) in enumerate(memo):
+            assert twin_texts("zeta4", n) == (str(u), str(v)), n
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
             _consecutive_values("catalan", 0)
+
+
+class TestDecimalTwins:
+    """Each memo row's decimal twin, which range and check print."""
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_equal_str_of_every_row_to_1200(self, family, cold_memo, no_int_str_limit):
+        for n in range(1201):
+            item = sequences.pair(family, n)
+            texts = (str(item.u), str(item.v))
+            assert twin_texts(family, n) == texts, n
+            assert sequences.row_texts(item) == texts, n
+        # the last rows are past the 4,300-digit limit on int->str
+        assert max(len(text) for text in texts) > 4300
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    @pytest.mark.parametrize("mode", ["proved", "strong"])
+    def test_witness_texts_equal_str_to_600(self, family, mode, cold_memo):
+        for n in range(601):
+            report = check_inclusions(family, n, mode)
+            assert report.ok and sequences._twin(family, n) is not None, n
+            assert sequences.witness_texts(report) == (
+                str(report.witness_u),
+                str(report.witness_v),
+            ), n
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_failing_witnesses_print_empty(self, monkeypatch, family, cold_memo):
+        # at odd n the factors are replaced by 1, so that those rows fail
+        clearing = sequences._clearing_factors
+
+        def factors(fam, n, m):
+            return clearing(fam, n, m) if n % 2 == 0 else (1, 1)
+
+        monkeypatch.setattr(sequences, "_clearing_factors", factors)
+        failed = 0
+        for n in range(81):
+            report = check_inclusions(family, n, "strong")
+            witnesses = (report.witness_u, report.witness_v)
+            expected = tuple("" if w is None else str(w) for w in witnesses)
+            assert sequences.witness_texts(report) == expected, n
+            failed += "" in expected
+        assert failed > 0
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_rows_without_a_twin_print_through_str(self, monkeypatch, family, cold_memo):
+        for n in range(30):
+            _values(family, n)
+        # a memo replaced by equal rows that are other objects: none of its
+        # rows has a twin, nor do the rows stepped from them
+        monkeypatch.setitem(sequences._pairs, family, stepped_pairs(family, 29)[:])
+        for n in range(2, 60):
+            item = sequences.pair(family, n)
+            assert sequences._twin(family, n) is None, n
+            assert sequences.row_texts(item) == (str(item.u), str(item.v)), n
+            report = check_inclusions(family, n, "proved")
+            assert sequences.witness_texts(report) == (
+                str(report.witness_u),
+                str(report.witness_v),
+            ), n
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_a_memo_put_back_to_its_initial_rows_grows_twins_again(
+        self, monkeypatch, family, cold_memo
+    ):
+        for n in range(40):
+            _values(family, n)
+        # the twins of the dropped rows are stale, and are replaced in step
+        monkeypatch.setitem(sequences._pairs, family, list(RECURRENCES[family].initial))
+        for n in range(30):
+            item = sequences.pair(family, n)
+            assert twin_texts(family, n) == (str(item.u), str(item.v)), n
+        assert len(sequences._twins[family]) == 30
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_a_jumped_index_prints_through_str(self, family, cold_memo):
+        for n in range(10):
+            _values(family, n)
+        item = sequences.pair(family, 300)
+        assert sequences._twin(family, 300) is None
+        assert sequences.row_texts(item) == (str(item.u), str(item.v))
+        report = check_inclusions(family, 300, "strong")
+        assert sequences.witness_texts(report) == (str(report.witness_u), str(report.witness_v))
+        assert len(sequences._pairs[family]) == len(sequences._twins[family]) == 10
 
 
 def casoratian(family, n):
