@@ -141,4 +141,4 @@ def verify_telescoping(n: int) -> bool:
         acc_extra = acc_den // g
         acc_num = acc_num * den_extra + num * acc_extra
         acc_den = acc_den * den_extra
-    return acc_num.is_zero
+    return not acc_num

@@ -8,7 +8,7 @@ too; integer witnesses print as decimal strings; floats appear only as
 write CSV: the record's keys as a header, then str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
-read from the memo's decimal twins (`sequences.row_texts` and
+read from the decimal numbers in each memo row (`sequences.row_texts` and
 `witness_texts`), so their rows print in linear time and at any size.
 `pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
 int->str limit they exit 2.
@@ -82,9 +82,8 @@ def _cmd_pair(args) -> CommandResult:
 
 def _cmd_range(args) -> CommandResult:
     for n in range(_n_max(args) + 1):
-        item = sequences.pair(args.family, n)
-        record = item._asdict()
-        record["u"], record["v"] = sequences.row_texts(item)
+        record = sequences.pair(args.family, n)._asdict()
+        record["u"], record["v"] = sequences.row_texts(args.family, n)
         _emit(record, args.format, first=(n == 0))
     return CommandResult("ok", {"rows": args.n_max + 1})
 

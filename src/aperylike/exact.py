@@ -120,10 +120,6 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.ints
-
     def __bool__(self) -> bool:
         return bool(self.ints)
 
@@ -171,7 +167,7 @@ class Polynomial:
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         other = self._coerce(other)
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         # self = a / da, other = b / db; after e steps of the pseudo-division
         # lead^e a = sum_s c_s lead^(e-1-s) t^k_s b + r, so over the one
@@ -286,9 +282,9 @@ def horner_int(coeffs: Sequence[int], t: RationalLike) -> RationalLike:
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over the rationals, via the primitive PRS over the integers."""
-    if f.is_zero:
+    if not f:
         return g.monic()
-    if g.is_zero:
+    if not g:
         return f.monic()
     a, b = (_primitive(c) for c in integer_coefficients(f, g)[0])
     if len(a) < len(b):
@@ -319,7 +315,7 @@ class RationalFunction:
         den = Polynomial._coerce(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("a rational function needs polynomial parts")
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

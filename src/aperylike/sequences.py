@@ -27,13 +27,13 @@ bits.  A deep index past the memo's end is reached instead by multiplying the
 is not stored.  The integrality checks multiply by the documented clearing
 factors and test for an integer exactly.
 
-Each row the memo appends also gets an exact decimal twin: every numerator
-and denominator kept as a `decimal.Decimal` integer, stepped with the same
-small weights and divided by the same gcd as the integers, so in time linear
-in its digits.  `row_texts` and `witness_texts` print rows and witnesses from
-the twins, with no int->str conversion, which CPython does in quadratic time
-and refuses past 4,300 digits.  A row without a twin (one reached by a jump,
-or in a memo replaced from outside) is printed by str().
+A memo row holds the exact pair and, beside it, every numerator and
+denominator as a `decimal.Decimal` integer, stepped with the same small
+weights and divided by the same gcd as the integers, so in time linear in its
+digits.  `row_texts` and `witness_texts` print rows and witnesses from the
+memo, walking it up to the row first if it is short, with no int->str
+conversion, which CPython does in quadratic time and refuses past 4,300
+digits.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ MODES = ("proved", "strong")
 def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def _check_index(family: str, n: int) -> None:
+    _check_family(family)
+    if n < 0:
+        raise ValueError("sequence index must be nonnegative")
 
 
 class SequencePair(NamedTuple):
@@ -153,9 +159,27 @@ def recurrence_coefficients(family: str, k: int) -> tuple[int, int, int]:
 #: (u_n, v_n) at one index n
 _Pair = tuple[Fraction, Fraction]
 
+#: Exact integer arithmetic in decimal: at MAX_PREC digits nothing rounds.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+class _Row(NamedTuple):
+    """Memo row n: the exact pair (u_n, v_n), and the numerator and
+    denominator of each value as decimal integers, from which the row prints
+    with no int->str conversion."""
+
+    pair: _Pair
+    u: tuple[Decimal, Decimal]
+    v: tuple[Decimal, Decimal]
+
+
 _cache_lock = threading.Lock()
-_pairs: dict[str, list[_Pair]] = {
-    family: list(rec.initial) for family, rec in RECURRENCES.items()
+_pairs: dict[str, list[_Row]] = {
+    family: [
+        _Row(pair, *((Decimal(x.numerator), Decimal(x.denominator)) for x in pair))
+        for pair in rec.initial
+    ]
+    for family, rec in RECURRENCES.items()
 }
 
 
@@ -207,48 +231,21 @@ def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
     )
 
 
-# -- decimal twins of the memo ------------------------------------------------
-
-#: Exact integer arithmetic in decimal: at MAX_PREC digits nothing rounds.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
-class _Twin(NamedTuple):
-    """The memo row `row` = (u, v) with each value also kept in decimal, so
-    that printing it converts no int.  A lookup matches `row` against the
-    memo by identity, so a replaced memo's rows have no twin."""
-
-    row: _Pair
-    u: tuple[Decimal, Decimal]  # numerator, denominator
-    v: tuple[Decimal, Decimal]
-
-
-_twins: dict[str, list[_Twin]] = {
-    family: [
-        _Twin(row, *((Decimal(x.numerator), Decimal(x.denominator)) for x in row))
-        for row in table
-    ]
-    for family, table in _pairs.items()
-}
-
-
 def _exact_quotient(x: Decimal, g: Decimal) -> Decimal:
     quotient, remainder = _EXACT.divmod(x, g)
     if remainder:
-        raise ArithmeticError("a decimal twin is not divisible by its step's gcd")
+        raise ArithmeticError("a decimal memo value is not divisible by its step's gcd")
     return quotient
 
 
-def _twinned_step(family: str, k: int, before: _Twin, last: _Twin) -> _Twin:
-    """_step on the twinned rows at k-1 and k, with the twin of the result.
-
-    Each decimal numerator and denominator takes the same weights as its
-    integer and is divided by the same gcd, so the twin costs time linear in
-    its digits; a division with a remainder raises ArithmeticError.
-    """
+def _stepped_row(family: str, k: int, before: _Row, last: _Row) -> _Row:
+    """Row k+1 from rows k-1 and k (k >= 1): _step on their pairs, and each
+    decimal numerator and denominator given the same weights as its integer
+    and divided by the same gcd, so in time linear in its digits; a division
+    with a remainder raises ArithmeticError."""
     lead, mid, back = recurrence_coefficients(family, k)
     values, ratios = [], []
-    for prev, cur, (c, _), (a, b) in zip(before.row, last.row, before[1:], last[1:]):
+    for prev, cur, (c, _), (a, b) in zip(before.pair, last.pair, before[1:], last[1:]):
         num, den, (w_cur, w_prev, w_den) = _combined(lead, mid, back, prev, cur)
         g = _common_divisor(num, den)
         values.append(_coprime_fraction(num // g, den // g))
@@ -256,18 +253,17 @@ def _twinned_step(family: str, k: int, before: _Twin, last: _Twin) -> _Twin:
         num_dec = _EXACT.fma(a, Decimal(w_cur), _EXACT.multiply(c, Decimal(w_prev)))
         den_dec = _EXACT.multiply(b, Decimal(w_den))
         ratios.append((_exact_quotient(num_dec, divisor), _exact_quotient(den_dec, divisor)))
-    return _Twin(tuple(values), *ratios)
+    return _Row(tuple(values), *ratios)
 
 
-def _twin(family: str, n: int) -> _Twin | None:
-    """The twin of memo row n, or None where the memo has no row n or the row
-    has no twin."""
-    try:
-        twin = _twins[family][n]
-    except IndexError:
-        return None
+def _row(family: str, n: int) -> _Row:
+    """Memo row n (n >= 0), the memo first stepped up to it under the lock."""
     table = _pairs[family]
-    return twin if n < len(table) and twin.row is table[n] else None
+    if n >= len(table):
+        with _cache_lock:
+            while len(table) <= n:
+                table.append(_stepped_row(family, len(table) - 1, *table[-2:]))
+    return table[n]
 
 
 def _matrix_product(
@@ -301,7 +297,7 @@ def _consecutive_values(family: str, n: int) -> tuple[_Pair, _Pair]:
     table = _pairs[family]
     m = len(table) - 1
     if n <= m:
-        return table[n - 1], table[n]
+        return table[n - 1].pair, table[n].pair
     (a, b, c, d), divisor = _matrix_product(family, m, n)
 
     def carry(x_prev: Fraction, x_cur: Fraction) -> tuple[Fraction, Fraction]:
@@ -313,7 +309,7 @@ def _consecutive_values(family: str, n: int) -> tuple[_Pair, _Pair]:
             Fraction(a * p + b * q, divisor * common),
         )
 
-    (u_prev, v_prev), (u_cur, v_cur) = table[m - 1], table[m]
+    (u_prev, v_prev), (u_cur, v_cur) = table[m - 1].pair, table[m].pair
     u_before, u_at = carry(u_prev, u_cur)
     v_before, v_at = carry(v_prev, v_cur)
     return (u_before, v_before), (u_at, v_at)
@@ -326,28 +322,10 @@ def _values(family: str, n: int) -> _Pair:
     exact step, which is appended, so that walking n upwards streams; an
     index further on is jumped to by a product tree and is not stored.
     """
-    _check_family(family)
-    if n < 0:
-        raise ValueError("sequence index must be nonnegative")
-    table = _pairs[family]
-    if n < len(table):
-        return table[n]
-    if n > len(table):
+    _check_index(family, n)
+    if n > len(_pairs[family]):
         return _consecutive_values(family, n)[1]
-    with _cache_lock:
-        if len(table) == n:
-            before, last = _twin(family, n - 2), _twin(family, n - 1)
-            if before is None or last is None:
-                table.append(_step(family, n - 1, table[n - 2], table[n - 1]))
-            else:
-                # the twin goes in first, so that a reader who sees row n
-                # also sees its twin
-                twin = _twinned_step(family, n - 1, before, last)
-                twins = _twins[family]
-                del twins[n:]
-                twins.append(twin)
-                table.append(twin.row)
-    return table[n]
+    return _row(family, n).pair
 
 
 def catalan_pair(n: int) -> SequencePair:
@@ -417,28 +395,24 @@ def _ratio_text(num: Decimal, den: Decimal) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def row_texts(item: SequencePair) -> tuple[str, str]:
-    """str(item.u) and str(item.v), from the decimal twin of the memo's row
-    item.n when it has one and equals item: in time linear in the digits, and
-    past CPython's int->str limit.  Otherwise the Fractions are converted."""
-    twin = _twin(item.family, item.n)
-    if twin is None or twin.row != (item.u, item.v):
-        return str(item.u), str(item.v)
-    return _ratio_text(*twin.u), _ratio_text(*twin.v)
+def row_texts(family: str, n: int) -> tuple[str, str]:
+    """str(u_n) and str(v_n), from memo row n, the memo first walked up to n
+    if it is short: in time linear in the digits, and past CPython's int->str
+    limit."""
+    _check_index(family, n)
+    row = _row(family, n)
+    return _ratio_text(*row.u), _ratio_text(*row.v)
 
 
 def witness_texts(report: InclusionReport) -> tuple[str, str]:
     """The report's witnesses as decimal strings, "" for a failing one.  A
-    witness is x.numerator times the small integer factor // x.denominator;
-    where row n has a twin, that product is formed in decimal and no int is
-    converted."""
-    witnesses = (report.witness_u, report.witness_v)
-    twin = _twin(report.family, report.n)
-    if twin is None:
-        return tuple("" if w is None else str(w) for w in witnesses)
+    witness is x.numerator times the small integer factor // x.denominator,
+    so it is formed in decimal from memo row n (the memo first walked up to n
+    if it is short) and no int is converted."""
+    row = _row(report.family, report.n)
     return tuple(
         "" if w is None else str(_EXACT.multiply(a, Decimal(w // x.numerator if w else 0)))
-        for w, x, (a, _) in zip(witnesses, twin.row, (twin.u, twin.v))
+        for w, x, (a, _) in zip((report.witness_u, report.witness_v), row.pair, (row.u, row.v))
     )
 
 

@@ -67,7 +67,7 @@ class TestRationalInvariants:
 class TestPolynomial:
     def test_canonical_no_trailing_zeros(self):
         assert coefficients(Polynomial([1, 2, 0, 0])) == (1, 2)
-        assert Polynomial([0, 0]).is_zero
+        assert not Polynomial([0, 0])
         assert coefficients(Polynomial()) == ()
 
     def test_from_roots_is_the_product_of_linear_factors(self):
@@ -85,8 +85,8 @@ class TestPolynomial:
         rng = random.Random(23)
         for _ in range(100):
             f, g = random_poly(rng), random_poly(rng)
-            if f.is_zero or g.is_zero:
-                assert (f * g).is_zero
+            if not f or not g:
+                assert not f * g
             else:
                 assert degree(f * g) == degree(f) + degree(g)
 
@@ -103,11 +103,11 @@ class TestPolynomial:
         operands = kernel_operands()  # mixed denominators, negative leads
         pairs += [(f, g) for f in operands for g in operands[1::3]]
         for f, g in pairs:
-            if g.is_zero:
+            if not g:
                 continue
             q, r = divmod(f, g)
             assert q * g + r == f
-            assert r.is_zero or degree(r) < degree(g)
+            assert not r or degree(r) < degree(g)
 
     def test_evaluation(self):
         assert Polynomial([1, -2, 3])(2) == 9  # 3t^2 - 2t + 1 at t = 2
@@ -137,19 +137,19 @@ class TestPolynomial:
         for x in (-3, 0, 2, Fraction(1, 2), Fraction(-11, 7)):
             assert shifted(x) == f(x + offset)
         assert shifted.shift(-offset) == f
-        if offset == 0 or f.is_zero:
+        if offset == 0 or not f:
             assert shifted is f
 
     def test_gcd_of_products(self):
         rng = random.Random(59)
         for _ in range(40):
             f, g, h = (random_poly(rng, 4) for _ in range(3))
-            if f.is_zero or g.is_zero or h.is_zero:
+            if not f or not g or not h:
                 continue
             left = f * h
             right = g * h
             d = poly_gcd(left, right)
-            assert divmod(left, d)[1].is_zero and divmod(right, d)[1].is_zero
+            assert not divmod(left, d)[1] and not divmod(right, d)[1]
             assert degree(d) >= degree(h)  # at least the planted common factor
 
     def test_integer_coefficients_share_one_scale(self):
@@ -215,7 +215,7 @@ class TestIntegerKernels:
             Polynomial([1, Fraction(-1, 6), Fraction(9, 10**9 + 7)]),
         ] + [mixed_poly(rng, 5) for _ in range(10)]
         for g in divisors:
-            if g.is_zero:
+            if not g:
                 continue
             for f in kernel_operands()[::2]:
                 dividend = f * g
@@ -228,7 +228,7 @@ class TestIntegerKernels:
                 assert_canonical(coefficients(quotient))
                 assert_canonical(coefficients(remainder))
                 if exact:
-                    assert quotient == f and remainder.is_zero
+                    assert quotient == f and not remainder
 
     @pytest.mark.parametrize(
         "center",
@@ -393,7 +393,7 @@ class TestTruncatedSeries:
         )
         product = r0 * RationalFunction(Polynomial([Fraction(1, 2), 1]) ** 2)
         quotient, remainder = divmod(product.num, product.den)
-        assert remainder.is_zero
+        assert not remainder
         s = jet(RationalFunction(quotient), Fraction(-1, 2), 1)
         assert list(s.coeffs) == [2]
 

@@ -154,8 +154,7 @@ CLI_RUNS = [
 ]
 
 #: Functions that nothing needs to run: the reprs and the immutability
-#: guards, and Polynomial.__bool__, which keeps a zero polynomial falsy for
-#: any caller that tests one in a condition.
+#: guards.
 UNREACHED_ON_PURPOSE = {
     "exact.Polynomial.__repr__",
     "exact.RationalFunction.__repr__",
@@ -163,7 +162,6 @@ UNREACHED_ON_PURPOSE = {
     "exact.Polynomial.__setattr__",
     "exact.RationalFunction.__setattr__",
     "exact.TruncatedSeries.__setattr__",
-    "exact.Polynomial.__bool__",
 }
 
 

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,19 +36,23 @@ def recurrence_residual(family, n):
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """Give both families a memo holding only their initial pairs, with their
-    decimal twins; both memos are put back afterwards."""
-    for family, rec in RECURRENCES.items():
-        monkeypatch.setitem(sequences._pairs, family, list(rec.initial))
-        monkeypatch.setitem(sequences._twins, family, sequences._twins[family][:2])
+    """Give both families a memo holding only their initial rows; both memos
+    are put back afterwards."""
+    for family in RECURRENCES:
+        monkeypatch.setitem(sequences._pairs, family, sequences._pairs[family][:2])
 
 
 def twin_texts(family, n):
-    """The decimal twin of memo row n as the text of (u_n, v_n); the row
-    must have one."""
-    twin = sequences._twin(family, n)
-    assert twin is not None, (family, n)
-    return tuple(sequences._ratio_text(*ratio) for ratio in (twin.u, twin.v))
+    """The decimal numbers of memo row n as the text of (u_n, v_n); the memo
+    must hold row n."""
+    row = sequences._pairs[family][n]
+    return tuple(sequences._ratio_text(*ratio) for ratio in (row.u, row.v))
+
+
+def decimal_row(pair):
+    """A memo row built from the exact pair (u, v), its decimal numbers read
+    off by str()."""
+    return sequences._Row(pair, *((Decimal(x.numerator), Decimal(x.denominator)) for x in pair))
 
 
 class TestCoefficientPolynomials:
@@ -223,7 +228,7 @@ class TestStep:
         memo = sequences._pairs[family]
         assert len(memo) == 1201
         for n, (got, want) in enumerate(zip(memo, reference)):
-            for x, y in zip(got, want):
+            for x, y in zip(got.pair, want):
                 assert (x.numerator, x.denominator) == (y.numerator, y.denominator), n
 
 
@@ -295,9 +300,9 @@ class TestProductTree:
         # the jump from n = 50 to 200 appends one step when another thread
         # has already walked the memo to 200 entries
         memo = sequences._pairs["zeta4"]
-        assert len(memo) in (200, 201) and memo == reference[: len(memo)]
-        for n, (u, v) in enumerate(memo):
-            assert twin_texts("zeta4", n) == (str(u), str(v)), n
+        assert len(memo) in (200, 201) and [row.pair for row in memo] == reference[: len(memo)]
+        for n, row in enumerate(memo):
+            assert twin_texts("zeta4", n) == tuple(map(str, row.pair)), n
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
@@ -313,7 +318,7 @@ class TestDecimalTwins:
             item = sequences.pair(family, n)
             texts = (str(item.u), str(item.v))
             assert twin_texts(family, n) == texts, n
-            assert sequences.row_texts(item) == texts, n
+            assert sequences.row_texts(family, n) == texts, n
         # the last rows are past the 4,300-digit limit on int->str
         assert max(len(text) for text in texts) > 4300
 
@@ -322,7 +327,7 @@ class TestDecimalTwins:
     def test_witness_texts_equal_str_to_600(self, family, mode, cold_memo):
         for n in range(601):
             report = check_inclusions(family, n, mode)
-            assert report.ok and sequences._twin(family, n) is not None, n
+            assert report.ok, n
             assert sequences.witness_texts(report) == (
                 str(report.witness_u),
                 str(report.witness_v),
@@ -346,22 +351,31 @@ class TestDecimalTwins:
             failed += "" in expected
         assert failed > 0
 
+    def test_row_texts_reject_an_unknown_family_or_a_negative_index(self):
+        with pytest.raises(ValueError):
+            sequences.row_texts("pi", 3)
+        with pytest.raises(ValueError):
+            sequences.row_texts("zeta4", -1)
+
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
-    def test_rows_without_a_twin_print_through_str(self, monkeypatch, family, cold_memo):
+    def test_a_memo_replaced_by_equal_rows_prints_from_its_own_rows(
+        self, monkeypatch, family, cold_memo
+    ):
         for n in range(30):
             _values(family, n)
-        # a memo replaced by equal rows that are other objects: none of its
-        # rows has a twin, nor do the rows stepped from them
-        monkeypatch.setitem(sequences._pairs, family, stepped_pairs(family, 29)[:])
-        for n in range(2, 60):
+        # equal rows that are other objects, and the rows stepped from them
+        replaced = [decimal_row(pair) for pair in stepped_pairs(family, 29)]
+        monkeypatch.setitem(sequences._pairs, family, replaced[:])
+        for n in range(60):
             item = sequences.pair(family, n)
-            assert sequences._twin(family, n) is None, n
-            assert sequences.row_texts(item) == (str(item.u), str(item.v)), n
+            assert sequences.row_texts(family, n) == (str(item.u), str(item.v)), n
             report = check_inclusions(family, n, "proved")
             assert sequences.witness_texts(report) == (
                 str(report.witness_u),
                 str(report.witness_v),
             ), n
+        memo = sequences._pairs[family]
+        assert len(memo) == 60 and all(memo[n] is row for n, row in enumerate(replaced))
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_a_memo_put_back_to_its_initial_rows_grows_twins_again(
@@ -369,23 +383,25 @@ class TestDecimalTwins:
     ):
         for n in range(40):
             _values(family, n)
-        # the twins of the dropped rows are stale, and are replaced in step
-        monkeypatch.setitem(sequences._pairs, family, list(RECURRENCES[family].initial))
+        # the dropped rows are stepped again
+        monkeypatch.setitem(sequences._pairs, family, sequences._pairs[family][:2])
         for n in range(30):
             item = sequences.pair(family, n)
             assert twin_texts(family, n) == (str(item.u), str(item.v)), n
-        assert len(sequences._twins[family]) == 30
+        assert len(sequences._pairs[family]) == 30
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
-    def test_a_jumped_index_prints_through_str(self, family, cold_memo):
+    def test_a_jumped_index_prints_by_walking_the_memo(self, family, cold_memo):
         for n in range(10):
             _values(family, n)
         item = sequences.pair(family, 300)
-        assert sequences._twin(family, 300) is None
-        assert sequences.row_texts(item) == (str(item.u), str(item.v))
         report = check_inclusions(family, 300, "strong")
+        _consecutive_values(family, 301)
+        # the jumps store nothing; printing row 300 walks the memo up to it
+        assert len(sequences._pairs[family]) == 10
+        assert sequences.row_texts(family, 300) == (str(item.u), str(item.v))
+        assert len(sequences._pairs[family]) == 301
         assert sequences.witness_texts(report) == (str(report.witness_u), str(report.witness_v))
-        assert len(sequences._pairs[family]) == len(sequences._twins[family]) == 10
 
 
 def casoratian(family, n):
