@@ -26,9 +26,9 @@ from .exact import decimal_string, to_mpf
 from .hypergeom import factor_runs, zeta4_decomposition
 from .sequences import (
     RECURRENCES,
-    _check_family,
+    _advance,
+    _check_index,
     _consecutive_values,
-    _step,
     _values,  # noqa: F401  (clibench/tracer.py rebinds analytic._values)
     recurrence_coefficients,
 )
@@ -132,7 +132,7 @@ def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
         if bound < threshold:
             break
         n += 1
-        current, following = following, _step(family, n, current, following)
+        current, following = _advance(family, n, n + 1, current, following)
     return DigitsResult(
         constant=family,
         digits=digits,
@@ -156,23 +156,22 @@ def linear_form(family: str, n: int, digits: int) -> mpf:
     and u_n C - v_n = u_n (C - r_n) loses fewer than -log10|r_{n+2} - r_n|
     digits to cancellation.  The working precision carries those digits plus
     a guard, so it is fixed before the evaluation.  The pairs at n and n+1
-    come from one product tree and the pair at n+2 from one exact step.  At
+    come from one product tree and the pair at n+2 from a one-leaf tree.  At
     n = 0 the form is C itself.
     """
     return _linear_form(family, n, digits)[1]
 
 
 def _linear_form(family: str, n: int, digits: int) -> tuple[Fraction, mpf]:
-    """u_n and linear_form(family, n, digits), from one product tree."""
+    """u_n and linear_form(family, n, digits); the pair at n+2 is one
+    `_advance` over the leaf M_{n+1}."""
     from mpmath import mp
 
-    _check_family(family)
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(family, n)
     if digits < 1:
         raise ValueError("digits must be positive")
     (u, v), following = _consecutive_values(family, n + 1)
-    u_after, v_after = _step(family, n + 1, (u, v), following)
+    u_after, v_after = _advance(family, n + 1, n + 2, (u, v), following)[1]
     gap = abs(v_after / u_after - v / u)
     working = digits + _log10_above(1 / gap) + 10  # 10 guard digits
     reference = reference_catalan if family == "catalan" else reference_zeta4

@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="denominator-clearing integrality reports")
     add_family(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--mode", required=True, choices=("proved", "strong"))
+    p.add_argument("--mode", required=True, choices=sequences.MODES)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_check)
 

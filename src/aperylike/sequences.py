@@ -19,13 +19,13 @@ whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
 back(n) and its initial pairs; stepping, the telescoping certificate's
 weights and the continued fractions all read it.  Everything is exact
-rational arithmetic.  A memo grows one recurrence step at a time, so walking
-n upwards (range, check) streams; a step forms each new value as one integer
-over one denominator and reduces it once, the gcd's power of 2 read from the
-bits.  A deep index past the memo's end is reached instead by multiplying the
-2x2 step matrices in a product tree (binary splitting) and dividing once, and
-is not stored.  The integrality checks multiply by the documented clearing
-factors and test for an integer exactly.
+rational arithmetic.  A step is the one-leaf product tree of the 2x2 step
+matrices, and one routine applies a product's rows to two consecutive pairs:
+each new value is one integer over one denominator, reduced once, the gcd's
+power of 2 read from the bits.  The memo grows one step at a time, so walking
+n upwards (range, check) streams; a deep index past its end is one product
+tree (binary splitting) with one division, and is not stored.  The
+integrality checks multiply by the clearing factors and test exactly.
 
 A memo row holds the exact pair and, beside it, every numerator and
 denominator as a `decimal.Decimal` integer, stepped with the same small
@@ -208,27 +208,16 @@ def _reduced(num: int, den: int) -> Fraction:
 
 
 def _combined(
-    lead: int, mid: int, back: int, prev: Fraction, cur: Fraction
+    row: tuple[int, int], divisor: int, prev: Fraction, cur: Fraction
 ) -> tuple[int, int, tuple[int, int, int]]:
-    """x_{k+1} = num/den from x_{k-1} = c/d and x_k = a/b, unreduced, and the
-    weights that form it: with L = lcm(b, d), num = mid L/b a + back L/d c and
-    den = lead L/b b."""
-    assert lead > 0  # _CATALAN_P has negative discriminant
+    """Unreduced num/den = (alpha x_m + beta x_{m-1}) / divisor for a row
+    (alpha, beta) of a step-matrix product, and the weights (alpha L/b,
+    beta L/d, divisor L/b) with x_m = a/b, x_{m-1} = c/d and L = lcm(b, d)."""
     common = math.lcm(prev.denominator, cur.denominator)
     scale = common // cur.denominator
-    weights = mid * scale, back * (common // prev.denominator), lead * scale
+    weights = row[0] * scale, row[1] * (common // prev.denominator), divisor * scale
     num = cur.numerator * weights[0] + prev.numerator * weights[1]
     return num, cur.denominator * weights[2], weights
-
-
-def _step(family: str, k: int, previous: _Pair, current: _Pair) -> _Pair:
-    """The exact pair at k+1 from those at k-1 and k (k >= 1), each value
-    reduced once."""
-    lead, mid, back = recurrence_coefficients(family, k)
-    return tuple(
-        _reduced(*_combined(lead, mid, back, prev, cur)[:2])
-        for prev, cur in zip(previous, current)
-    )
 
 
 def _exact_quotient(x: Decimal, g: Decimal) -> Decimal:
@@ -239,14 +228,14 @@ def _exact_quotient(x: Decimal, g: Decimal) -> Decimal:
 
 
 def _stepped_row(family: str, k: int, before: _Row, last: _Row) -> _Row:
-    """Row k+1 from rows k-1 and k (k >= 1): _step on their pairs, and each
-    decimal numerator and denominator given the same weights as its integer
-    and divided by the same gcd, so in time linear in its digits; a division
-    with a remainder raises ArithmeticError."""
-    lead, mid, back = recurrence_coefficients(family, k)
+    """Row k+1 from rows k-1 and k (k >= 1) by the top row of the leaf M_k;
+    each decimal numerator and denominator gets the same weights as its
+    integer and is divided by the same gcd, so in time linear in its digits.
+    A division with a remainder raises ArithmeticError."""
+    matrix, lead = _matrix_product(family, k, k + 1)
     values, ratios = [], []
     for prev, cur, (c, _), (a, b) in zip(before.pair, last.pair, before[1:], last[1:]):
-        num, den, (w_cur, w_prev, w_den) = _combined(lead, mid, back, prev, cur)
+        num, den, (w_cur, w_prev, w_den) = _combined(matrix[:2], lead, prev, cur)
         g = _common_divisor(num, den)
         values.append(_coprime_fraction(num // g, den // g))
         divisor = Decimal(g)
@@ -273,10 +262,11 @@ def _matrix_product(
     tree (lo < hi).
 
     M_k = [[mid_k, back_k], [lead_k, 0]] maps (x_k, x_{k-1}) to
-    lead_k (x_{k+1}, x_k).
+    lead_k (x_{k+1}, x_k): the one-leaf product is one recurrence step.
     """
     if hi - lo == 1:
         lead, mid, back = recurrence_coefficients(family, lo)
+        assert lead > 0  # _CATALAN_P has negative discriminant
         return (mid, back, lead, 0), lead
     half = (lo + hi) // 2
     (a, b, c, d), upper = _matrix_product(family, half, hi)
@@ -284,13 +274,23 @@ def _matrix_product(
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), upper * lower
 
 
+def _advance(family: str, m: int, n: int, previous: _Pair, current: _Pair) -> tuple[_Pair, _Pair]:
+    """The exact pairs at n-1 and n from those at m-1 and m (1 <= m < n), by
+    the rows of one product tree M_{n-1} ... M_m (binary splitting, Haible &
+    Papanikolaou 1998), each value reduced once."""
+    (a, b, c, d), divisor = _matrix_product(family, m, n)
+    return tuple(
+        tuple(_reduced(*_combined(row, divisor, *x)[:2]) for x in zip(previous, current))
+        for row in ((c, d), (a, b))
+    )
+
+
 def _consecutive_values(family: str, n: int) -> tuple[_Pair, _Pair]:
     """The exact pairs at n-1 and n (n >= 1), leaving the memo as it is.
 
-    They are read from the memo when it reaches n.  Otherwise one product
-    tree (binary splitting, Haible & Papanikolaou 1998) carries the memo's
-    last two pairs, at m-1 and m, to n-1 and n, with a single division by
-    lead_m ... lead_{n-1} at the end.
+    They are read from the memo when it reaches n.  Otherwise `_advance`
+    carries the memo's last two pairs to n-1 and n, dividing once by the
+    product of the leads at the end.
     """
     if n < 1:
         raise ValueError("consecutive pairs need n >= 1")
@@ -298,21 +298,7 @@ def _consecutive_values(family: str, n: int) -> tuple[_Pair, _Pair]:
     m = len(table) - 1
     if n <= m:
         return table[n - 1].pair, table[n].pair
-    (a, b, c, d), divisor = _matrix_product(family, m, n)
-
-    def carry(x_prev: Fraction, x_cur: Fraction) -> tuple[Fraction, Fraction]:
-        common = math.lcm(x_prev.denominator, x_cur.denominator)
-        p = x_cur.numerator * (common // x_cur.denominator)
-        q = x_prev.numerator * (common // x_prev.denominator)
-        return (
-            Fraction(c * p + d * q, divisor * common),
-            Fraction(a * p + b * q, divisor * common),
-        )
-
-    (u_prev, v_prev), (u_cur, v_cur) = table[m - 1].pair, table[m].pair
-    u_before, u_at = carry(u_prev, u_cur)
-    v_before, v_at = carry(v_prev, v_cur)
-    return (u_before, v_before), (u_at, v_at)
+    return _advance(family, m, n, table[m - 1].pair, table[m].pair)
 
 
 def _values(family: str, n: int) -> _Pair:

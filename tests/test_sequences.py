@@ -15,6 +15,7 @@ from aperylike.exact import horner_int
 from aperylike.sequences import (
     RECURRENCES,
     _CATALAN_P,
+    _advance,
     _consecutive_values,
     _values,
     asymptotic_report,
@@ -105,7 +106,8 @@ class TestCoefficientPolynomials:
 
     def test_catalan_p_has_no_integer_roots(self):
         # negative discriminant b^2 - 4ac = 64 - 80: p has no real roots, so
-        # the catalan lead that _step divides by never vanishes
+        # the catalan lead, the divisor of each one-leaf product M_k that
+        # _matrix_product asserts positive, never vanishes
         c, b, a = _CATALAN_P
         assert b * b - 4 * a * c == 8**2 - 80 < 0
         for n in range(-50, 51):
@@ -307,6 +309,30 @@ class TestProductTree:
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
             _consecutive_values("catalan", 0)
+
+    # (m, n): one-leaf spans, spans from m = 1, and a long span
+    SPANS = ((1, 2), (2, 3), (7, 8), (999, 1000), (1, 3), (1, 60), (30, 47), (7, 1000))
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_advance_equals_stepping(self, family):
+        reference = stepped_pairs(family, 1000)
+        for m, n in self.SPANS:
+            got = _advance(family, m, n, reference[m - 1], reference[m])
+            # Fraction == compares numerator and denominator, so a value
+            # left unreduced fails too
+            assert got == (reference[n - 1], reference[n]), (m, n)
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_advance_leaves_the_memo_as_it_is(self, family, cold_memo):
+        for n in range(9):
+            _values(family, n)
+        memo = sequences._pairs[family]
+        before = list(memo)
+        reference = stepped_pairs(family, 8)
+        for m, n in ((7, 8), (8, 9), (8, 300), (1, 200)):
+            _advance(family, m, n, reference[m - 1], reference[m])
+        assert sequences._pairs[family] is memo
+        assert len(memo) == len(before) and all(a is b for a, b in zip(memo, before))
 
 
 class TestDecimalTwins:
