@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Each command prints the library's own records, one per line, so long
-verifications stream and stay inspectable.  One rule, in `_emit`, turns a
-record into text: rationals print as "p" or "p/q" strings, in nested tables
-too; integer witnesses print as decimal strings; floats appear only as
-`mp.nstr` strings at the stated digits.  `pair`, `range` and `check` also
-write CSV: the record's keys as a header, then str() of each value.
+Each command handler is a generator that yields `(record, ok)` for each of
+the library's own records, and neither prints nor sets a status.  Only `run`
+prints, one record per line as it arrives, so long verifications stream and
+stay inspectable, and only `run` ANDs the verdicts into the status.  One
+rule, in `_emit`, turns a record into text: rationals print as "p" or "p/q"
+strings, in nested tables too; integer witnesses print as decimal strings;
+floats appear only as `mp.nstr` strings at the stated digits.  `pair`,
+`range` and `check` also write CSV: the record's keys as a header, then
+str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
 read from the decimal numbers in each memo row (`sequences.row_texts` and
@@ -23,7 +26,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from . import analytic, certificate, hypergeom, sequences
 from .errors import PrecisionError
@@ -36,26 +39,18 @@ EXIT_CODES = {
     "precision_error": 3,
 }
 
-FAMILY_CHOICES = sequences.FAMILIES
-
 
 class CommandResult(NamedTuple):
-    """Outcome of one CLI invocation: a status plus a payload.
-
-    For a single-record command the payload is the printed record with its
-    exact values (`Fraction`s, not strings); for `range`, `check` and
-    `certify` it is a summary of the rows.
-    """
+    """Outcome of one CLI invocation; every value it made is on stdout."""
 
     status: str
-    payload: Any
 
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.status]
 
 
-def _emit(record: dict, fmt: str = "json", first: bool = False) -> None:
+def _emit(record: dict, fmt: str, first: bool) -> None:
     """Print one record as JSON, every Fraction in it as "p" or "p/q", or as
     a CSV row of str() values, after a header of its keys when `first`."""
     if fmt == "csv":
@@ -74,44 +69,33 @@ def _n_max(args, least: int = 0) -> int:
     return args.n_max
 
 
-def _cmd_pair(args) -> CommandResult:
-    record = sequences.pair(args.family, args.n)._asdict()
-    _emit(record, args.format, first=True)
-    return CommandResult("ok", record)
+def _cmd_pair(args):
+    yield sequences.pair(args.family, args.n)._asdict(), True
 
 
-def _cmd_range(args) -> CommandResult:
+def _cmd_range(args):
     for n in range(_n_max(args) + 1):
         record = sequences.pair(args.family, n)._asdict()
         record["u"], record["v"] = sequences.row_texts(args.family, n)
-        _emit(record, args.format, first=(n == 0))
-    return CommandResult("ok", {"rows": args.n_max + 1})
+        yield record, True
 
 
-def _cmd_check(args) -> CommandResult:
-    all_ok = True
+def _cmd_check(args):
     for n in range(_n_max(args) + 1):
         report = sequences.check_inclusions(args.family, n, args.mode)
-        all_ok = all_ok and report.ok
         record = report._asdict()
         # an int is the one exact value JSON would print as a number
         record["witness_u"], record["witness_v"] = sequences.witness_texts(report)
-        _emit(record, args.format, first=(n == 0))
-    status = "ok" if all_ok else "verification_failed"
-    return CommandResult(status, {"rows": args.n_max + 1, "all_pass": all_ok})
+        yield record, report.ok
 
 
-def _cmd_decompose(args) -> CommandResult:
-    if args.family == "zeta4":
-        return _decompose_zeta4(args.n)
-    table = hypergeom.partial_fractions(args.n)
-    quad = hypergeom.coefficient_quadruple(args.n)
-    record = {**table._asdict(), **quad._asdict()}
-    _emit(record)
-    return CommandResult("ok", record)
-
-
-def _decompose_zeta4(n: int) -> CommandResult:
+def _cmd_decompose(args):
+    n = args.n
+    if args.family == "catalan":
+        table = hypergeom.partial_fractions(n)
+        quad = hypergeom.coefficient_quadruple(n)
+        yield {**table._asdict(), **quad._asdict()}, True
+        return
     parts = hypergeom.zeta4_decomposition(n)
     item = sequences.zeta4_pair(n)
     sign = Fraction((-1) ** (n + 1), 6)
@@ -129,29 +113,24 @@ def _decompose_zeta4(n: int) -> CommandResult:
         "rational": parts.rational,
         "identity": holds,
     }
-    _emit(record)
-    return CommandResult("ok" if holds else "verification_failed", record)
+    yield record, holds
 
 
-def _cmd_certify(args) -> CommandResult:
-    all_ok = True
+def _cmd_certify(args):
     for n in range(1, _n_max(args, least=1) + 1):
         telescoped = certificate.verify_telescoping(n)
         at_zero = certificate.build_certificate(n).S(0)
         ok = telescoped and at_zero == 0
-        all_ok = all_ok and ok
         record = {
             "n": n,
             "telescoping": telescoped,
             "certificate_at_zero": at_zero,
             "pass": ok,
         }
-        _emit(record)
-    status = "ok" if all_ok else "verification_failed"
-    return CommandResult(status, {"rows": args.n_max, "all_pass": all_ok})
+        yield record, ok
 
 
-def _cmd_cf(args) -> CommandResult:
+def _cmd_cf(args):
     convergent = analytic.cf_convergent(args.family, args.n)
     item = sequences.pair(args.family, args.n)
     matches = convergent.value == item.v / item.u
@@ -161,11 +140,10 @@ def _cmd_cf(args) -> CommandResult:
         "convergent": convergent.value,
         "matches_recurrence_ratio": matches,
     }
-    _emit(record)
-    return CommandResult("ok" if matches else "verification_failed", record)
+    yield record, matches
 
 
-def _cmd_digits(args) -> CommandResult:
+def _cmd_digits(args):
     from mpmath import mp
 
     result = (
@@ -173,17 +151,16 @@ def _cmd_digits(args) -> CommandResult:
         if args.constant == "catalan"
         else analytic.zeta4_digits(args.digits)
     )
-    record = {**result._asdict(), "error_bound": mp.nstr(result.error_bound, 6)}
-    _emit(record)
-    return CommandResult("ok", record)
+    yield {**result._asdict(), "error_bound": mp.nstr(result.error_bound, 6)}, True
 
 
-def _check_form(family: str, args, name: str, value, factors: dict) -> CommandResult:
-    """Print `value` beside the linear form u_n C - v_n and the residuals
-    |factor value - form| named in `factors`; pass if the first is below
-    10^-(digits-1) |form|, a test relative to the form since it shrinks with
-    n far below any fixed bound.  The form carries 15 digits past the
-    comparison, so that its own error stays out of the residuals."""
+def _check_form(family: str, args, name: str, value, factors: dict) -> tuple[dict, bool]:
+    """The record of `value` beside the linear form u_n C - v_n and the
+    residuals |factor value - form| named in `factors`, and its verdict:
+    pass if the first is below 10^-(digits-1) |form|, a test relative to the
+    form since it shrinks with n far below any fixed bound.  The form carries
+    15 digits past the comparison, so that its own error stays out of the
+    residuals."""
     from mpmath import mp
 
     working = args.digits + 15
@@ -198,23 +175,22 @@ def _check_form(family: str, args, name: str, value, factors: dict) -> CommandRe
         "linear_form": mp.nstr(form, args.digits + 2),
         **{key: mp.nstr(residual, 4) for key, residual in zip(factors, residuals)},
     }
-    _emit(record)
-    return CommandResult("ok" if ok else "verification_failed", record)
+    return record, ok
 
 
-def _cmd_integral(args) -> CommandResult:
+def _cmd_integral(args):
     value = analytic.beukers_integral(args.n, args.digits)
     sign = 1 if args.n % 2 == 0 else -1
     factors = {"residual_eighth": sign / 8, "residual_quarter": sign / 4}
-    return _check_form("catalan", args, "integral", value, factors)
+    yield _check_form("catalan", args, "integral", value, factors)
 
 
-def _cmd_series(args) -> CommandResult:
+def _cmd_series(args):
     value = analytic.zeta4_series(args.n, args.digits)
-    return _check_form("zeta4", args, "value", value, {"residual": 1})
+    yield _check_form("zeta4", args, "value", value, {"residual": 1})
 
 
-def _cmd_asymptotics(args) -> CommandResult:
+def _cmd_asymptotics(args):
     from mpmath import mp
 
     rates = sequences.asymptotic_report(args.family, args.n, args.digits)
@@ -225,8 +201,35 @@ def _cmd_asymptotics(args) -> CommandResult:
         "rate_u": mp.nstr(rates.rate_u, min(args.digits, 12)),
         "rate_form": mp.nstr(rates.rate_form, min(args.digits, 12)),
     }
-    _emit(record)
-    return CommandResult("ok", record)
+    yield record, True
+
+
+FAMILY = ("--family", {"required": True, "choices": sequences.FAMILIES})
+CATALAN = ("--family", {"required": True, "choices": ("catalan",)})
+DEFAULT_CATALAN = ("--family", {"choices": sequences.FAMILIES, "default": "catalan"})
+CONSTANT = ("--constant", {"required": True, "choices": sequences.FAMILIES})
+ZETA4 = ("--constant", {"required": True, "choices": ("zeta4",)})
+MODE = ("--mode", {"required": True, "choices": sequences.MODES})
+N = ("--n", {"type": int, "required": True})
+N_MAX = ("--n-max", {"type": int, "required": True})
+DIGITS = ("--digits", {"type": int, "required": True})
+FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+
+#: subcommand -> (handler, help, options), in the order --help lists them
+COMMANDS = {
+    "pair": (_cmd_pair, "one exact sequence pair (n, u_n, v_n)", (FAMILY, N, FORMAT)),
+    "range": (_cmd_range, "stream exact pairs for n = 0..N", (FAMILY, N_MAX, FORMAT)),
+    "check": (_cmd_check, "denominator-clearing integrality reports",
+              (FAMILY, N_MAX, MODE, FORMAT)),
+    "decompose": (_cmd_decompose, "partial-fraction table and linear-form coefficients",
+                  (DEFAULT_CATALAN, N)),
+    "certify": (_cmd_certify, "exact telescoping-identity verification", (CATALAN, N_MAX)),
+    "cf": (_cmd_cf, "continued-fraction convergent at depth n", (FAMILY, N)),
+    "digits": (_cmd_digits, "certified decimal digits of a constant", (CONSTANT, DIGITS)),
+    "integral": (_cmd_integral, "double-integral representation residuals", (N, DIGITS)),
+    "series": (_cmd_series, "derivative-series residual for zeta4", (ZETA4, N, DIGITS)),
+    "asymptotics": (_cmd_asymptotics, "measured per-n growth rates", (FAMILY, N, DIGITS)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,86 +241,37 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_family(p, choices=FAMILY_CHOICES):
-        p.add_argument("--family", required=True, choices=choices)
-
-    p = sub.add_parser("pair", help="one exact sequence pair (n, u_n, v_n)")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_pair)
-
-    p = sub.add_parser("range", help="stream exact pairs for n = 0..N")
-    add_family(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_range)
-
-    p = sub.add_parser("check", help="denominator-clearing integrality reports")
-    add_family(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--mode", required=True, choices=sequences.MODES)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "decompose", help="partial-fraction table and linear-form coefficients"
-    )
-    p.add_argument("--family", choices=FAMILY_CHOICES, default="catalan")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("certify", help="exact telescoping-identity verification")
-    add_family(p, choices=("catalan",))
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("cf", help="continued-fraction convergent at depth n")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_cf)
-
-    p = sub.add_parser("digits", help="certified decimal digits of a constant")
-    p.add_argument("--constant", required=True, choices=FAMILY_CHOICES)
-    p.add_argument("--digits", type=int, required=True)
-    p.set_defaults(func=_cmd_digits)
-
-    p = sub.add_parser("integral", help="double-integral representation residuals")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, required=True)
-    p.set_defaults(func=_cmd_integral)
-
-    p = sub.add_parser("series", help="derivative-series residual for zeta4")
-    p.add_argument("--constant", required=True, choices=("zeta4",))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, required=True)
-    p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser("asymptotics", help="measured per-n growth rates")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, required=True)
-    p.set_defaults(func=_cmd_asymptotics)
-
+    for name, (handler, summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.set_defaults(func=handler)
     return parser
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Parse and dispatch; returns a CommandResult instead of exiting."""
-    parser = build_parser()
+    """Parse, dispatch and print; returns a CommandResult instead of exiting.
+
+    The handler yields `(record, ok)` pairs and neither prints nor sets a
+    status: only here is each record printed, as it arrives, with the CSV
+    header on the first, and the verdicts ANDed into the status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit:
-        return CommandResult("usage_error", {"error": "invalid arguments"})
+        return CommandResult("usage_error")
+    fmt = getattr(args, "format", "json")
+    all_ok = True
     try:
-        return args.func(args)
+        for index, (record, ok) in enumerate(args.func(args)):
+            _emit(record, fmt, first=(index == 0))
+            all_ok = all_ok and ok
     except PrecisionError as exc:
         sys.stderr.write(f"precision error: {exc}\n")
-        return CommandResult("precision_error", {"error": str(exc)})
+        return CommandResult("precision_error")
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return CommandResult("usage_error", {"error": str(exc)})
+        return CommandResult("usage_error")
+    return CommandResult("ok" if all_ok else "verification_failed")
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Command-line interface: payloads, exit codes, round-trips."""
+"""Command-line interface: records, exit codes, round-trips."""
 
 import csv
 import hashlib
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from aperylike.cli import EXIT_CODES, run
+from aperylike.cli import COMMANDS, EXIT_CODES, run
 from tests.conftest import mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -372,6 +372,75 @@ class TestErrorPaths:
         }
 
 
+class TestFailingRowMidStream:
+    # a failing row neither stops the stream nor passes the rows after it;
+    # only the status, set once the stream ends, records the failure
+
+    def test_check(self, capsys, monkeypatch):
+        from aperylike import sequences
+
+        factors = sequences._clearing_factors
+        monkeypatch.setattr(
+            sequences,
+            "_clearing_factors",
+            lambda family, n, mode: (1, 1) if n == 3 else factors(family, n, mode),
+        )
+        result, lines = run_lines(
+            capsys, ["check", "--family", "catalan", "--n-max", "5", "--mode", "proved"]
+        )
+        rows = [json.loads(line) for line in lines]
+        assert [row["n"] for row in rows] == list(range(6))
+        assert (rows[3]["pass_u"], rows[3]["witness_u"]) == (False, "")
+        assert all(row["pass_u"] and row["pass_v"] for row in rows[:3] + rows[4:])
+        assert result.status == "verification_failed" and result.exit_code == 1
+
+    def test_certify(self, capsys, monkeypatch):
+        from aperylike import certificate
+
+        telescoping = certificate.verify_telescoping
+        monkeypatch.setattr(
+            certificate, "verify_telescoping", lambda n: n != 2 and telescoping(n)
+        )
+        result, lines = run_lines(capsys, ["certify", "--family", "catalan", "--n-max", "4"])
+        rows = [json.loads(line) for line in lines]
+        assert [row["n"] for row in rows] == [1, 2, 3, 4]
+        assert [row["pass"] for row in rows] == [True, False, True, True]
+        assert rows[1]["telescoping"] is False
+        assert result.status == "verification_failed" and result.exit_code == 1
+
+
+# a valid argv per subcommand that names exactly its required options
+REQUIRED_ONLY = {
+    "pair": "pair --family catalan --n 1",
+    "range": "range --family catalan --n-max 2",
+    "check": "check --family catalan --n-max 2 --mode proved",
+    "decompose": "decompose --n 1",
+    "certify": "certify --family catalan --n-max 1",
+    "cf": "cf --family catalan --n 1",
+    "digits": "digits --constant catalan --digits 5",
+    "integral": "integral --n 1 --digits 5",
+    "series": "series --constant zeta4 --n 1 --digits 5",
+    "asymptotics": "asymptotics --family catalan --n 3 --digits 10",
+}
+
+
+class TestRequiredOptions:
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_each_left_out_is_a_usage_error(self, capsys, name):
+        argv = REQUIRED_ONLY[name].split()
+        flags = argv[1::2]
+        assert flags == [flag for flag, spec in COMMANDS[name][2] if spec.get("required")]
+        assert run(argv).exit_code == 0
+        capsys.readouterr()
+        for flag in flags:
+            at = argv.index(flag)
+            result = run(argv[:at] + argv[at + 2:])
+            captured = capsys.readouterr()
+            assert result.status == "usage_error" and result.exit_code == 2, flag
+            assert captured.out == ""
+            assert captured.err.endswith(f"the following arguments are required: {flag}\n")
+
+
 class TestDecompose:
     def test_table_and_quadruple(self, capsys):
         result, lines = run_lines(capsys, ["decompose", "--n", "1"])
@@ -509,14 +578,6 @@ class TestSerialization:
             record = json.loads(line)
             assert header == list(record)
             assert row == [str(value) for value in record.values()]
-
-    def test_single_record_payload_holds_exact_values(self, capsys):
-        result = run(["pair", "--family", "catalan", "--n", "1"])
-        assert result.payload["u"] == Fraction(7, 4)
-        assert json.loads(capsys.readouterr().out)["u"] == "7/4"
-        # streaming commands return a summary instead of their last row
-        result = run(["range", "--family", "catalan", "--n-max", "3"])
-        assert result.payload == {"rows": 4}
 
 
 class TestRecordedOutput:

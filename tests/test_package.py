@@ -403,7 +403,7 @@ RECORDS = {
     "certificate.Certificate": ("n", "s", "S"),
     "analytic.DigitsResult": ("constant", "digits", "value", "n_used", "error_bound"),
     "analytic.CFConvergent": ("family", "n", "value"),
-    "cli.CommandResult": ("status", "payload"),
+    "cli.CommandResult": ("status",),
 }
 
 
@@ -430,7 +430,7 @@ def test_record_methods():
     assert inclusion("catalan", 1, "proved", True, True, 1, 2).ok
     assert not inclusion("catalan", 1, "proved", True, False, 1, None).ok
     result = record_class("cli.CommandResult")
-    assert [result(s, {}).exit_code for s in ("ok", "verification_failed", "precision_error")] == [0, 1, 3]
+    assert [result(s).exit_code for s in ("ok", "verification_failed", "precision_error")] == [0, 1, 3]
 
 
 if __name__ == "__main__":
