@@ -22,13 +22,13 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
-from .exact import decimal_string, to_mpf
+from .exact import _integer_ratio, decimal_string, to_mpf
 from .hypergeom import factor_runs, zeta4_decomposition
 from .sequences import (
     RECURRENCES,
-    _advance,
     _check_index,
-    _consecutive_values,
+    _carried,
+    _scaled_pairs,
     _values,  # noqa: F401  (clibench/tracer.py rebinds analytic._values)
     recurrence_coefficients,
 )
@@ -50,6 +50,7 @@ class DigitsResult(NamedTuple):
     is ten times the distance d_n between the last two convergents used.  It
     is a proved upper bound on |C - v_n/u_n|, which the Casoratian argument
     (see linear_form) puts below d_n itself, and it needs no knowledge of C.
+    Both are read from unreduced integers over a scale that cancels in v_n/u_n.
     """
 
     constant: str
@@ -111,10 +112,11 @@ def reference_zeta4(digits: int) -> mpf:
 # -- digit extraction from the recurrences --------------------------------------
 
 
-def _log10_above(q: Fraction) -> int:
-    """An integer in [log10 q, log10 q + 2) for q > 0: with a, b the bit lengths
-    of its numerator and denominator, 2^(a-b-1) < q < 2^(a-b+1)."""
-    a, b = q.numerator.bit_length(), q.denominator.bit_length()
+def _log10_above(q: Fraction | tuple[int, int]) -> int:
+    """An integer in [log10 q, log10 q + 2) for q > 0, a rational or a ratio
+    (num, den) in lowest terms or not: with a, b the bit lengths of its
+    numerator and denominator, 2^(a-b-1) < q < 2^(a-b+1)."""
+    a, b = (x.bit_length() for x in _integer_ratio(q))
     return math.ceil((a - b + 1) * math.log10(2))
 
 
@@ -122,21 +124,21 @@ def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
     if digits < 1:
         raise ValueError("digits must be positive")
     n = math.ceil(digits / DIGITS_PER_STEP[family]) + 5
-    threshold = Fraction(1, 10 ** (digits + 1))
-    # one product tree gives both pairs; a longer run extends them step by step
-    current, following = _consecutive_values(family, n + 1)
+    threshold = 10 ** (digits + 1)
+    # one product tree gives both pairs, a longer run extends them step by
+    # step; 10 |r_n - r_{n+1}| < 10^-(digits+1) is one cross-multiplication
+    rows, _ = _scaled_pairs(family, n + 1)
     while True:
-        (u_n, v_n), (u_next, v_next) = current, following
-        ratio = v_n / u_n
-        bound = 10 * abs(ratio - v_next / u_next)
-        if bound < threshold:
+        (u_next, v_next), (u_n, v_n) = rows
+        bound = 10 * abs(v_n * u_next - v_next * u_n), u_n * u_next  # 10 d_n
+        if bound[0] * threshold < bound[1]:
             break
         n += 1
-        current, following = _advance(family, n, n + 1, current, following)
+        rows, _ = _carried(family, n, n + 1, rows)
     return DigitsResult(
         constant=family,
         digits=digits,
-        value=decimal_string(ratio, digits),
+        value=decimal_string((v_n, u_n), digits),
         n_used=n,
         error_bound=to_mpf(bound, 10),
     )
@@ -156,29 +158,30 @@ def linear_form(family: str, n: int, digits: int) -> mpf:
     and u_n C - v_n = u_n (C - r_n) loses fewer than -log10|r_{n+2} - r_n|
     digits to cancellation.  The working precision carries those digits plus
     a guard, so it is fixed before the evaluation.  The pairs at n and n+1
-    come from one product tree and the pair at n+2 from a one-leaf tree.  At
-    n = 0 the form is C itself.
+    come from one product tree as integers over a common scale S, the pair
+    at n+2 from one integer step, and u_n and v_n are rounded from their
+    integers over S, so no value is reduced.  At n = 0 the form is C itself.
     """
     return _linear_form(family, n, digits)[1]
 
 
-def _linear_form(family: str, n: int, digits: int) -> tuple[Fraction, mpf]:
-    """u_n and linear_form(family, n, digits); the pair at n+2 is one
-    `_advance` over the leaf M_{n+1}."""
+def _linear_form(family: str, n: int, digits: int) -> tuple[tuple[int, int], mpf]:
+    """u_n as a ratio (num, den), and linear_form(family, n, digits)."""
     from mpmath import mp
 
     _check_index(family, n)
     if digits < 1:
         raise ValueError("digits must be positive")
-    (u, v), following = _consecutive_values(family, n + 1)
-    u_after, v_after = _advance(family, n + 1, n + 2, (u, v), following)[1]
-    gap = abs(v_after / u_after - v / u)
-    working = digits + _log10_above(1 / gap) + 10  # 10 guard digits
+    rows, scale = _scaled_pairs(family, n + 1)
+    ((u_after, v_after),), _ = _carried(family, n + 1, n + 2, rows, top=True)
+    u, v = rows[1]
+    # 1/|r_{n+2} - r_n|, each ratio over its own scale
+    working = digits + _log10_above((u * u_after, abs(v_after * u - v * u_after))) + 10
     reference = reference_catalan if family == "catalan" else reference_zeta4
     with mp.workdps(working):
-        form = to_mpf(u, working) * reference(working) - to_mpf(v, working)
+        form = to_mpf((u, scale), working) * reference(working) - to_mpf((v, scale), working)
     with mp.workdps(digits):
-        return u, +form
+        return (u, scale), +form
 
 
 def catalan_digits(digits: int) -> DigitsResult:
@@ -206,11 +209,12 @@ def cf_convergent(family: str, n: int) -> CFConvergent:
     if n < 1:
         raise ValueError("convergent depth must be at least 1")
     lead, mid, back = zip(*(recurrence_coefficients(family, k) for k in range(n)))
-    tail = Fraction(0)
+    num, den = 0, 1  # the tail, one integer pair reduced once at the end
     for m in range(n, 1, -1):
-        tail = lead[m - 2] * back[m - 1] / (mid[m - 1] + tail)
+        num, den = lead[m - 2] * back[m - 1] * den, mid[m - 1] * den + num
     v_1 = RECURRENCES[family].initial[1][1]
-    return CFConvergent(family=family, n=n, value=lead[0] * v_1 / (mid[0] + tail))
+    value = Fraction(lead[0] * v_1.numerator * den, v_1.denominator * (mid[0] * den + num))
+    return CFConvergent(family=family, n=n, value=value)
 
 
 # -- the double-integral representation ------------------------------------------

@@ -16,7 +16,8 @@ read from the decimal numbers in each memo row (`sequences.row_texts` and
 `pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
 int->str limit they exit 2.
 
-Exit codes: 0 ok, 1 verification failed, 2 usage error, 3 precision error.
+Exit codes: 0 ok (also after --help), 1 verification failed, 2 usage error,
+3 precision error.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ def _cmd_certify(args):
 
 def _cmd_cf(args):
     convergent = analytic.cf_convergent(args.family, args.n)
-    item = sequences.pair(args.family, args.n)
-    matches = convergent.value == item.v / item.u
+    ((u, v),), _ = sequences._scaled_pairs(args.family, args.n, top=True)
+    matches = convergent.value.numerator * u == convergent.value.denominator * v
     record = {
         "family": args.family,
         "n": args.n,
@@ -257,8 +258,8 @@ def run(argv: list[str]) -> CommandResult:
     header on the first, and the verdicts ANDed into the status."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit:
-        return CommandResult("usage_error")
+    except SystemExit as stop:  # code 0 after --help
+        return CommandResult("ok" if stop.code == 0 else "usage_error")
     fmt = getattr(args, "format", "json")
     all_ok = True
     try:

@@ -431,36 +431,46 @@ def lcm_upto(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def to_mpf(value: RationalLike, digits: int) -> mpf:
-    """Round an exact rational to an mpmath float carrying `digits` decimal digits.
+def _integer_ratio(value: RationalLike | tuple[int, int]) -> tuple[int, int]:
+    """(num, den > 0) of a rational, or the ratio (num, den) itself, reduced or not."""
+    return value if isinstance(value, tuple) else value.as_integer_ratio()
 
-    One rounding, to nearest: the result is within half an ulp of the
-    rational.  No hidden guard digits: the caller states the working precision.
+
+def to_mpf(value: RationalLike | tuple[int, int], digits: int) -> mpf:
+    """Round an exact rational, or a ratio (num, den > 0) reduced or not, to an
+    mpmath float carrying `digits` decimal digits.
+
+    One rounding, to nearest, ties to even, as mpmath's `from_rational`, from a
+    quotient of prec + 3 or 4 bits and a sticky bit for its remainder, with no
+    normalising of the full-width operands.  No hidden guard digits: the
+    caller states the working precision.
     """
     from mpmath import mp
-    from mpmath.libmp import from_rational, round_nearest
+    from mpmath.libmp import from_man_exp, round_nearest
 
     if digits < 1:
         raise ValueError("digits must be positive")
-    q = as_fraction(value)
+    num, den = _integer_ratio(value)
     with mp.workdps(digits):
-        return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, round_nearest))
+        shift = mp.prec + 3 - abs(num).bit_length() + den.bit_length()
+        quotient, rest = divmod(abs(num) << max(shift, 0), den << max(-shift, 0))
+        man = (quotient << 1 | (rest != 0)) * (-1 if num < 0 else 1)
+        return mp.make_mpf(from_man_exp(man, -shift - 1, mp.prec, round_nearest))
 
 
-def decimal_string(value: RationalLike, places: int) -> str:
-    """Exact decimal rendering of a rational with `places` digits after the point.
+def decimal_string(value: RationalLike | tuple[int, int], places: int) -> str:
+    """Exact decimal rendering of a rational, or of a ratio (num, den > 0)
+    reduced or not, with `places` digits after the point.
 
-    Rounds to nearest, ties to even, using integer arithmetic only.
+    Rounds to nearest, ties to even, by one integer division.
     """
     if places < 0:
         raise ValueError("places must be nonnegative")
-    q = as_fraction(value)
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = q * 10**places
-    whole, rem = divmod(scaled.numerator, scaled.denominator)
+    num, den = _integer_ratio(value)
+    sign = "-" if num < 0 else ""
+    whole, rem = divmod(abs(num) * 10**places, den)
     twice = 2 * rem
-    if twice > scaled.denominator or (twice == scaled.denominator and whole % 2):
+    if twice > den or (twice == den and whole % 2):
         whole += 1
     if places == 0:
         return f"{sign}{whole}"

@@ -20,12 +20,15 @@ RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
 back(n) and its initial pairs; stepping, the telescoping certificate's
 weights and the continued fractions all read it.  Everything is exact
 rational arithmetic.  A step is the one-leaf product tree of the 2x2 step
-matrices, and one routine applies a product's rows to two consecutive pairs:
-each new value is one integer over one denominator, reduced once, the gcd's
-power of 2 read from the bits.  The memo grows one step at a time, so walking
-n upwards (range, check) streams; a deep index past its end is one product
-tree (binary splitting) with one division, and is not stored.  The
-integrality checks multiply by the clearing factors and test exactly.
+matrices.  The memo grows one step at a time, each new value one integer
+over one denominator, reduced once, the gcd's power of 2 read from the bits,
+so walking n upwards (range, check) streams.  A deep index past its end is
+one product tree (binary splitting) applied to the memo's last two rows, and
+is not stored: `_scaled_pairs` returns the pairs as integers over one common
+scale S, x = N/S, and `_carried` takes them further, neither reducing
+anything.  Ratios, digits and linear forms read those integers directly;
+only `_values` reduces, and only the pair it returns.  The integrality
+checks multiply by the clearing factors and test exactly.
 
 A memo row holds the exact pair and, beside it, every numerator and
 denominator as a `decimal.Decimal` integer, stepped with the same small
@@ -232,10 +235,10 @@ def _stepped_row(family: str, k: int, before: _Row, last: _Row) -> _Row:
     each decimal numerator and denominator gets the same weights as its
     integer and is divided by the same gcd, so in time linear in its digits.
     A division with a remainder raises ArithmeticError."""
-    matrix, lead = _matrix_product(family, k, k + 1)
+    (row,), lead = _matrix_product(family, k, k + 1, top=True)
     values, ratios = [], []
     for prev, cur, (c, _), (a, b) in zip(before.pair, last.pair, before[1:], last[1:]):
-        num, den, (w_cur, w_prev, w_den) = _combined(matrix[:2], lead, prev, cur)
+        num, den, (w_cur, w_prev, w_den) = _combined(row, lead, prev, cur)
         g = _common_divisor(num, den)
         values.append(_coprime_fraction(num // g, den // g))
         divisor = Decimal(g)
@@ -255,50 +258,61 @@ def _row(family: str, n: int) -> _Row:
     return table[n]
 
 
-def _matrix_product(
-    family: str, lo: int, hi: int
-) -> tuple[tuple[int, int, int, int], int]:
-    """M_{hi-1} ... M_lo and lead_lo ... lead_{hi-1}, multiplied in a balanced
-    tree (lo < hi).
+#: Rows of int pairs: a product's rows, or (N_u, N_v) at n, then at n-1, over one scale
+_Rows = tuple[tuple[int, int], ...]
+
+
+def _matrix_product(family: str, lo: int, hi: int, top: bool = False) -> tuple[_Rows, int]:
+    """The rows of M_{hi-1} ... M_lo, only the top one when `top`, and
+    lead_lo ... lead_{hi-1} (lo < hi).  Runs of up to 8 leaves are multiplied
+    in sequence, in small ints, longer spans in a balanced tree, where
+    top(U L) = top(U) L: a `top` tree drops the lower rows of its upper spine.
 
     M_k = [[mid_k, back_k], [lead_k, 0]] maps (x_k, x_{k-1}) to
     lead_k (x_{k+1}, x_k): the one-leaf product is one recurrence step.
     """
-    if hi - lo == 1:
+    if hi - lo <= 8:
         lead, mid, back = recurrence_coefficients(family, lo)
-        assert lead > 0  # _CATALAN_P has negative discriminant
-        return (mid, back, lead, 0), lead
+        a, b, c, d, divisor = mid, back, lead, 0, lead
+        for k in range(lo + 1, hi):
+            lead, mid, back = recurrence_coefficients(family, k)
+            a, b, c, d = mid * a + back * c, mid * b + back * d, lead * a, lead * b
+            divisor *= lead
+        assert divisor > 0  # _CATALAN_P has negative discriminant
+        return ((a, b),) if top else ((a, b), (c, d)), divisor
     half = (lo + hi) // 2
-    (a, b, c, d), upper = _matrix_product(family, half, hi)
-    (e, f, g, h), lower = _matrix_product(family, lo, half)
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), upper * lower
+    upper, upper_lead = _matrix_product(family, half, hi, top)
+    ((e, f), (g, h)), lower_lead = _matrix_product(family, lo, half)
+    return tuple((x * e + y * g, x * f + y * h) for x, y in upper), upper_lead * lower_lead
 
 
-def _advance(family: str, m: int, n: int, previous: _Pair, current: _Pair) -> tuple[_Pair, _Pair]:
-    """The exact pairs at n-1 and n from those at m-1 and m (1 <= m < n), by
-    the rows of one product tree M_{n-1} ... M_m (binary splitting, Haible &
-    Papanikolaou 1998), each value reduced once."""
-    (a, b, c, d), divisor = _matrix_product(family, m, n)
-    return tuple(
-        tuple(_reduced(*_combined(row, divisor, *x)[:2]) for x in zip(previous, current))
-        for row in ((c, d), (a, b))
-    )
+def _carried(family: str, m: int, n: int, rows: _Rows, top: bool = False) -> tuple[_Rows, int]:
+    """The integer pairs at n and n-1, only n when `top`, from `rows` at m and
+    m-1 (1 <= m < n) by one product tree M_{n-1} ... M_m, and
+    D = lead_m ... lead_{n-1}: over D S where `rows` are over S.  Nothing is
+    reduced; one leaf is the step N_{m+1} = mid_m N_m + back_m N_{m-1}."""
+    matrix, divisor = _matrix_product(family, m, n, top)
+    pairs = tuple(zip(*rows))  # (N_k, N_{k-1}) for u, then for v
+    return tuple(tuple(a * x + b * y for x, y in pairs) for a, b in matrix), divisor
 
 
-def _consecutive_values(family: str, n: int) -> tuple[_Pair, _Pair]:
-    """The exact pairs at n-1 and n (n >= 1), leaving the memo as it is.
-
-    They are read from the memo when it reaches n.  Otherwise `_advance`
-    carries the memo's last two pairs to n-1 and n, dividing once by the
-    product of the leads at the end.
-    """
+def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
+    """The pairs at n and n-1 (n >= 1), only n when `top`, as integers over
+    one common scale S > 0, and S; nothing is reduced, the memo is unchanged.
+    Inside the memo S is the lcm of the denominators of rows n and n-1; past
+    its end one product tree (binary splitting, Haible & Papanikolaou 1998)
+    carries its last two rows, over the lcm of theirs, to n."""
     if n < 1:
         raise ValueError("consecutive pairs need n >= 1")
     table = _pairs[family]
-    m = len(table) - 1
-    if n <= m:
-        return table[n - 1].pair, table[n].pair
-    return _advance(family, m, n, table[m - 1].pair, table[m].pair)
+    m = min(n, len(table) - 1)
+    pairs = table[m].pair, table[m - 1].pair
+    scale = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in pair) for pair in pairs)
+    if m == n:
+        return rows[: 1 if top else 2], scale
+    rows, divisor = _carried(family, m, n, rows, top)
+    return rows, divisor * scale
 
 
 def _values(family: str, n: int) -> _Pair:
@@ -306,11 +320,12 @@ def _values(family: str, n: int) -> _Pair:
 
     Indices in the memo are looked up; the index just past its end is one
     exact step, which is appended, so that walking n upwards streams; an
-    index further on is jumped to by a product tree and is not stored.
+    index further on is one `top` product tree, reduced once, not stored.
     """
     _check_index(family, n)
     if n > len(_pairs[family]):
-        return _consecutive_values(family, n)[1]
+        ((u, v),), scale = _scaled_pairs(family, n, top=True)
+        return _reduced(u, scale), _reduced(v, scale)
     return _row(family, n).pair
 
 

@@ -273,6 +273,16 @@ class TestLog10Above:
                 h = _log10_above(q)
                 assert Fraction(10) ** (h - 2) < q <= Fraction(10) ** h, (num, den)
 
+    def test_unreduced_ratio_within_two_above_log10(self):
+        rng = random.Random(5)
+        for digits in (1, 50, 3_000):
+            for num in _sizes(digits, rng):
+                for den in _sizes(digits + rng.randrange(30), rng):
+                    common = rng.getrandbits(rng.choice((1, 64, 4_000))) + 1
+                    h = _log10_above((num * common, den * common))
+                    q = Fraction(num, den)
+                    assert Fraction(10) ** (h - 2) < q <= Fraction(10) ** h, (num, den)
+
 
 class TestIntegral:
     def test_n0_is_eight_catalan(self, catalan_200):

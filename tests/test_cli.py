@@ -363,6 +363,24 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("precision error:")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["cf", "--help"], ["digits", "-h"]])
+    def test_help_exits_zero_with_help_on_stdout(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "aperylike.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: aperylike") and proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["cf", "--family", "zeta4"], []])
+    def test_unknown_command_or_missing_option_still_exits_two(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "aperylike.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error:" in proc.stderr
+
     def test_exit_code_table(self):
         assert EXIT_CODES == {
             "ok": 0,

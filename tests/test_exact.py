@@ -524,3 +524,85 @@ class TestDecimalHelpers:
         with mp.workdps(5):
             _, man, exp, _ = (mpf(q.numerator) / mpf(q.denominator))._mpf_
         assert abs(Fraction(man) * Fraction(2) ** exp - q) > self.half_ulp(q, 5)
+
+
+def fraction_decimal_string(q: Fraction, places: int) -> str:
+    """`places` digits of q after the point, rounded to nearest, ties to even,
+    by Fraction arithmetic: the reference for the one integer division of
+    `decimal_string` on an unreduced ratio."""
+    scaled = abs(q) * 10**places
+    whole, rem = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rem > scaled.denominator or (2 * rem == scaled.denominator and whole % 2):
+        whole += 1
+    text = str(whole).rjust(places + 1, "0")
+    return ("-" if q < 0 else "") + (f"{text[:-places]}.{text[-places:]}" if places else text)
+
+
+class TestUnreducedRatios:
+    """to_mpf and decimal_string of (num, den) pairs that share a factor
+    round as the reduced rational does."""
+
+    @staticmethod
+    def ratios(digits):
+        """Unreduced (num, den > 0): random ones of 200 to 20,000 bits, exact
+        and near ties of rounding to the `digits`-digit binary precision, and
+        of rounding to `digits` decimal places, and zero."""
+        from mpmath import mp
+
+        with mp.workdps(digits):
+            prec = mp.prec
+        rng = random.Random(digits)
+        out = [(0, 3 * 2**300)]
+        for bits in (200, 1000, 5000, 20000):
+            for _ in range(25):
+                common = rng.getrandbits(bits // 4) + 1
+                num = rng.choice((-1, 1)) * rng.getrandbits(bits)
+                den = rng.getrandbits(bits - rng.randrange(-200, 200)) + 1
+                out.append((num * common, den * common))
+        for _ in range(20):
+            common = rng.getrandbits(rng.choice((200, 2000, 20000))) + 1
+            sign = rng.choice((-1, 1))
+            # (2M+1) / 2^t with M of prec bits lies halfway between two floats
+            tie, shift = 2 * (rng.getrandbits(prec - 1) | 1 << (prec - 1)) + 1, rng.randrange(300)
+            den = 1 << (shift + rng.randrange(-40, 40) + 40)
+            out += [(sign * ((tie << shift) + d) * common, den * common) for d in (0, 1, -1)]
+            # (2w+1) / (2 10^digits) lies halfway between two decimals
+            tie, scale = 2 * rng.getrandbits(rng.choice((8, 200, 2000))) + 1, 2**rng.randrange(200)
+            den = 2 * 10**digits * scale
+            out += [(sign * (tie * scale + d) * common, den * common) for d in (0, 1, -1)]
+        return out
+
+    @pytest.mark.parametrize("digits", [10, 35, 300])
+    def test_to_mpf_equals_from_rational(self, digits):
+        from mpmath import mp
+        from mpmath.libmp import from_rational, round_nearest
+
+        for num, den in self.ratios(digits):
+            with mp.workdps(digits):
+                want = from_rational(num, den, mp.prec, round_nearest)
+            assert to_mpf((num, den), digits)._mpf_ == want, (num, den)
+            assert to_mpf(Fraction(num, den), digits)._mpf_ == want, (num, den)
+
+    @pytest.mark.parametrize("digits", [10, 35, 300])
+    def test_decimal_string_equals_the_reduced_fraction(self, digits):
+        for num, den in self.ratios(digits):
+            want = fraction_decimal_string(Fraction(num, den), digits)
+            assert decimal_string((num, den), digits) == want, (num, den)
+            assert decimal_string(Fraction(num, den), digits) == want, (num, den)
+
+    def test_ties_are_in_the_cases(self):
+        # the exact binary and decimal ties above do lie halfway
+        from mpmath import mp
+
+        for digits in (10, 35, 300):
+            with mp.workdps(digits):
+                prec = mp.prec
+            binary = decimal = 0
+            for num, den in self.ratios(digits):
+                q = abs(Fraction(num, den)) * 10**digits
+                decimal += q.denominator == 2
+                # odd / 2^k, the odd part of prec + 1 bits
+                q = abs(Fraction(num, den))
+                odd = q.numerator >> ((q.numerator & -q.numerator).bit_length() - 1) if q else 0
+                binary += q.denominator.bit_count() == 1 and odd.bit_length() == prec + 1
+            assert decimal >= 20 and binary >= 20, (digits, decimal, binary)

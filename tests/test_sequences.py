@@ -15,8 +15,8 @@ from aperylike.exact import horner_int
 from aperylike.sequences import (
     RECURRENCES,
     _CATALAN_P,
-    _advance,
-    _consecutive_values,
+    _carried,
+    _scaled_pairs,
     _values,
     asymptotic_report,
     catalan_pair,
@@ -41,6 +41,17 @@ def cold_memo(monkeypatch):
     are put back afterwards."""
     for family in RECURRENCES:
         monkeypatch.setitem(sequences._pairs, family, sequences._pairs[family][:2])
+
+
+def over(rows, scale):
+    """Integer pairs over a common scale as pairs of Fractions."""
+    return tuple(tuple(Fraction(x, scale) for x in pair) for pair in rows)
+
+
+def consecutive(family, n):
+    """The pairs at n-1 and n, from `_scaled_pairs`."""
+    (current, previous), scale = _scaled_pairs(family, n)
+    return over((previous, current), scale)
 
 
 def twin_texts(family, n):
@@ -241,7 +252,7 @@ class TestProductTree:
     def test_equals_stepping_from_a_cold_memo(self, family, cold_memo):
         reference = stepped_pairs(family, max(self.INDICES))
         for n in self.INDICES:
-            assert _consecutive_values(family, n) == (reference[n - 1], reference[n])
+            assert consecutive(family, n) == (reference[n - 1], reference[n])
             assert _values(family, n) == reference[n]
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
@@ -251,7 +262,7 @@ class TestProductTree:
             _values(family, n)
         assert len(sequences._pairs[family]) == 7
         for n in self.INDICES:
-            assert _consecutive_values(family, n) == (reference[n - 1], reference[n])
+            assert consecutive(family, n) == (reference[n - 1], reference[n])
             assert _values(family, n) == reference[n]
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
@@ -259,7 +270,7 @@ class TestProductTree:
         for n in range(5):
             _values(family, n)
         _values(family, 400)
-        _consecutive_values(family, 401)
+        _scaled_pairs(family, 401)
         assert len(sequences._pairs[family]) == 5
         # the index just past the end is still one step, and is stored
         _values(family, 5)
@@ -308,19 +319,29 @@ class TestProductTree:
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
-            _consecutive_values("catalan", 0)
+            _scaled_pairs("catalan", 0)
 
     # (m, n): one-leaf spans, spans from m = 1, and a long span
     SPANS = ((1, 2), (2, 3), (7, 8), (999, 1000), (1, 3), (1, 60), (30, 47), (7, 1000))
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_advance_equals_stepping(self, family):
+        # one tree carries the pairs at m and m-1, over the lcm of their
+        # denominators, to n and n-1 over that times the leads; one leaf
+        # after another does too
         reference = stepped_pairs(family, 1000)
         for m, n in self.SPANS:
-            got = _advance(family, m, n, reference[m - 1], reference[m])
-            # Fraction == compares numerator and denominator, so a value
-            # left unreduced fails too
-            assert got == (reference[n - 1], reference[n]), (m, n)
+            scale = math.lcm(*(x.denominator for k in (m - 1, m) for x in reference[k]))
+            start = tuple(tuple(int(x * scale) for x in reference[k]) for k in (m, m - 1))
+            rows, divisor = _carried(family, m, n, start)
+            assert over(rows, divisor * scale) == (reference[n], reference[n - 1]), (m, n)
+            top, top_divisor = _carried(family, m, n, start, top=True)
+            assert top == rows[:1] and top_divisor == divisor, (m, n)
+            rows = start
+            for k in range(m, n):
+                rows, lead = _carried(family, k, k + 1, rows)
+                scale *= lead
+            assert over(rows, scale) == (reference[n], reference[n - 1]), (m, n)
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_advance_leaves_the_memo_as_it_is(self, family, cold_memo):
@@ -328,11 +349,69 @@ class TestProductTree:
             _values(family, n)
         memo = sequences._pairs[family]
         before = list(memo)
-        reference = stepped_pairs(family, 8)
-        for m, n in ((7, 8), (8, 9), (8, 300), (1, 200)):
-            _advance(family, m, n, reference[m - 1], reference[m])
+        # inside the memo, at its last row, one past it and far past it
+        for n in (1, 5, 8, 9, 10, 300):
+            rows, _ = _scaled_pairs(family, n)
+            _carried(family, n, n + 1, rows)
+            _scaled_pairs(family, n, top=True)
         assert sequences._pairs[family] is memo
         assert len(memo) == len(before) and all(a is b for a, b in zip(memo, before))
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    @pytest.mark.parametrize("walked", [2, 250], ids=["cold", "walked-to-250"])
+    def test_scaled_pairs_and_one_step_equal_stepping_to_400(self, family, walked, cold_memo):
+        reference = stepped_pairs(family, 401)
+        for n in range(walked):
+            _values(family, n)
+        memo = sequences._pairs[family]
+        before = list(memo)
+        for n in range(1, 401):
+            rows, scale = _scaled_pairs(family, n)
+            assert scale > 0 and over(rows, scale) == (reference[n], reference[n - 1]), n
+            top, top_scale = _scaled_pairs(family, n, top=True)
+            assert top_scale == scale and top == rows[:1], n
+            stepped, lead = _carried(family, n, n + 1, rows)
+            assert lead == recurrence_coefficients(family, n)[0]
+            assert over(stepped, lead * scale) == (reference[n + 1], reference[n]), n
+        assert sequences._pairs[family] is memo
+        assert len(memo) == len(before) and all(a is b for a, b in zip(memo, before))
+
+
+class TestNoReduction:
+    """Deep paths read the unreduced integers of one product tree; only a
+    deep pair reduces, once per value."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch, cold_memo):
+        calls = []
+        original = sequences._reduced
+
+        def counted(num, den):
+            calls.append((num, den))
+            return original(num, den)
+
+        monkeypatch.setattr(sequences, "_reduced", counted)
+        return calls
+
+    def test_digits_linear_form_and_cf_reduce_nothing(self, reductions, capsys):
+        from aperylike import analytic, cli
+
+        analytic.catalan_digits(600)
+        analytic.zeta4_digits(600)
+        analytic.linear_form("catalan", 300, 20)
+        analytic.linear_form("zeta4", 200, 20)
+        sequences.asymptotic_report("catalan", 150, 10)
+        analytic.cf_convergent("catalan", 250)
+        assert cli.run(["cf", "--family", "zeta4", "--n", "300"]).status == "ok"
+        assert cli.run(["digits", "--constant", "catalan", "--digits", "300"]).status == "ok"
+        capsys.readouterr()
+        assert reductions == []
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_a_deep_pair_reduces_twice(self, reductions, family):
+        item = sequences.pair(family, 500)
+        assert len(reductions) == 2
+        assert (item.u, item.v) == stepped_pairs(family, 500)[500]
 
 
 class TestDecimalTwins:
@@ -422,7 +501,7 @@ class TestDecimalTwins:
             _values(family, n)
         item = sequences.pair(family, 300)
         report = check_inclusions(family, 300, "strong")
-        _consecutive_values(family, 301)
+        _scaled_pairs(family, 301)
         # the jumps store nothing; printing row 300 walks the memo up to it
         assert len(sequences._pairs[family]) == 10
         assert sequences.row_texts(family, 300) == (str(item.u), str(item.v))
@@ -432,7 +511,7 @@ class TestDecimalTwins:
 
 def casoratian(family, n):
     """u_n v_{n+1} - u_{n+1} v_n."""
-    (u_n, v_n), (u_next, v_next) = _consecutive_values(family, n + 1)
+    (u_n, v_n), (u_next, v_next) = consecutive(family, n + 1)
     return u_n * v_next - u_next * v_n
 
 
