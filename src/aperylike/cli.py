@@ -11,8 +11,9 @@ floats appear only as `mp.nstr` strings at the stated digits.  `pair`,
 str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
-read from the decimal numbers in each memo row (`sequences.row_texts` and
-`witness_texts`), so their rows print in linear time and at any size.
+read from decimal twins: of the memo rows (`sequences.row_texts`) and of the
+cleared values that `check` streams (`witness_texts`), so their rows print
+in linear time and at any size.
 `pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
 int->str limit they exit 2.
 

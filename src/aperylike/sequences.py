@@ -18,25 +18,22 @@ whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 
 RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
 back(n) and its initial pairs; stepping, the telescoping certificate's
-weights and the continued fractions all read it.  Everything is exact
-rational arithmetic.  A step is the one-leaf product tree of the 2x2 step
-matrices.  The memo grows one step at a time, each new value one integer
-over one denominator, reduced once, the gcd's power of 2 read from the bits,
-so walking n upwards (range, check) streams.  A deep index past its end is
-one product tree (binary splitting) applied to the memo's last two rows, and
-is not stored: `_scaled_pairs` returns the pairs as integers over one common
-scale S, x = N/S, and `_carried` takes them further, neither reducing
-anything.  Ratios, digits and linear forms read those integers directly;
-only `_values` reduces, and only the pair it returns.  The integrality
-checks multiply by the clearing factors and test exactly.
+weights and the continued fractions all read it.  Everything is exact.  A
+step is the one-leaf product tree of the 2x2 step matrices.  The memo grows
+one step at a time, each new value reduced once, the gcd's power of 2 read
+from the bits, so walking n upwards (range) streams.  Beside each value a
+memo row holds its numerator and denominator as `decimal.Decimal` integers,
+stepped with the same weights and gcd, from which `row_texts` prints with no
+int->str conversion, which CPython does in quadratic time and refuses past
+4,300 digits.  A deep index is one product tree (binary splitting) from the
+memo's last two rows, not stored: `_scaled_pairs` gives the pairs as
+integers over one common scale, and `_carried` takes them further, neither
+reducing.  Only `_values` reduces, and only the pair it returns.
 
-A memo row holds the exact pair and, beside it, every numerator and
-denominator as a `decimal.Decimal` integer, stepped with the same small
-weights and divided by the same gcd as the integers, so in time linear in its
-digits.  `row_texts` and `witness_texts` print rows and witnesses from the
-memo, walking it up to the row first if it is short, with no int->str
-conversion, which CPython does in quadratic time and refuses past 4,300
-digits.
+`check_inclusions` neither grows the memo nor reduces a pair: it streams the
+cleared integers F x, F the clearing factors, in a carry of the last two
+rows per (family, mode), stepped with small weights and restarted from
+`_scaled_pairs` on a jump; `witness_texts` prints them from decimal twins.
 """
 
 from __future__ import annotations
@@ -226,7 +223,7 @@ def _combined(
 def _exact_quotient(x: Decimal, g: Decimal) -> Decimal:
     quotient, remainder = _EXACT.divmod(x, g)
     if remainder:
-        raise ArithmeticError("a decimal memo value is not divisible by its step's gcd")
+        raise ArithmeticError("a decimal twin is not divisible by its step's gcd")
     return quotient
 
 
@@ -363,30 +360,81 @@ def _clearing_factors(family: str, n: int, mode: str) -> tuple[int, int]:
     return 1, d_n**4
 
 
-def _cleared(x: Fraction, factor: int) -> int | None:
-    """factor * x if it is an integer, else None.  x is reduced, so that
-    holds exactly when its denominator divides the factor: one divmod, no
-    gcd."""
-    quotient, remainder = divmod(factor, x.denominator)
-    return x.numerator * quotient if remainder == 0 else None
+class _Cleared(NamedTuple):
+    """W = F x for a value x and its clearing factor F: num/den in lowest
+    terms, den 1 exactly when F clears x, and num as a decimal integer."""
+
+    num: int
+    den: int
+    text: Decimal
+    factor: int
+
+
+#: Per (family, mode), n and the cleared (u, v) at n and at n-1 (or None),
+#: each by its own F; replaced whole under `_cache_lock`: a lost race costs a restart.
+_carries: dict[tuple[str, str], tuple[int, tuple[_Cleared, ...], tuple[_Cleared, ...] | None]] = {}
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int, int]:
+    """(num/g, den/g, g), g = gcd(num, den), den > 0: one divmod, and a gcd
+    of its remainder, no wider than den, only if den does not divide num."""
+    quotient, remainder = divmod(num, den)
+    if not remainder:
+        return quotient, 1, den
+    g = math.gcd(remainder, den)
+    return num // g, den // g, g
+
+
+def _clear(terms: list[tuple[int, _Cleared]], divisor: int, factor: int) -> _Cleared:
+    """F (c_1 x_1 + c_2 x_2) / divisor from terms (c_i, W_i = F_i x_i): the
+    W_i weighted by c_i F/F_i, exact, over one denominator, which with the
+    package's factors is small, and so is the only gcd; the twin likewise."""
+    ratios = [_lowest_terms(factor, w.factor) for _, w in terms]
+    dens = [q * w.den for (_, q, _), (_, w) in zip(ratios, terms)]
+    common = math.lcm(*dens)
+    weights = [c * p * (common // d) for (c, _), (p, _, _), d in zip(terms, ratios, dens)]
+    num = sum(x * w.num for x, (_, w) in zip(weights, terms))
+    num, den, g = _lowest_terms(num, divisor * common)
+    with decimal.localcontext(_EXACT):
+        text = sum(w.text * x for x, (_, w) in zip(weights, terms))
+    return _Cleared(num, den, text if g == 1 else _exact_quotient(text, Decimal(g)), factor)
+
+
+def _carry(family: str, n: int, mode: str) -> tuple[_Cleared, ...]:
+    """The cleared (u, v) at n, the carry of (family, mode) moved there (if
+    not already at n, the mode checked first) and stored under the lock.
+    From n-1 >= 1 it takes one step by the top row of the leaf M_{n-1}, in
+    time linear in the digits, W_n = (mid (F_n/F_{n-1}) W_{n-1} +
+    back (F_n/F_{n-2}) W_{n-2}) / lead.  Any other n restarts it at rows n
+    and n-1 from the integers of `_scaled_pairs` (memo rows, or a product
+    tree past the memo's end): one divmod per value, no gcd when F clears
+    it, one conversion to decimal."""
+    last, cur, prev = _carries.get((family, mode), (-1, None, None))
+    if last == n:
+        return cur
+    factors = _clearing_factors(family, n, mode)
+    if prev is not None and last == n - 1:
+        (row,), lead = _matrix_product(family, n - 1, n, top=True)
+        cur, prev = tuple(_clear([*zip(row, w)], lead, f) for f, *w in zip(factors, cur, prev)), cur
+    else:  # a restart, row n-1 by F_n too; u_0 and v_0 are integers
+        ints, scale = _scaled_pairs(family, n) if n else ((map(int, _pairs[family][0].pair),), 1)
+        rows = [[(*_lowest_terms(f * x, scale)[:2], f) for x, f in zip(xs, factors)] for xs in ints]
+        rows = [tuple(_Cleared(a, b, Decimal(a), f) for a, b, f in r) for r in rows]
+        cur, prev = (*rows, None)[:2]
+    with _cache_lock:
+        _carries[family, mode] = n, cur, prev
+    return cur
 
 
 def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionReport:
-    """Multiply (u_n, v_n) by the mode's clearing factors and test integrality."""
-    # validate the family and the mode before the pair, which may be costly
-    _check_family(family)
-    factor_u, factor_v = _clearing_factors(family, n, mode)
-    u, v = _values(family, n)
-    witness_u, witness_v = _cleared(u, factor_u), _cleared(v, factor_v)
-    return InclusionReport(
-        family=family,
-        n=n,
-        mode=mode,
-        pass_u=witness_u is not None,
-        pass_v=witness_v is not None,
-        witness_u=witness_u,
-        witness_v=witness_v,
-    )
+    """Whether the mode's clearing factors F make F u_n and F v_n integers,
+    the witnesses.  Walking n upwards streams: each call steps the carry of
+    the last two cleared rows once, with small weights; any other n restarts
+    it.  No reduced pair is formed, and the memo does not grow."""
+    _check_index(family, n)
+    u, v = _carry(family, n, mode)
+    witness_u, witness_v = (w.num if w.den == 1 else None for w in (u, v))
+    return InclusionReport(family, n, mode, u.den == 1, v.den == 1, witness_u, witness_v)
 
 
 # -- printing rows and witnesses ---------------------------------------------
@@ -406,15 +454,11 @@ def row_texts(family: str, n: int) -> tuple[str, str]:
 
 
 def witness_texts(report: InclusionReport) -> tuple[str, str]:
-    """The report's witnesses as decimal strings, "" for a failing one.  A
-    witness is x.numerator times the small integer factor // x.denominator,
-    so it is formed in decimal from memo row n (the memo first walked up to n
-    if it is short) and no int is converted."""
-    row = _row(report.family, report.n)
-    return tuple(
-        "" if w is None else str(_EXACT.multiply(a, Decimal(w // x.numerator if w else 0)))
-        for w, x, (a, _) in zip((report.witness_u, report.witness_v), row.pair, (row.u, row.v))
-    )
+    """The report's witnesses as decimal strings, "" for a failing one, from
+    the decimal twins of the carry, moved first to the report's index if it
+    holds another: no int->str conversion, at any size."""
+    cur = _carry(report.family, report.n, report.mode)
+    return tuple("" if w.den != 1 else str(w.text) for w in cur)
 
 
 # -- measured growth rates -----------------------------------------------------

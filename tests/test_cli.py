@@ -102,6 +102,24 @@ class TestRowsPastTheIntStrLimit:
         assert (record["witness_u"], record["witness_v"]) == (str(item.u), str(item.v * d_n**4))
         assert len(record["witness_v"]) > 4300
 
+    def test_check_proved(self, no_int_str_limit):
+        argv = ["check", "--family", "catalan", "--n-max", "1200", "--mode", "proved"]
+        proc = run_subprocess(argv)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1201
+        from aperylike.sequences import _clearing_factors, catalan_pair
+
+        item = catalan_pair(1200)
+        factor_u, factor_v = _clearing_factors("catalan", 1200, "proved")
+        record = json.loads(lines[-1])
+        assert record["n"] == 1200 and record["pass_u"] and record["pass_v"]
+        assert (record["witness_u"], record["witness_v"]) == (
+            str(item.u * factor_u),
+            str(item.v * factor_v),
+        )
+        assert len(record["witness_v"]) > 4300
+
 
 class TestCheck:
     def test_json_rows_and_status(self, capsys):

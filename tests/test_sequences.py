@@ -37,10 +37,11 @@ def recurrence_residual(family, n):
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """Give both families a memo holding only their initial rows; both memos
-    are put back afterwards."""
+    """Give both families a memo holding only their initial rows, and
+    `check_inclusions` no carry; all are put back afterwards."""
     for family in RECURRENCES:
         monkeypatch.setitem(sequences._pairs, family, sequences._pairs[family][:2])
+    monkeypatch.setattr(sequences, "_carries", {})
 
 
 def over(rows, scale):
@@ -407,6 +408,26 @@ class TestNoReduction:
         capsys.readouterr()
         assert reductions == []
 
+    def test_check_reduces_nothing_and_stores_no_row(self, reductions, monkeypatch, capsys):
+        from aperylike import cli
+
+        gcds = []
+        common_divisor = sequences._common_divisor
+
+        def counted(num, den):
+            gcds.append((num, den))
+            return common_divisor(num, den)
+
+        monkeypatch.setattr(sequences, "_common_divisor", counted)
+        for family in RECURRENCES:
+            for mode in sequences.MODES:
+                argv = ["check", "--family", family, "--n-max", "1000", "--mode", mode]
+                assert cli.run(argv).status == "ok"
+                capsys.readouterr()
+            assert check_inclusions(family, 1500, "strong").ok
+            assert len(sequences._pairs[family]) == 2
+        assert reductions == [] and gcds == []
+
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_a_deep_pair_reduces_twice(self, reductions, family):
         item = sequences.pair(family, 500)
@@ -415,7 +436,8 @@ class TestNoReduction:
 
 
 class TestDecimalTwins:
-    """Each memo row's decimal twin, which range and check print."""
+    """The decimal twins that range prints from memo rows and check from its
+    carry."""
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_equal_str_of_every_row_to_1200(self, family, cold_memo, no_int_str_limit):
@@ -591,16 +613,127 @@ class TestInclusions:
 
     def test_bad_mode_rejected(self, monkeypatch):
         # before the pair, which at a deep index takes minutes to compute
-        def unreachable(family, n):
+        def unreachable(*args, **kwargs):
             raise AssertionError("the pair was computed before the mode was checked")
 
         monkeypatch.setattr(sequences, "_values", unreachable)
+        monkeypatch.setattr(sequences, "_scaled_pairs", unreachable)
+        monkeypatch.setattr(sequences, "_carries", {})
         with pytest.raises(ValueError, match="unknown mode"):
             check_inclusions("catalan", 200_000, "bogus")
+
+    @pytest.mark.parametrize("mode", ["proved", "bogus"])
+    def test_negative_index_rejected(self, mode):
+        # the index is checked first, before the mode and any helper
+        with pytest.raises(ValueError, match="sequence index must be nonnegative"):
+            check_inclusions("catalan", -1, mode)
 
     def test_bad_family_rejected(self):
         with pytest.raises(ValueError):
             check_inclusions("zeta5", 1, "proved")
+
+
+def cleared_reference(family, mode, n):
+    """(pass_u, pass_v, witness_u, witness_v) of F x by the Fraction route,
+    F = `_clearing_factors`, x from one Fraction step at a time."""
+    factors = sequences._clearing_factors(family, n, mode)
+    cleared = [x * f for x, f in zip(stepped_pairs(family, n)[n], factors)]
+    passes = [c.denominator == 1 for c in cleared]
+    return (*passes, *(c.numerator if ok else None for c, ok in zip(cleared, passes)))
+
+
+def checked(family, mode, n):
+    """The report's fields from pass_u on, and its witness texts."""
+    report = check_inclusions(family, n, mode)
+    return tuple(report[3:]), sequences.witness_texts(report)
+
+
+def expected(family, mode, n):
+    fields = cleared_reference(family, mode, n)
+    return fields, tuple("" if w is None else str(w) for w in fields[2:])
+
+
+KEYS = [(family, mode) for family in RECURRENCES for mode in sequences.MODES]
+
+
+class TestCheckCarry:
+    """`check_inclusions` steps the cleared values of its last two rows, or
+    restarts them, in any order of calls: each report and its witness texts
+    equal F x by the Fraction route."""
+
+    @pytest.mark.parametrize("family, mode", KEYS)
+    def test_ascending_from_a_cold_memo(self, family, mode, cold_memo):
+        for n in range(401):
+            assert checked(family, mode, n) == expected(family, mode, n), n
+        assert len(sequences._pairs[family]) == 2
+
+    @pytest.mark.parametrize("family, mode", KEYS)
+    def test_descending(self, family, mode, cold_memo):
+        for n in range(400, -1, -1):
+            assert checked(family, mode, n) == expected(family, mode, n), n
+
+    @pytest.mark.parametrize("family, mode", KEYS)
+    def test_a_jump_then_steps(self, family, mode, cold_memo):
+        for n in (0, 300, 301, 302):
+            assert checked(family, mode, n) == expected(family, mode, n), n
+
+    @pytest.mark.parametrize("family, mode", KEYS)
+    def test_a_jump_builds_one_tree(self, family, mode, cold_memo, monkeypatch):
+        # the restart keeps rows n and n-1, so the step after it, a repeated
+        # call and the witness texts build no second tree
+        calls = []
+        scaled_pairs = sequences._scaled_pairs
+
+        def counted(family, n, top=False):
+            calls.append(n)
+            return scaled_pairs(family, n, top)
+
+        monkeypatch.setattr(sequences, "_scaled_pairs", counted)
+        first = checked(family, mode, 600)
+        assert checked(family, mode, 600) == first == expected(family, mode, 600)
+        assert checked(family, mode, 601) == expected(family, mode, 601)
+        assert calls == [600]
+
+    def test_keys_interleaved(self, cold_memo):
+        for n in range(201):
+            for family, mode in KEYS:
+                assert checked(family, mode, n) == expected(family, mode, n), (family, mode, n)
+
+    def test_within_a_long_memo(self, cold_memo):
+        for n in range(300):
+            sequences.pair("zeta4", n)
+        for n in (299, 250, 251, 252, 0, 1, 2):
+            assert checked("zeta4", "proved", n) == expected("zeta4", "proved", n), n
+
+    def test_threads_match_a_sequential_run(self, cold_memo):
+        # the main thread and a third thread stream one key, two threads
+        # stream two others
+        main, other, third = KEYS[0], KEYS[1], KEYS[3]
+        keys = [other, third, main]
+        n_max = 150
+        sequential = {key: [checked(*key, n) for n in range(n_max + 1)] for key in KEYS}
+        for key, rows in sequential.items():
+            assert rows == [expected(*key, n) for n in range(n_max + 1)], key
+        sequences._carries.clear()
+        results = {}
+
+        def stream(index, key):
+            results[index] = [checked(*key, n) for n in range(n_max + 1)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=stream, args=item) for item in enumerate(keys)]
+            for thread in threads:
+                thread.start()
+            stream(len(keys), main)
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, key in enumerate(keys + [main]):
+            assert results[index] == sequential[key], key
 
 
 class TestAsymptotics:
