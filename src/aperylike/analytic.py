@@ -50,7 +50,8 @@ class DigitsResult(NamedTuple):
     is ten times the distance d_n between the last two convergents used.  It
     is a proved upper bound on |C - v_n/u_n|, which the Casoratian argument
     (see linear_form) puts below d_n itself, and it needs no knowledge of C.
-    Both are read from unreduced integers over a scale that cancels in v_n/u_n.
+    Both are read from unreduced values: integers over a scale that cancels
+    in v_n/u_n, from one product tree whose nodes have dropped their content.
     """
 
     constant: str

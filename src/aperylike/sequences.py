@@ -26,9 +26,10 @@ memo row holds its numerator and denominator as `decimal.Decimal` integers,
 stepped with the same weights and gcd, from which `row_texts` prints with no
 int->str conversion, which CPython does in quadratic time and refuses past
 4,300 digits.  A deep index is one product tree (binary splitting) from the
-memo's last two rows, not stored: `_scaled_pairs` gives the pairs as
-integers over one common scale, and `_carried` takes them further, neither
-reducing.  Only `_values` reduces, and only the pair it returns.
+memo's last two rows, not stored, each node divided by its content:
+`_scaled_pairs` gives the pairs as integers over one common scale, and
+`_carried` takes them further, neither reducing a value.  Only `_values`
+reduces, and only the pair it returns.
 
 `check_inclusions` neither grows the memo nor reduces a pair: it streams the
 cleared integers F x, F the clearing factors, in a carry of the last two
@@ -259,11 +260,21 @@ def _row(family: str, n: int) -> _Row:
 _Rows = tuple[tuple[int, int], ...]
 
 
+def _content_free(rows: _Rows, divisor: int) -> tuple[_Rows, int]:
+    """rows and divisor divided by their content c = gcd(divisor, entries);
+    the divisor goes first, so each later gcd is against a narrower number."""
+    c = math.gcd(divisor, *(x for row in rows for x in row))
+    return tuple(tuple(x // c for x in row) for row in rows), divisor // c
+
+
 def _matrix_product(family: str, lo: int, hi: int, top: bool = False) -> tuple[_Rows, int]:
-    """The rows of M_{hi-1} ... M_lo, only the top one when `top`, and
-    lead_lo ... lead_{hi-1} (lo < hi).  Runs of up to 8 leaves are multiplied
-    in sequence, in small ints, longer spans in a balanced tree, where
-    top(U L) = top(U) L: a `top` tree drops the lower rows of its upper spine.
+    """Integer rows R and a divisor D > 0, R/D = M_{hi-1} ... M_lo over
+    lead_lo ... lead_{hi-1}, only the top row when `top` (lo < hi).  Runs of
+    up to 8 leaves are multiplied in sequence, in small ints, D the product
+    of their leads; longer spans in a balanced tree, where top(U L) =
+    top(U) L: a `top` tree drops the lower rows of its upper spine.  Each
+    tree node drops its content (Cheng, Hanrot, Thome, Zima & Zimmermann
+    2007): its integers stay near the clearing factors, not the leads' product.
 
     M_k = [[mid_k, back_k], [lead_k, 0]] maps (x_k, x_{k-1}) to
     lead_k (x_{k+1}, x_k): the one-leaf product is one recurrence step.
@@ -278,16 +289,17 @@ def _matrix_product(family: str, lo: int, hi: int, top: bool = False) -> tuple[_
         assert divisor > 0  # _CATALAN_P has negative discriminant
         return ((a, b),) if top else ((a, b), (c, d)), divisor
     half = (lo + hi) // 2
-    upper, upper_lead = _matrix_product(family, half, hi, top)
-    ((e, f), (g, h)), lower_lead = _matrix_product(family, lo, half)
-    return tuple((x * e + y * g, x * f + y * h) for x, y in upper), upper_lead * lower_lead
+    upper, upper_divisor = _matrix_product(family, half, hi, top)
+    ((e, f), (g, h)), lower_divisor = _matrix_product(family, lo, half)
+    rows = tuple((x * e + y * g, x * f + y * h) for x, y in upper)
+    return _content_free(rows, upper_divisor * lower_divisor)
 
 
 def _carried(family: str, m: int, n: int, rows: _Rows, top: bool = False) -> tuple[_Rows, int]:
     """The integer pairs at n and n-1, only n when `top`, from `rows` at m and
-    m-1 (1 <= m < n) by one product tree M_{n-1} ... M_m, and
-    D = lead_m ... lead_{n-1}: over D S where `rows` are over S.  Nothing is
-    reduced; one leaf is the step N_{m+1} = mid_m N_m + back_m N_{m-1}."""
+    m-1 (1 <= m < n) by one product tree M_{n-1} ... M_m, and its divisor D:
+    over D S where `rows` are over S.  No value is reduced; one leaf is the
+    step N_{m+1} = mid_m N_m + back_m N_{m-1}, over D = lead_m."""
     matrix, divisor = _matrix_product(family, m, n, top)
     pairs = tuple(zip(*rows))  # (N_k, N_{k-1}) for u, then for v
     return tuple(tuple(a * x + b * y for x, y in pairs) for a, b in matrix), divisor
@@ -295,10 +307,10 @@ def _carried(family: str, m: int, n: int, rows: _Rows, top: bool = False) -> tup
 
 def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
     """The pairs at n and n-1 (n >= 1), only n when `top`, as integers over
-    one common scale S > 0, and S; nothing is reduced, the memo is unchanged.
+    one common scale S > 0, and S; no value is reduced, the memo is unchanged.
     Inside the memo S is the lcm of the denominators of rows n and n-1; past
     its end one product tree (binary splitting, Haible & Papanikolaou 1998)
-    carries its last two rows, over the lcm of theirs, to n."""
+    carries its last two rows to n, over their lcm times the tree's divisor."""
     if n < 1:
         raise ValueError("consecutive pairs need n >= 1")
     table = _pairs[family]
@@ -317,7 +329,8 @@ def _values(family: str, n: int) -> _Pair:
 
     Indices in the memo are looked up; the index just past its end is one
     exact step, which is appended, so that walking n upwards streams; an
-    index further on is one `top` product tree, reduced once, not stored.
+    index further on is one `top` product tree, whose nodes drop their
+    content, reduced once per value, not stored.
     """
     _check_index(family, n)
     if n > len(_pairs[family]):

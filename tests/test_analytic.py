@@ -1,7 +1,9 @@
 """Reference constants, digit extraction, continued fractions, integral, series."""
 
+import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -215,6 +217,35 @@ class TestDigitsMatchStepping:
         assert (result.value, result.n_used, result.error_bound) == digits_by_stepping(
             family, 300
         )
+
+
+class TestDeepDigitsPinned:
+    # SHA-256 of `value`, n_used and nstr(error_bound, 6): how the product
+    # tree scales its integers must move no digit, no index and no bound
+    PINNED = {
+        "catalan": (
+            "51792f08db7ed297647fe35b4d2635eb5975dc50d5c325bae3c2019ff30d1e17",
+            9579,
+            "2.2529e-20018",
+        ),
+        "zeta4": (
+            "b089310db0f6f1d925ecf89b0dfb1d263800123960ee3b7b0572fad385a2a3a8",
+            5836,
+            "2.4182e-20026",
+        ),
+    }
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_twenty_thousand_digits(self, family):
+        extract = catalan_digits if family == "catalan" else zeta4_digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the value has 20,001 digits
+        try:
+            result = extract(20000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        digest = hashlib.sha256(result.value.encode()).hexdigest()
+        assert (digest, result.n_used, mp.nstr(result.error_bound, 6)) == self.PINNED[family]
 
 
 class TestContinuedFractions:

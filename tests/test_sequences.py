@@ -337,7 +337,7 @@ class TestProductTree:
             rows, divisor = _carried(family, m, n, start)
             assert over(rows, divisor * scale) == (reference[n], reference[n - 1]), (m, n)
             top, top_divisor = _carried(family, m, n, start, top=True)
-            assert top == rows[:1] and top_divisor == divisor, (m, n)
+            assert over(top, top_divisor) == over(rows[:1], divisor), (m, n)
             rows = start
             for k in range(m, n):
                 rows, lead = _carried(family, k, k + 1, rows)
@@ -370,17 +370,46 @@ class TestProductTree:
             rows, scale = _scaled_pairs(family, n)
             assert scale > 0 and over(rows, scale) == (reference[n], reference[n - 1]), n
             top, top_scale = _scaled_pairs(family, n, top=True)
-            assert top_scale == scale and top == rows[:1], n
+            assert over(top, top_scale) == over(rows[:1], scale), n
             stepped, lead = _carried(family, n, n + 1, rows)
             assert lead == recurrence_coefficients(family, n)[0]
             assert over(stepped, lead * scale) == (reference[n + 1], reference[n]), n
         assert sequences._pairs[family] is memo
         assert len(memo) == len(before) and all(a is b for a, b in zip(memo, before))
 
+    # (lo, hi): the longest leaf run, one node over two leaf runs, deeper
+    # trees, an odd offset and the span of `digits --constant catalan --digits 4000`
+    NODE_SPANS = ((1, 9), (1, 10), (1, 17), (30, 47), (500, 1012), (1, 1921))
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_tree_nodes_carry_no_content(self, family):
+        for lo, hi in self.NODE_SPANS:
+            # M_{hi-1} ... M_lo and lead_lo ... lead_{hi-1}, one leaf at a time
+            (a, b), (c, d), leads = (1, 0), (0, 1), 1
+            for k in range(lo, hi):
+                lead, mid, back = recurrence_coefficients(family, k)
+                (a, b), (c, d) = (mid * a + back * c, mid * b + back * d), (lead * a, lead * b)
+                leads *= lead
+            product = over(((a, b), (c, d)), leads)
+            for top in (False, True):
+                rows, divisor = sequences._matrix_product(family, lo, hi, top)
+                if hi - lo <= 8:  # a leaf run keeps the product of the leads
+                    assert (rows, divisor) == (((a, b), (c, d))[: len(rows)], leads)
+                else:
+                    content = math.gcd(divisor, *(x for row in rows for x in row))
+                    assert content == 1, (lo, hi, top)
+                assert over(rows, divisor) == product[: len(rows)], (lo, hi, top)
+
+    def test_deep_scales_are_near_the_clearing_factors(self, cold_memo):
+        # over the product of the leads they would have 125,078 and 51,371 bits
+        assert _scaled_pairs("catalan", 1921)[1].bit_length() < 25_000
+        assert _scaled_pairs("zeta4", 1173)[1].bit_length() < 8_000
+
 
 class TestNoReduction:
-    """Deep paths read the unreduced integers of one product tree; only a
-    deep pair reduces, once per value."""
+    """Deep paths read the unreduced integers of one product tree: values
+    are not reduced; tree nodes lose their content.  Only a deep pair
+    reduces, once per value."""
 
     @pytest.fixture
     def reductions(self, monkeypatch, cold_memo):
@@ -407,6 +436,28 @@ class TestNoReduction:
         assert cli.run(["digits", "--constant", "catalan", "--digits", "300"]).status == "ok"
         capsys.readouterr()
         assert reductions == []
+
+    def test_one_content_gcd_per_internal_node(self, monkeypatch, cold_memo, capsys):
+        from aperylike import analytic, cli
+
+        nodes, gcds = [], []
+        matrix_product, content_free = sequences._matrix_product, sequences._content_free
+
+        def counted_product(family, lo, hi, top=False):
+            if hi - lo > 8:
+                nodes.append((family, lo, hi, top))
+            return matrix_product(family, lo, hi, top)
+
+        def counted_gcd(rows, divisor):
+            gcds.append(divisor)
+            return content_free(rows, divisor)
+
+        monkeypatch.setattr(sequences, "_matrix_product", counted_product)
+        monkeypatch.setattr(sequences, "_content_free", counted_gcd)
+        analytic.catalan_digits(600)
+        assert cli.run(["cf", "--family", "catalan", "--n", "300"]).status == "ok"
+        capsys.readouterr()
+        assert nodes and len(gcds) == len(nodes)
 
     def test_check_reduces_nothing_and_stores_no_row(self, reductions, monkeypatch, capsys):
         from aperylike import cli
