@@ -11,9 +11,10 @@ floats appear only as `mp.nstr` strings at the stated digits.  `pair`,
 str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
-read from decimal twins: of the memo rows (`sequences.row_texts`) and of the
-cleared values that `check` streams (`witness_texts`), so their rows print
-in linear time and at any size.
+printed by one rule from the decimal twins of one row type, stepped by one
+rule: rows of the memo at factor 1 (`sequences.row_texts`) and of the carry
+at the clearing factors (`witness_texts`), so both print in linear time and
+at any size.
 `pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
 int->str limit they exit 2.
 

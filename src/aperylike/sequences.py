@@ -18,23 +18,24 @@ whose ratio converges to zeta(4) = pi^4/90 at roughly 3.43 digits per step.
 
 RECURRENCES holds the one copy of each family's coefficients lead(n), mid(n),
 back(n) and its initial pairs; stepping, the telescoping certificate's
-weights and the continued fractions all read it.  Everything is exact.  A
-step is the one-leaf product tree of the 2x2 step matrices.  The memo grows
-one step at a time, each new value reduced once, the gcd's power of 2 read
-from the bits, so walking n upwards (range) streams.  Beside each value a
-memo row holds its numerator and denominator as `decimal.Decimal` integers,
-stepped with the same weights and gcd, from which `row_texts` prints with no
-int->str conversion, which CPython does in quadratic time and refuses past
-4,300 digits.  A deep index is one product tree (binary splitting) from the
-memo's last two rows, not stored, each node divided by its content:
-`_scaled_pairs` gives the pairs as integers over one common scale, and
-`_carried` takes them further, neither reducing a value.  Only `_values`
-reduces, and only the pair it returns.
+weights and the continued fractions all read it.  Everything is exact.
 
-`check_inclusions` neither grows the memo nor reduces a pair: it streams the
-cleared integers F x, F the clearing factors, in a carry of the last two
-rows per (family, mode), stepped with small weights and restarted from
-`_scaled_pairs` on a jump; `witness_texts` prints them from decimal twins.
+One row type, one step and two stores serve `range` and `check`.  A row is
+(u, v) as cleared values F x: num/den in lowest terms, the factor F, and
+num and den as `decimal.Decimal` integers, the twins from which the row
+prints with no int->str conversion, which CPython does in quadratic time and
+refuses past 4,300 digits.  The step, `_stepped`, is the one-leaf product
+tree of the 2x2 step matrices: small weights, one gcd per value, its power
+of 2 read from the bits, and the twins weighted and divided alike.  The
+memo `_pairs` keeps every row at F = 1 and grows one step at a time, so
+walking n upwards (`row_texts`) streams; the carry `_carries` keeps the last
+two rows at the clearing factors per (family, mode), so `check_inclusions`
+streams F x and leaves the memo as it is.  A deep index is one product tree
+(binary splitting) from the memo's last two rows, not stored, each node
+divided by its content: `_scaled_pairs` gives the pairs as integers over
+one common scale, and `_carried` takes them further, neither reducing a
+value.  Only a deep pair (`_values`) and a carry's restart from such
+integers on a jump reduce them, once per value.
 """
 
 from __future__ import annotations
@@ -164,25 +165,21 @@ _Pair = tuple[Fraction, Fraction]
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-class _Row(NamedTuple):
-    """Memo row n: the exact pair (u_n, v_n), and the numerator and
-    denominator of each value as decimal integers, from which the row prints
-    with no int->str conversion."""
+class _Cleared(NamedTuple):
+    """W = F x for a value x and its factor F: num/den in lowest terms, den 1
+    exactly when F clears x, and num and den as decimal integers, the twins
+    from which W prints with no int->str conversion."""
 
-    pair: _Pair
-    u: tuple[Decimal, Decimal]
-    v: tuple[Decimal, Decimal]
+    num: int
+    den: int
+    num_text: Decimal
+    den_text: Decimal
+    factor: int
 
 
-_cache_lock = threading.Lock()
-_pairs: dict[str, list[_Row]] = {
-    family: [
-        _Row(pair, *((Decimal(x.numerator), Decimal(x.denominator)) for x in pair))
-        for pair in rec.initial
-    ]
-    for family, rec in RECURRENCES.items()
-}
-
+#: (u, v) at one index, each a cleared value: a memo row at F = 1, or a
+#: carry row by the clearing factors
+_Values = tuple[_Cleared, ...]
 
 #: Fraction(p, q) from coprime p and q > 0 with no second gcd: the
 #: constructor's private fast path (a keyword before Python 3.12).
@@ -202,57 +199,74 @@ def _common_divisor(num: int, den: int) -> int:
     return math.gcd(num >> v_num, den >> v_den) << min(v_num, v_den)
 
 
-def _reduced(num: int, den: int) -> Fraction:
-    """num/den (den > 0) in lowest terms, with one gcd."""
-    g = _common_divisor(num, den)
-    return _coprime_fraction(num // g, den // g)
+def _lowest_terms(num: int, den: int) -> tuple[int, int, int]:
+    """(num/g, den/g, g), g = gcd(num, den), den > 0: one divmod, and a gcd
+    of its remainder, no wider than den, only if den does not divide num."""
+    quotient, remainder = divmod(num, den)
+    if not remainder:
+        return quotient, 1, den
+    g = math.gcd(remainder, den)
+    return num // g, den // g, g
 
 
-def _combined(
-    row: tuple[int, int], divisor: int, prev: Fraction, cur: Fraction
-) -> tuple[int, int, tuple[int, int, int]]:
-    """Unreduced num/den = (alpha x_m + beta x_{m-1}) / divisor for a row
-    (alpha, beta) of a step-matrix product, and the weights (alpha L/b,
-    beta L/d, divisor L/b) with x_m = a/b, x_{m-1} = c/d and L = lcm(b, d)."""
-    common = math.lcm(prev.denominator, cur.denominator)
-    scale = common // cur.denominator
-    weights = row[0] * scale, row[1] * (common // prev.denominator), divisor * scale
-    num = cur.numerator * weights[0] + prev.numerator * weights[1]
-    return num, cur.denominator * weights[2], weights
+def _converted(x: int, scale: int, factor: int) -> _Cleared:
+    """F x / scale as a cleared value, in lowest terms, its twins converted."""
+    num, den, _ = _lowest_terms(factor * x, scale)
+    return _Cleared(num, den, Decimal(num), Decimal(den), factor)
 
 
-def _exact_quotient(x: Decimal, g: Decimal) -> Decimal:
-    quotient, remainder = _EXACT.divmod(x, g)
+_cache_lock = threading.Lock()
+_pairs: dict[str, list[_Values]] = {
+    family: [tuple(_converted(x.numerator, x.denominator, 1) for x in pair) for pair in rec.initial]
+    for family, rec in RECURRENCES.items()
+}
+
+
+def _exact_quotient(x: Decimal, g: int) -> Decimal:
+    quotient, remainder = _EXACT.divmod(x, Decimal(g))
     if remainder:
         raise ArithmeticError("a decimal twin is not divisible by its step's gcd")
     return quotient
 
 
-def _stepped_row(family: str, k: int, before: _Row, last: _Row) -> _Row:
-    """Row k+1 from rows k-1 and k (k >= 1) by the top row of the leaf M_k;
-    each decimal numerator and denominator gets the same weights as its
-    integer and is divided by the same gcd, so in time linear in its digits.
-    A division with a remainder raises ArithmeticError."""
+def _clear(
+    row: tuple[int, int], divisor: int, cur: _Cleared, prev: _Cleared, factor: int
+) -> _Cleared:
+    """W = F (alpha x_k + beta x_{k-1}) / divisor for a row (alpha, beta) of a
+    step matrix, W_k = `cur`, W_{k-1} = `prev` and F = `factor`: each W_i
+    weighted by its coefficient times F/F_i over one denominator, then one
+    gcd.  The twins get the same weights and gcd, in linear time, the den
+    twin only where den is not 1; a twin's remainder raises ArithmeticError."""
+    (p_cur, q_cur, _), (p_prev, q_prev, _) = (_lowest_terms(factor, w.factor) for w in (cur, prev))
+    den_cur, den_prev = q_cur * cur.den, q_prev * prev.den
+    common = math.lcm(den_cur, den_prev)
+    w_cur, w_prev = row[0] * p_cur * (common // den_cur), row[1] * p_prev * (common // den_prev)
+    num, den = w_cur * cur.num + w_prev * prev.num, divisor * common
+    g = _common_divisor(num, den)
+    text = _EXACT.fma(cur.num_text, Decimal(w_cur), _EXACT.multiply(prev.num_text, Decimal(w_prev)))
+    if den == g:
+        return _Cleared(num // g, 1, _exact_quotient(text, g), Decimal(1), factor)
+    den_text = _EXACT.multiply(cur.den_text, Decimal(divisor * q_cur * (common // den_cur)))
+    return _Cleared(num // g, den // g, *(_exact_quotient(x, g) for x in (text, den_text)), factor)
+
+
+def _stepped(
+    family: str, k: int, before: _Values, last: _Values, factors: tuple[int, int]
+) -> _Values:
+    """Row k+1 from rows k-1 and k (k >= 1) by the top row of the leaf M_k,
+    each value by its factor: (1, 1) in the memo, the clearing factors in a
+    carry."""
     (row,), lead = _matrix_product(family, k, k + 1, top=True)
-    values, ratios = [], []
-    for prev, cur, (c, _), (a, b) in zip(before.pair, last.pair, before[1:], last[1:]):
-        num, den, (w_cur, w_prev, w_den) = _combined(row, lead, prev, cur)
-        g = _common_divisor(num, den)
-        values.append(_coprime_fraction(num // g, den // g))
-        divisor = Decimal(g)
-        num_dec = _EXACT.fma(a, Decimal(w_cur), _EXACT.multiply(c, Decimal(w_prev)))
-        den_dec = _EXACT.multiply(b, Decimal(w_den))
-        ratios.append((_exact_quotient(num_dec, divisor), _exact_quotient(den_dec, divisor)))
-    return _Row(tuple(values), *ratios)
+    return tuple(_clear(row, lead, *values) for values in zip(last, before, factors))
 
 
-def _row(family: str, n: int) -> _Row:
+def _row(family: str, n: int) -> _Values:
     """Memo row n (n >= 0), the memo first stepped up to it under the lock."""
     table = _pairs[family]
     if n >= len(table):
         with _cache_lock:
             while len(table) <= n:
-                table.append(_stepped_row(family, len(table) - 1, *table[-2:]))
+                table.append(_stepped(family, len(table) - 1, *table[-2:], (1, 1)))
     return table[n]
 
 
@@ -315,9 +329,9 @@ def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
         raise ValueError("consecutive pairs need n >= 1")
     table = _pairs[family]
     m = min(n, len(table) - 1)
-    pairs = table[m].pair, table[m - 1].pair
-    scale = math.lcm(*(x.denominator for pair in pairs for x in pair))
-    rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in pair) for pair in pairs)
+    pairs = table[m], table[m - 1]
+    scale = math.lcm(*(x.den for pair in pairs for x in pair))
+    rows = tuple(tuple(x.num * (scale // x.den) for x in pair) for pair in pairs)
     if m == n:
         return rows[: 1 if top else 2], scale
     rows, divisor = _carried(family, m, n, rows, top)
@@ -325,18 +339,15 @@ def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
 
 
 def _values(family: str, n: int) -> _Pair:
-    """The exact pair (u_n, v_n).
-
-    Indices in the memo are looked up; the index just past its end is one
-    exact step, which is appended, so that walking n upwards streams; an
-    index further on is one `top` product tree, whose nodes drop their
-    content, reduced once per value, not stored.
-    """
+    """The exact pair (u_n, v_n), Fractions of the num/den of memo row n.
+    The index just past the memo's end is one step, which is appended, so
+    that walking n upwards streams; an index further on is one `top` product
+    tree, whose nodes drop their content, reduced once per value, not stored."""
     _check_index(family, n)
     if n > len(_pairs[family]):
         ((u, v),), scale = _scaled_pairs(family, n, top=True)
-        return _reduced(u, scale), _reduced(v, scale)
-    return _row(family, n).pair
+        return tuple(_coprime_fraction(*_lowest_terms(x, scale)[:2]) for x in (u, v))
+    return tuple(_coprime_fraction(x.num, x.den) for x in _row(family, n))
 
 
 def catalan_pair(n: int) -> SequencePair:
@@ -373,66 +384,29 @@ def _clearing_factors(family: str, n: int, mode: str) -> tuple[int, int]:
     return 1, d_n**4
 
 
-class _Cleared(NamedTuple):
-    """W = F x for a value x and its clearing factor F: num/den in lowest
-    terms, den 1 exactly when F clears x, and num as a decimal integer."""
-
-    num: int
-    den: int
-    text: Decimal
-    factor: int
-
-
 #: Per (family, mode), n and the cleared (u, v) at n and at n-1 (or None),
 #: each by its own F; replaced whole under `_cache_lock`: a lost race costs a restart.
-_carries: dict[tuple[str, str], tuple[int, tuple[_Cleared, ...], tuple[_Cleared, ...] | None]] = {}
+_carries: dict[tuple[str, str], tuple[int, _Values, _Values | None]] = {}
 
 
-def _lowest_terms(num: int, den: int) -> tuple[int, int, int]:
-    """(num/g, den/g, g), g = gcd(num, den), den > 0: one divmod, and a gcd
-    of its remainder, no wider than den, only if den does not divide num."""
-    quotient, remainder = divmod(num, den)
-    if not remainder:
-        return quotient, 1, den
-    g = math.gcd(remainder, den)
-    return num // g, den // g, g
-
-
-def _clear(terms: list[tuple[int, _Cleared]], divisor: int, factor: int) -> _Cleared:
-    """F (c_1 x_1 + c_2 x_2) / divisor from terms (c_i, W_i = F_i x_i): the
-    W_i weighted by c_i F/F_i, exact, over one denominator, which with the
-    package's factors is small, and so is the only gcd; the twin likewise."""
-    ratios = [_lowest_terms(factor, w.factor) for _, w in terms]
-    dens = [q * w.den for (_, q, _), (_, w) in zip(ratios, terms)]
-    common = math.lcm(*dens)
-    weights = [c * p * (common // d) for (c, _), (p, _, _), d in zip(terms, ratios, dens)]
-    num = sum(x * w.num for x, (_, w) in zip(weights, terms))
-    num, den, g = _lowest_terms(num, divisor * common)
-    with decimal.localcontext(_EXACT):
-        text = sum(w.text * x for x, (_, w) in zip(weights, terms))
-    return _Cleared(num, den, text if g == 1 else _exact_quotient(text, Decimal(g)), factor)
-
-
-def _carry(family: str, n: int, mode: str) -> tuple[_Cleared, ...]:
+def _carry(family: str, n: int, mode: str) -> _Values:
     """The cleared (u, v) at n, the carry of (family, mode) moved there (if
     not already at n, the mode checked first) and stored under the lock.
-    From n-1 >= 1 it takes one step by the top row of the leaf M_{n-1}, in
+    From n-1 >= 1 it takes the memo's step with the clearing factors, in
     time linear in the digits, W_n = (mid (F_n/F_{n-1}) W_{n-1} +
     back (F_n/F_{n-2}) W_{n-2}) / lead.  Any other n restarts it at rows n
     and n-1 from the integers of `_scaled_pairs` (memo rows, or a product
     tree past the memo's end): one divmod per value, no gcd when F clears
-    it, one conversion to decimal."""
+    it, its twins converted once."""
     last, cur, prev = _carries.get((family, mode), (-1, None, None))
     if last == n:
         return cur
     factors = _clearing_factors(family, n, mode)
     if prev is not None and last == n - 1:
-        (row,), lead = _matrix_product(family, n - 1, n, top=True)
-        cur, prev = tuple(_clear([*zip(row, w)], lead, f) for f, *w in zip(factors, cur, prev)), cur
+        cur, prev = _stepped(family, n - 1, prev, cur, factors), cur
     else:  # a restart, row n-1 by F_n too; u_0 and v_0 are integers
-        ints, scale = _scaled_pairs(family, n) if n else ((map(int, _pairs[family][0].pair),), 1)
-        rows = [[(*_lowest_terms(f * x, scale)[:2], f) for x, f in zip(xs, factors)] for xs in ints]
-        rows = [tuple(_Cleared(a, b, Decimal(a), f) for a, b, f in r) for r in rows]
+        ints, scale = _scaled_pairs(family, n) if n else ([[x.num for x in _pairs[family][0]]], 1)
+        rows = [tuple(_converted(x, scale, f) for x, f in zip(xs, factors)) for xs in ints]
         cur, prev = (*rows, None)[:2]
     with _cache_lock:
         _carries[family, mode] = n, cur, prev
@@ -453,8 +427,8 @@ def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionRepo
 # -- printing rows and witnesses ---------------------------------------------
 
 
-def _ratio_text(num: Decimal, den: Decimal) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+def _text(w: _Cleared) -> str:
+    return str(w.num_text) if w.den == 1 else f"{w.num_text}/{w.den_text}"
 
 
 def row_texts(family: str, n: int) -> tuple[str, str]:
@@ -462,8 +436,7 @@ def row_texts(family: str, n: int) -> tuple[str, str]:
     if it is short: in time linear in the digits, and past CPython's int->str
     limit."""
     _check_index(family, n)
-    row = _row(family, n)
-    return _ratio_text(*row.u), _ratio_text(*row.v)
+    return tuple(map(_text, _row(family, n)))
 
 
 def witness_texts(report: InclusionReport) -> tuple[str, str]:
@@ -471,7 +444,7 @@ def witness_texts(report: InclusionReport) -> tuple[str, str]:
     the decimal twins of the carry, moved first to the report's index if it
     holds another: no int->str conversion, at any size."""
     cur = _carry(report.family, report.n, report.mode)
-    return tuple("" if w.den != 1 else str(w.text) for w in cur)
+    return tuple(_text(w) if w.den == 1 else "" for w in cur)
 
 
 # -- measured growth rates -----------------------------------------------------

@@ -56,16 +56,42 @@ def consecutive(family, n):
 
 
 def twin_texts(family, n):
-    """The decimal numbers of memo row n as the text of (u_n, v_n); the memo
+    """The decimal twins of memo row n as the text of (u_n, v_n); the memo
     must hold row n."""
-    row = sequences._pairs[family][n]
-    return tuple(sequences._ratio_text(*ratio) for ratio in (row.u, row.v))
+    return tuple(map(sequences._text, sequences._pairs[family][n]))
 
 
 def decimal_row(pair):
-    """A memo row built from the exact pair (u, v), its decimal numbers read
-    off by str()."""
-    return sequences._Row(pair, *((Decimal(x.numerator), Decimal(x.denominator)) for x in pair))
+    """A memo row built from the exact pair (u, v): each value at factor 1,
+    its twins read off by Decimal()."""
+    ratios = ((x.numerator, x.denominator) for x in pair)
+    return tuple(sequences._Cleared(p, q, Decimal(p), Decimal(q), 1) for p, q in ratios)
+
+
+def terms(row):
+    """(numerator, denominator) of each value of a memo row."""
+    return tuple((x.num, x.den) for x in row)
+
+
+def fraction_terms(pair):
+    """(numerator, denominator) of each Fraction of a pair."""
+    return tuple((x.numerator, x.denominator) for x in pair)
+
+
+def reduced(num, den):
+    """num/den (den > 0) as the deep `pair` reduces it: `_lowest_terms`, then
+    a Fraction with no second gcd."""
+    p, q, g = sequences._lowest_terms(num, den)
+    assert (p * g, q * g) == (num, den)
+    return sequences._coprime_fraction(p, q)
+
+
+def assert_twins(value):
+    """The twins of a cleared value are its num and den as decimal integers."""
+    assert math.gcd(value.num, value.den) == 1 and value.den > 0
+    twins = (value.num_text, value.den_text)
+    assert twins == (Decimal(value.num), Decimal(value.den))
+    assert all(twin.as_tuple().exponent == 0 for twin in twins)
 
 
 class TestCoefficientPolynomials:
@@ -208,8 +234,8 @@ class TestPairs:
 
 
 class TestStep:
-    """The memo's one reduction per new value against plain Fraction
-    arithmetic."""
+    """The deep pair's reduction, the memo step's gcd and the memo's stepped
+    rows against plain Fraction arithmetic."""
 
     CASES = {
         "zero": [(0, 1), (0, 3), (0, 2**40), (0, 2**9 * 15)],
@@ -222,17 +248,19 @@ class TestStep:
     @pytest.mark.parametrize("kind", CASES)
     def test_reduction_equals_the_fraction(self, kind):
         for num, den in self.CASES[kind]:
-            got, want = sequences._reduced(num, den), Fraction(num, den)
+            got, want = reduced(num, den), Fraction(num, den)
             assert type(got) is Fraction
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert sequences._common_divisor(num, den) == math.gcd(num, den)
 
     def test_reduction_on_random_pairs(self):
         rng = random.Random(2)
         for _ in range(3000):
             num = rng.randint(-(10**30), 10**30) << rng.randint(0, 90)
             den = rng.randint(1, 10**20) << rng.randint(0, 90)
-            got, want = sequences._reduced(num, den), Fraction(num, den)
+            got, want = reduced(num, den), Fraction(num, den)
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert sequences._common_divisor(num, den) == math.gcd(num, den)
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_memo_equals_the_fraction_step_to_1200(self, family, cold_memo):
@@ -242,8 +270,8 @@ class TestStep:
         memo = sequences._pairs[family]
         assert len(memo) == 1201
         for n, (got, want) in enumerate(zip(memo, reference)):
-            for x, y in zip(got.pair, want):
-                assert (x.numerator, x.denominator) == (y.numerator, y.denominator), n
+            assert terms(got) == fraction_terms(want), n
+            assert [x.factor for x in got] == [1, 1], n
 
 
 class TestProductTree:
@@ -314,9 +342,10 @@ class TestProductTree:
         # the jump from n = 50 to 200 appends one step when another thread
         # has already walked the memo to 200 entries
         memo = sequences._pairs["zeta4"]
-        assert len(memo) in (200, 201) and [row.pair for row in memo] == reference[: len(memo)]
-        for n, row in enumerate(memo):
-            assert twin_texts("zeta4", n) == tuple(map(str, row.pair)), n
+        assert len(memo) in (200, 201)
+        assert [terms(row) for row in memo] == [fraction_terms(p) for p in reference[: len(memo)]]
+        for n in range(len(memo)):
+            assert twin_texts("zeta4", n) == tuple(map(str, reference[n])), n
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
@@ -408,19 +437,20 @@ class TestProductTree:
 
 class TestNoReduction:
     """Deep paths read the unreduced integers of one product tree: values
-    are not reduced; tree nodes lose their content.  Only a deep pair
-    reduces, once per value."""
+    are not reduced; tree nodes lose their content.  Only a pair forms
+    Fractions, a deep one by reducing once per value."""
 
     @pytest.fixture
     def reductions(self, monkeypatch, cold_memo):
+        """The Fractions the package forms, from a cold memo."""
         calls = []
-        original = sequences._reduced
+        original = sequences._coprime_fraction
 
         def counted(num, den):
             calls.append((num, den))
             return original(num, den)
 
-        monkeypatch.setattr(sequences, "_reduced", counted)
+        monkeypatch.setattr(sequences, "_coprime_fraction", counted)
         return calls
 
     def test_digits_linear_form_and_cf_reduce_nothing(self, reductions, capsys):
@@ -477,7 +507,9 @@ class TestNoReduction:
                 capsys.readouterr()
             assert check_inclusions(family, 1500, "strong").ok
             assert len(sequences._pairs[family]) == 2
-        assert reductions == [] and gcds == []
+        # each step's gcd is against its lead: no full-width gcd
+        assert reductions == [] and gcds
+        assert max(den.bit_length() for _, den in gcds) < 128
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_a_deep_pair_reduces_twice(self, reductions, family):
@@ -499,6 +531,43 @@ class TestDecimalTwins:
             assert sequences.row_texts(family, n) == texts, n
         # the last rows are past the 4,300-digit limit on int->str
         assert max(len(text) for text in texts) > 4300
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_memo_twins_are_the_decimals_of_num_and_den_to_1200(self, family, cold_memo):
+        sequences.row_texts(family, 1200)
+        memo = sequences._pairs[family]
+        assert len(memo) == 1201
+        for n, row in enumerate(memo):
+            for value in row:
+                assert_twins(value)
+                assert value.factor == 1, n
+
+    # the carry: a walk, a jump (a restart), steps again, and a restart backwards
+    CARRY_WALK = (*range(41), *range(200, 301), 120, 121)
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    @pytest.mark.parametrize("mode", ["proved", "strong"])
+    @pytest.mark.parametrize("ones", [False, True], ids=["clearing", "ones-at-odd-n"])
+    def test_carry_twins_are_the_decimals_of_num_and_den(
+        self, monkeypatch, family, mode, ones, cold_memo
+    ):
+        # with the factors replaced by 1 at odd n, those rows fail: den > 1
+        clearing = sequences._clearing_factors
+
+        def factors(fam, n, m):
+            return (1, 1) if ones and n % 2 else clearing(fam, n, m)
+
+        monkeypatch.setattr(sequences, "_clearing_factors", factors)
+        dens = set()
+        for n in self.CARRY_WALK:
+            check_inclusions(family, n, mode)
+            last, cur, prev = sequences._carries[family, mode]
+            assert last == n and tuple(x.factor for x in cur) == factors(family, n, mode)
+            for value in (*cur, *(prev or ())):
+                assert_twins(value)
+                dens.add(value.den)
+        assert (dens == {1}) is not ones
+        assert len(sequences._pairs[family]) == 2
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     @pytest.mark.parametrize("mode", ["proved", "strong"])

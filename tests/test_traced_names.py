@@ -79,3 +79,9 @@ def test_cover_commands_reach_every_target(cover_traces, name):
 def test_cover_commands_fill_the_kernel_cache(cover_traces):
     entries = [trace["counters"]["hypergeom.kernel_cache_entries"] for trace in cover_traces]
     assert max(entries) > 0
+
+
+def test_cover_commands_step_the_sequence_memo(cover_traces):
+    # the tracer reads both counters off the lengths of `sequences._pairs`
+    for name in ("sequences.steps", "sequences.memo_entries"):
+        assert max(trace["counters"][name] for trace in cover_traces) > 0, name
