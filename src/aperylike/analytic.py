@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .acceleration import alternating_sum, terms_for_bound
@@ -41,6 +40,9 @@ if TYPE_CHECKING:
 #: lambda^2 - 11 lambda - 1 (2.0898...) and lambda^2 - 270 lambda - 27 (3.4317...),
 #: rounded down so that the start index errs high.
 DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
+
+#: The largest stop index of the zeta4 derivative series; PrecisionError past it.
+_MAX_TERMS = 1_000_000
 
 
 class DigitsResult(NamedTuple):
@@ -72,7 +74,6 @@ class CFConvergent(NamedTuple):
 # -- reference constants -------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def reference_catalan(digits: int) -> mpf:
     """Catalan's constant G = sum (-1)^l / (2l+1)^2 to `digits` digits.
 
@@ -83,8 +84,8 @@ def reference_catalan(digits: int) -> mpf:
     moments of (1/4) x^(-1/2) (-log x) dx on [0, 1], a positive measure of
     mass 1, so the exact estimate is within G/d_N < 1/d_N < 10^-(digits+10)
     of G, d_N = chebyshev_scale(N).  The oracle independent of the recurrence
-    route; kept over mpmath's catalan (about as fast) as the CLI's only caller
-    of alternating_sum, which the benchmark's tracer times.
+    route, uncached (no command asks twice), kept over mpmath's catalan (about
+    as fast) as the CLI's only caller of alternating_sum, which the tracer times.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -93,7 +94,6 @@ def reference_catalan(digits: int) -> mpf:
     return to_mpf(alternating_sum(terms), digits + 15)
 
 
-@lru_cache(maxsize=32)
 def reference_zeta4(digits: int) -> mpf:
     """zeta(4) = pi^4 / 90 with pi from mpmath at digits+15 working digits.
 
@@ -284,10 +284,10 @@ def beukers_integral(n: int, digits: int) -> mpf:
 # -- the derivative series for the zeta4 family ----------------------------------
 
 
-def _zeta4_stop_index(n: int, digits: int, max_terms: int) -> int:
+def _zeta4_stop_index(n: int, digits: int) -> int:
     """The index T at which the derivative series is cut.
 
-    T is the first multiple of 64 with T >= max(16, 5n+5) at which
+    T is the first multiple of 64 with max(16, 5n+5) <= T <= _MAX_TERMS at which
     |H_n(T)| + |H_n'(T+1)| < 10^-(digits+5) and |H_n'| strictly decreases
     over T-8..T: the integral comparison bound for an eventually monotone
     single-signed tail.  Only those points are evaluated, each exact value
@@ -308,18 +308,18 @@ def _zeta4_stop_index(n: int, digits: int, max_terms: int) -> int:
     with mp.workdps(working):
         tolerance = mpf(10) ** (-(digits + 5))
         first = -(-max(16, 5 * n + 5) // 64) * 64
-        for t in range(first, max_terms + 1, 64):
+        for t in range(first, _MAX_TERMS + 1, 64):
             height = size(inner.value(t))
             if height < tolerance and height + size(slope(t + 1)) < tolerance:
                 slopes = [size(slope(s)) for s in range(t - 8, t + 1)]
                 if all(a > b for a, b in zip(slopes, slopes[1:])):
                     return t
     raise PrecisionError(
-        f"derivative series did not reach {digits} digits within {max_terms} terms"
+        f"derivative series did not reach {digits} digits within {_MAX_TERMS} terms"
     )
 
 
-def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
+def zeta4_series(n: int, digits: int) -> mpf:
     """The derivative series whose value is u_n zeta(4) - v_n for the zeta4 family:
 
         (-1)^(n+1)/6 * sum_{t>=1} H_n'(t),
@@ -350,7 +350,7 @@ def zeta4_series(n: int, digits: int, max_terms: int = 1_000_000) -> mpf:
         raise ValueError("index must be nonnegative")
     if not 1 <= digits <= 10:
         raise ValueError("digits must lie in 1..10 (terms decay only like t^-4)")
-    stop = _zeta4_stop_index(n, digits, max_terms)
+    stop = _zeta4_stop_index(n, digits)
     parts = zeta4_decomposition(n)
     weights = [[-(4 - j) * b for b in row] for j, row in enumerate(parts.B)]
     mass = 2 * sum(abs(c) for row in weights for c in row)

@@ -30,12 +30,12 @@ of 2 read from the bits, and the twins weighted and divided alike.  The
 memo `_pairs` keeps every row at F = 1 and grows one step at a time, so
 walking n upwards (`row_texts`) streams; the carry `_carries` keeps the last
 two rows at the clearing factors per (family, mode), so `check_inclusions`
-streams F x and leaves the memo as it is.  A deep index is one product tree
-(binary splitting) from the memo's last two rows, not stored, each node
+streams F x and reads no memo row.  A deep index is one product tree
+(binary splitting) from the initial rows 1 and 0, not stored, each node
 divided by its content: `_scaled_pairs` gives the pairs as integers over
 one common scale, and `_carried` takes them further, neither reducing a
-value.  Only a deep pair (`_values`) and a carry's restart from such
-integers on a jump reduce them, once per value.
+value nor reading the memo.  Only a deep pair (`_values`) and a carry's
+restart from such integers reduce them, once per value.
 """
 
 from __future__ import annotations
@@ -321,20 +321,18 @@ def _carried(family: str, m: int, n: int, rows: _Rows, top: bool = False) -> tup
 
 def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
     """The pairs at n and n-1 (n >= 1), only n when `top`, as integers over
-    one common scale S > 0, and S; no value is reduced, the memo is unchanged.
-    Inside the memo S is the lcm of the denominators of rows n and n-1; past
-    its end one product tree (binary splitting, Haible & Papanikolaou 1998)
-    carries its last two rows to n, over their lcm times the tree's divisor."""
+    one common scale S > 0, and S, from (family, n) alone: the initial rows 1
+    and 0 over the lcm of their denominators, carried past n = 1 by one
+    product tree (binary splitting, Haible & Papanikolaou 1998), over that lcm
+    times the tree's divisor.  No value is reduced, and the memo is not read."""
     if n < 1:
         raise ValueError("consecutive pairs need n >= 1")
-    table = _pairs[family]
-    m = min(n, len(table) - 1)
-    pairs = table[m], table[m - 1]
-    scale = math.lcm(*(x.den for pair in pairs for x in pair))
-    rows = tuple(tuple(x.num * (scale // x.den) for x in pair) for pair in pairs)
-    if m == n:
+    pairs = RECURRENCES[family].initial[::-1]
+    scale = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in pair) for pair in pairs)
+    if n == 1:
         return rows[: 1 if top else 2], scale
-    rows, divisor = _carried(family, m, n, rows, top)
+    rows, divisor = _carried(family, 1, n, rows, top)
     return rows, divisor * scale
 
 
@@ -395,18 +393,18 @@ def _carry(family: str, n: int, mode: str) -> _Values:
     From n-1 >= 1 it takes the memo's step with the clearing factors, in
     time linear in the digits, W_n = (mid (F_n/F_{n-1}) W_{n-1} +
     back (F_n/F_{n-2}) W_{n-2}) / lead.  Any other n restarts it at rows n
-    and n-1 from the integers of `_scaled_pairs` (memo rows, or a product
-    tree past the memo's end): one divmod per value, no gcd when F clears
-    it, its twins converted once."""
+    and n-1 (row 0 alone at n = 0) from the integers of `_scaled_pairs`, which
+    reads no memo row: one divmod per value, no gcd when F clears it, its
+    twins converted once."""
     last, cur, prev = _carries.get((family, mode), (-1, None, None))
     if last == n:
         return cur
     factors = _clearing_factors(family, n, mode)
     if prev is not None and last == n - 1:
         cur, prev = _stepped(family, n - 1, prev, cur, factors), cur
-    else:  # a restart, row n-1 by F_n too; u_0 and v_0 are integers
-        ints, scale = _scaled_pairs(family, n) if n else ([[x.num for x in _pairs[family][0]]], 1)
-        rows = [tuple(_converted(x, scale, f) for x, f in zip(xs, factors)) for xs in ints]
+    else:  # a restart, row n-1 by F_n too; at n = 0 row 0 alone, without row 1
+        ints, scale = _scaled_pairs(family, max(n, 1))
+        rows = [tuple(_converted(x, scale, f) for x, f in zip(xs, factors)) for xs in ints[not n :]]
         cur, prev = (*rows, None)[:2]
     with _cache_lock:
         _carries[family, mode] = n, cur, prev

@@ -17,6 +17,9 @@ from aperylike.cli import COMMANDS, EXIT_CODES, run
 from tests.conftest import mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: A child's environment: `src` first, then any inherited PYTHONPATH, which
+#: may be where the interpreter finds mpmath.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.getenv("PYTHONPATH"))))}
 DIGESTS = Path(__file__).resolve().parents[1] / "clibench" / "digests.json"
 
 
@@ -67,7 +70,7 @@ def run_subprocess(argv):
     """The CLI in a fresh process, with CPython's default int->str limit."""
     return subprocess.run(
         [sys.executable, "-m", "aperylike.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, env=ENV,
     )
 
 
@@ -235,7 +238,7 @@ class TestImports:
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=ENV,
         ).stdout
         assert out.strip() == "False"
 
@@ -265,7 +268,7 @@ class TestImports:
         out = subprocess.run(
             [sys.executable, "-c", code, *exact, digits],
             capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=ENV,
         ).stdout
         seen = json.loads(out)
         assert seen.pop("import") == []
@@ -373,7 +376,7 @@ class TestErrorPaths:
         result = run(["series", "--constant", "zeta4", "--n", "0", "--digits", "11"])
         assert result.status == "usage_error"
         capsys.readouterr()
-        # at n = 200000 the first candidate stop index lies past max_terms,
+        # at n = 200000 the first candidate stop index lies past the cap,
         # a genuine precision failure: exit 3, nothing on stdout
         result = run(["series", "--constant", "zeta4", "--n", "200000", "--digits", "8"])
         captured = capsys.readouterr()
@@ -385,7 +388,7 @@ class TestErrorPaths:
     def test_help_exits_zero_with_help_on_stdout(self, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "aperylike.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, env=ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: aperylike") and proc.stderr == ""
@@ -394,7 +397,7 @@ class TestErrorPaths:
     def test_unknown_command_or_missing_option_still_exits_two(self, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "aperylike.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, env=ENV,
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert "error:" in proc.stderr
@@ -623,7 +626,7 @@ class TestRecordedOutput:
         stdout = subprocess.run(
             [sys.executable, "-m", "aperylike.cli", *command.split()],
             capture_output=True, check=True,
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=ENV,
         ).stdout
         recorded = json.loads(DIGESTS.read_text())[command]
         assert hashlib.sha256(stdout).hexdigest() == recorded

@@ -89,6 +89,22 @@ def beta_partial_sum(k: int, power: int) -> Fraction:
     return sum((Fraction((-1) ** l, (2 * l + 1) ** power) for l in range(k)), Fraction(0))
 
 
+def zeta4_table_holds(n: int, table) -> bool:
+    """Whether the zeta4 pole table B at n has the antisymmetry
+    B_{j,n-k} = (-1)^(j+1) B_jk, row 0 in closed form,
+    B_0k = (n-2k) C(n,k)^4 C(n+k,n)^2 C(2n-k,n)^2, and
+    u_n = (-1)^n sum_k B_1k / 2, each exactly."""
+    symmetric = all(
+        row[n - k] == (-1) ** (j + 1) * row[k] for j, row in enumerate(table) for k in range(n + 1)
+    )
+    comb = math.comb
+    closed_form = all(
+        table[0][k] == (n - 2 * k) * (comb(n, k) ** 2 * comb(n + k, n) * comb(2 * n - k, n)) ** 2
+        for k in range(n + 1)
+    )
+    return symmetric and closed_form and (-1) ** n * sum(table[1]) / 2 == zeta4_pair(n).u
+
+
 class TestKernel:
     def test_r0_is_two_over_square(self):
         r = build_kernel(0).R
@@ -340,6 +356,20 @@ class TestZeta4Decomposition:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             zeta4_decomposition(-1)
+
+    def test_antisymmetry_row_0_and_u_n_to_40(self):
+        for n in range(41):
+            assert zeta4_table_holds(n, pole_table("zeta4", n)), n
+
+    @pytest.mark.parametrize("n", [5, 10])
+    @pytest.mark.parametrize("change", ["B01+1", "B11 sign", "B21 sign"])
+    def test_a_changed_table_fails(self, change, n):
+        # row 1 is read by two statements, row 2 by the antisymmetry alone
+        rows = [list(row) for row in pole_table("zeta4", n)]
+        j = int(change[1])
+        assert rows[j][1] != 0
+        rows[j][1] = rows[j][1] + 1 if change.endswith("+1") else -rows[j][1]
+        assert not zeta4_table_holds(n, rows)
 
 
 class TestFactorRuns:

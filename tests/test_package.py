@@ -275,7 +275,8 @@ def print_package_reach() -> None:
 
 def test_cli_and_acceptance_api_reach_every_function():
     # a fresh process, so that no memo warmed by other tests skips a path
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.getenv("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, __file__],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,

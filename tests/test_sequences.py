@@ -284,15 +284,24 @@ class TestProductTree:
             assert consecutive(family, n) == (reference[n - 1], reference[n])
             assert _values(family, n) == reference[n]
 
+    # inside a memo walked to 300: its first rows, its last rows and past it
+    WALKED_INDICES = (2, 250, 251, 400)
+
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
-    def test_equals_stepping_from_a_partly_filled_memo(self, family, cold_memo):
-        reference = stepped_pairs(family, max(self.INDICES))
-        for n in range(7):
-            _values(family, n)
-        assert len(sequences._pairs[family]) == 7
-        for n in self.INDICES:
-            assert consecutive(family, n) == (reference[n - 1], reference[n])
-            assert _values(family, n) == reference[n]
+    def test_same_rows_and_scale_after_a_walk_to_300(self, family, cold_memo):
+        # the trees start at the initial rows, so the integers and their
+        # scale depend on (family, n) alone, not on how far the memo reaches
+        def scaled(n):
+            return _scaled_pairs(family, n), _scaled_pairs(family, n, top=True)
+
+        reference = stepped_pairs(family, max(self.WALKED_INDICES))
+        cold = [scaled(n) for n in self.WALKED_INDICES]
+        sequences.row_texts(family, 300)
+        assert len(sequences._pairs[family]) == 301
+        for n, before in zip(self.WALKED_INDICES, cold):
+            assert scaled(n) == before, n
+            assert consecutive(family, n) == (reference[n - 1], reference[n]), n
+            assert _values(family, n) == reference[n], n
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_deep_index_is_not_stored(self, family, cold_memo):
@@ -388,11 +397,8 @@ class TestProductTree:
         assert len(memo) == len(before) and all(a is b for a, b in zip(memo, before))
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
-    @pytest.mark.parametrize("walked", [2, 250], ids=["cold", "walked-to-250"])
-    def test_scaled_pairs_and_one_step_equal_stepping_to_400(self, family, walked, cold_memo):
+    def test_scaled_pairs_and_one_step_equal_stepping_to_400(self, family):
         reference = stepped_pairs(family, 401)
-        for n in range(walked):
-            _values(family, n)
         memo = sequences._pairs[family]
         before = list(memo)
         for n in range(1, 401):
@@ -429,7 +435,7 @@ class TestProductTree:
                     assert content == 1, (lo, hi, top)
                 assert over(rows, divisor) == product[: len(rows)], (lo, hi, top)
 
-    def test_deep_scales_are_near_the_clearing_factors(self, cold_memo):
+    def test_deep_scales_are_near_the_clearing_factors(self):
         # over the product of the leads they would have 125,078 and 51,371 bits
         assert _scaled_pairs("catalan", 1921)[1].bit_length() < 25_000
         assert _scaled_pairs("zeta4", 1173)[1].bit_length() < 8_000
@@ -467,7 +473,7 @@ class TestNoReduction:
         capsys.readouterr()
         assert reductions == []
 
-    def test_one_content_gcd_per_internal_node(self, monkeypatch, cold_memo, capsys):
+    def test_one_content_gcd_per_internal_node(self, monkeypatch, capsys):
         from aperylike import analytic, cli
 
         nodes, gcds = [], []

@@ -59,7 +59,8 @@ def cover_commands() -> list[str]:
 def cover_traces(tmp_path_factory) -> list[dict]:
     """One traced run of each `COVER` command, as the benchmark makes it."""
     out = tmp_path_factory.mktemp("traces")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.getenv("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     traces = []
     for op_id, command in enumerate(cover_commands()):
         path = out / f"trace-{op_id}.json"
