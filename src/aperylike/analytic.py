@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
-from .exact import _integer_ratio, decimal_string, to_mpf
+from .exact import _integer_ratio, decimal_string, round_dyadic, to_mpf
 from .hypergeom import factor_runs, zeta4_decomposition
 from .sequences import (
     RECURRENCES,
@@ -49,18 +49,20 @@ class DigitsResult(NamedTuple):
     """A certified decimal expansion of one of the two constants.
 
     `value` carries `digits` digits after the decimal point; `error_bound`
-    is ten times the distance d_n between the last two convergents used.  It
-    is a proved upper bound on |C - v_n/u_n|, which the Casoratian argument
-    (see linear_form) puts below d_n itself, and it needs no knowledge of C.
-    Both are read from unreduced values: integers over a scale that cancels
-    in v_n/u_n, from one product tree whose nodes have dropped their content.
+    is ten times the distance d_n between the last two convergents used,
+    rounded at 37 bits to an exact Fraction over a power of two.  It exceeds
+    9.99 d_n, so it is a proved upper bound on |C - v_n/u_n|, which the
+    Casoratian argument (see linear_form) puts below d_n itself, and it needs
+    no knowledge of C.  Both are read from unreduced values: integers over a
+    scale that cancels in v_n/u_n, from one product tree whose nodes have
+    dropped their content.
     """
 
     constant: str
     digits: int
     value: str
     n_used: int
-    error_bound: mpf
+    error_bound: Fraction
 
 
 class CFConvergent(NamedTuple):
@@ -136,12 +138,13 @@ def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
             break
         n += 1
         rows, _ = _carried(family, n, n + 1, rows)
+    man, exp = round_dyadic(bound, 10)
     return DigitsResult(
         constant=family,
         digits=digits,
         value=decimal_string((v_n, u_n), digits),
         n_used=n,
-        error_bound=to_mpf(bound, 10),
+        error_bound=Fraction(2) ** exp * man,
     )
 
 

@@ -6,7 +6,9 @@ prints, one record per line as it arrives, so long verifications stream and
 stay inspectable, and only `run` ANDs the verdicts into the status.  One
 rule, in `_emit`, turns a record into text: rationals print as "p" or "p/q"
 strings, in nested tables too; integer witnesses print as decimal strings;
-floats appear only as `mp.nstr` strings at the stated digits.  `pair`,
+floats appear only as `mp.nstr` strings at the stated digits, and the exact
+error bound of `digits` as `mp.nstr(bound, 6)` prints it, by integer
+arithmetic (`exact.exponent_string`), so `digits` loads no mpmath.  `pair`,
 `range` and `check` also write CSV: the record's keys as a header, then
 str() of each value.
 
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 from . import analytic, certificate, hypergeom, sequences
 from .errors import PrecisionError
-from .exact import format_rational
+from .exact import exponent_string, format_rational
 
 EXIT_CODES = {
     "ok": 0,
@@ -147,14 +149,12 @@ def _cmd_cf(args):
 
 
 def _cmd_digits(args):
-    from mpmath import mp
-
     result = (
         analytic.catalan_digits(args.digits)
         if args.constant == "catalan"
         else analytic.zeta4_digits(args.digits)
     )
-    yield {**result._asdict(), "error_bound": mp.nstr(result.error_bound, 6)}, True
+    yield {**result._asdict(), "error_bound": exponent_string(result.error_bound)}, True
 
 
 def _check_form(family: str, args, name: str, value, factors: dict) -> tuple[dict, bool]:

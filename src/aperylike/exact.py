@@ -23,10 +23,11 @@ has one routine, the integer pseudo-division ``_pseudo_division``, behind
 clearing in ``certificate.verify_telescoping``.
 
 Everything in this module is exact; nothing rounds.  The only floating-point
-code is the small group of helpers at the bottom that convert exact rationals
-to mpmath values or decimal strings at a caller-stated number of digits, each
-rounding once.  mpmath is imported inside ``to_mpf``, so the exact paths of the
-package never load it.
+code is the small group of helpers at the bottom that round exact rationals
+to binary floats (``round_dyadic``, an integer (man, exp) pair, and
+``to_mpf``, its mpmath value) or print them as decimal strings, at a
+caller-stated number of digits, each rounding once.  mpmath is imported
+inside ``to_mpf``, so the exact paths of the package never load it.
 """
 
 from __future__ import annotations
@@ -436,26 +437,36 @@ def _integer_ratio(value: RationalLike | tuple[int, int]) -> tuple[int, int]:
     return value if isinstance(value, tuple) else value.as_integer_ratio()
 
 
-def to_mpf(value: RationalLike | tuple[int, int], digits: int) -> mpf:
-    """Round an exact rational, or a ratio (num, den > 0) reduced or not, to an
-    mpmath float carrying `digits` decimal digits.
+def round_dyadic(value: RationalLike | tuple[int, int], digits: int) -> tuple[int, int]:
+    """(man, exp) with man 2^exp an exact rational, or a ratio (num, den > 0)
+    reduced or not, rounded to the binary precision of `digits` decimal digits
+    by mpmath's rule (`dps_to_prec`, 37 bits at 10 digits).
 
     One rounding, to nearest, ties to even, as mpmath's `from_rational`, from a
     quotient of prec + 3 or 4 bits and a sticky bit for its remainder, with no
     normalising of the full-width operands.  No hidden guard digits: the
     caller states the working precision.
     """
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp, round_nearest
-
     if digits < 1:
         raise ValueError("digits must be positive")
+    prec = round((digits + 1) * math.log2(10))
     num, den = _integer_ratio(value)
-    with mp.workdps(digits):
-        shift = mp.prec + 3 - abs(num).bit_length() + den.bit_length()
-        quotient, rest = divmod(abs(num) << max(shift, 0), den << max(-shift, 0))
-        man = (quotient << 1 | (rest != 0)) * (-1 if num < 0 else 1)
-        return mp.make_mpf(from_man_exp(man, -shift - 1, mp.prec, round_nearest))
+    shift = prec + 3 - abs(num).bit_length() + den.bit_length()
+    quotient, rest = divmod(abs(num) << max(shift, 0), den << max(-shift, 0))
+    man = quotient << 1 | (rest != 0)
+    drop = max(man.bit_length() - prec, 0)
+    low, man = man & ((1 << drop) - 1), man >> drop
+    if 2 * low > 1 << drop or (2 * low == 1 << drop and man & 1):
+        man += 1
+    return (-man if num < 0 else man), drop - shift - 1
+
+
+def to_mpf(value: RationalLike | tuple[int, int], digits: int) -> mpf:
+    """`value` rounded by round_dyadic, as an mpmath float."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
+    return mp.make_mpf(from_man_exp(*round_dyadic(value, digits)))
 
 
 def decimal_string(value: RationalLike | tuple[int, int], places: int) -> str:
@@ -476,3 +487,19 @@ def decimal_string(value: RationalLike | tuple[int, int], places: int) -> str:
         return f"{sign}{whole}"
     digits = str(whole).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def exponent_string(value: RationalLike) -> str:
+    """A rational `value` > 0 as mpmath's nstr(value, 6) prints it once that
+    rounds below 1e-4 or to 1e6 and up: seven leading digits rounded half up
+    to six, trailing zeros stripped to one after the point, "d.ddddde-K"."""
+    num, den = _integer_ratio(value)
+    k = math.floor((num.bit_length() - den.bit_length() - 1) * math.log10(2))
+    # 10^k < value < 10^(k+2), so the floor of value 10^(6-k) has 7 or 8 digits
+    head = num * 10 ** (6 - k) // den if k <= 6 else num // (den * 10 ** (k - 6))
+    if head >= 10**7:
+        head, k = head // 10, k + 1
+    text = str((head + 5) // 10)  # "1000000" when 9.999995 rounds up to 10
+    k += len(text) - 6
+    text = text.rstrip("0")
+    return f"{text[0]}.{text[1:] or '0'}e{'+' if k >= 0 else ''}{k}"

@@ -25,7 +25,7 @@ from aperylike.analytic import (
 )
 from aperylike.errors import PrecisionError
 from aperylike.sequences import catalan_pair, pair, recurrence_coefficients, zeta4_pair
-from aperylike.exact import decimal_string, to_mpf
+from aperylike.exact import decimal_string, exponent_string, to_mpf
 from tests.conftest import (
     mpf_frac,
     sequential_alternating_sum,
@@ -135,11 +135,20 @@ class TestDigits:
 
     def test_error_bound_is_certified(self, catalan_200):
         result = catalan_digits(30)
-        item = catalan_pair(result.n_used)
+        item, after = catalan_pair(result.n_used), catalan_pair(result.n_used + 1)
+        gap = abs(after.v / after.u - item.v / item.u)  # d_n, exactly
+        assert gap < Fraction(999, 100) * gap < result.error_bound
         with mp.workdps(80):
             true_error = abs(mpf_frac(item.v / item.u) - catalan_200)
-            assert true_error < result.error_bound
-            assert result.error_bound < mp.mpf(10) ** -31
+            assert true_error < to_mpf(result.error_bound, 80)
+            assert to_mpf(result.error_bound, 80) < mp.mpf(10) ** -31
+
+    @pytest.mark.parametrize("extract", [catalan_digits, zeta4_digits])
+    def test_error_bound_is_a_37_bit_dyadic(self, extract):
+        for digits in (1, 2, 3, 10, 37, 100, 400):
+            bound = extract(digits).error_bound
+            assert isinstance(bound, Fraction)
+            assert bound.denominator.bit_count() == 1 and bound.numerator < 2**37
 
     def test_rejects_nonpositive_digits(self):
         with pytest.raises(ValueError):
@@ -220,7 +229,7 @@ class TestDigitsMatchStepping:
 
 
 class TestDeepDigitsPinned:
-    # SHA-256 of `value`, n_used and nstr(error_bound, 6): how the product
+    # SHA-256 of `value`, n_used and the printed error_bound: how the product
     # tree scales its integers must move no digit, no index and no bound
     PINNED = {
         "catalan": (
@@ -245,7 +254,7 @@ class TestDeepDigitsPinned:
         finally:
             sys.set_int_max_str_digits(limit)
         digest = hashlib.sha256(result.value.encode()).hexdigest()
-        assert (digest, result.n_used, mp.nstr(result.error_bound, 6)) == self.PINNED[family]
+        assert (digest, result.n_used, exponent_string(result.error_bound)) == self.PINNED[family]
 
 
 class TestContinuedFractions:

@@ -194,6 +194,24 @@ class TestDigits:
         _, lines = run_lines(capsys, ["digits", "--constant", "zeta4", "--digits", "10"])
         assert json.loads(lines[0])["value"] == "1.0823232337"
 
+    @pytest.mark.parametrize(
+        "constant, digits, stdout",
+        [
+            ("catalan", 1, '{"constant": "catalan", "digits": 1, "value": "0.9", '
+             '"n_used": 6, "error_bound": "5.29263e-12"}'),
+            ("catalan", 3, '{"constant": "catalan", "digits": 3, "value": "0.916", '
+             '"n_used": 7, "error_bound": "4.32539e-14"}'),
+            ("zeta4", 1, '{"constant": "zeta4", "digits": 1, "value": "1.1", '
+             '"n_used": 6, "error_bound": "1.11228e-19"}'),
+        ],
+    )
+    def test_largest_bounds_recorded(self, capsys, constant, digits, stdout):
+        # the largest bounds digits prints: n_used >= 6 keeps each below 1e-4,
+        # in the exponent form of mpmath's nstr(bound, 6)
+        result = run(["digits", "--constant", constant, "--digits", str(digits)])
+        assert capsys.readouterr().out == stdout + "\n"
+        assert result.exit_code == 0
+
 
 class TestIntegral:
     def test_corrected_relation_verifies(self, capsys):
@@ -243,8 +261,8 @@ class TestImports:
         assert out.strip() == "False"
 
     def test_exact_subcommands_do_not_import_mpmath(self):
-        # mpmath is loaded on the first numeric evaluation; digits shows that
-        # this check sees the import when it happens
+        # mpmath is loaded on the first numeric evaluation; asymptotics, run
+        # last, shows that this check sees the import when it happens
         code = (
             "import contextlib, io, json, sys\n"
             "import aperylike.cli\n"
@@ -263,16 +281,21 @@ class TestImports:
             "certify --family catalan --n-max 2",
             "decompose --n 3",
             "decompose --family zeta4 --n 3",
+            "digits --constant catalan --digits 20",
+            "digits --constant zeta4 --digits 20",
         ]
-        digits = "digits --constant catalan --digits 20"
+        # past the int->str limit: a usage error, still without mpmath
+        too_long = "digits --constant catalan --digits 5000"
+        numeric = "asymptotics --family catalan --n 5 --digits 10"
         out = subprocess.run(
-            [sys.executable, "-c", code, *exact, digits],
+            [sys.executable, "-c", code, *exact, too_long, numeric],
             capture_output=True, text=True, check=True,
             env=ENV,
         ).stdout
         seen = json.loads(out)
         assert seen.pop("import") == []
-        assert seen.pop(digits) == ["ok", True]
+        assert seen.pop(too_long) == ["usage_error", False]
+        assert seen.pop(numeric) == ["ok", True]
         assert seen == {argv: ["ok", False] for argv in exact}
 
 

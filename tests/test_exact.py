@@ -11,10 +11,12 @@ from aperylike.exact import (
     RationalFunction,
     TruncatedSeries,
     decimal_string,
+    exponent_string,
     format_rational,
     integer_coefficients,
     lcm_upto,
     poly_gcd,
+    round_dyadic,
     to_mpf,
 )
 from aperylike.hypergeom import build_kernel
@@ -606,3 +608,50 @@ class TestUnreducedRatios:
                 odd = q.numerator >> ((q.numerator & -q.numerator).bit_length() - 1) if q else 0
                 binary += q.denominator.bit_count() == 1 and odd.bit_length() == prec + 1
             assert decimal >= 20 and binary >= 20, (digits, decimal, binary)
+
+
+class TestExponentString:
+    """The integer formatter of `digits`' error bound against mpmath's nstr."""
+
+    def test_precision_is_dps_to_prec(self):
+        from mpmath.libmp import dps_to_prec
+
+        # 1/3 = 0.0101...b rounds to a mantissa of exactly prec bits
+        bits = [round_dyadic(Fraction(1, 3), d)[0].bit_length() for d in range(1, 1001)]
+        assert bits == [dps_to_prec(d) for d in range(1, 1001)]
+        assert bits[9] == 37
+
+    def test_equals_nstr_of_random_ratios(self):
+        # past 3,500 bits nstr divides by an approximate power of ten; values
+        # lie in (2^(e-1), 2^(e+1)), outside nstr's fixed-point range 1e-4..1e6
+        from mpmath import mp
+
+        rng = random.Random(2002)
+        for _ in range(3000):
+            e = rng.choice((rng.randrange(-70_000, -18), rng.randrange(21, 60)))
+            num, den = rng.getrandbits(64) | 1 << 63, rng.getrandbits(64) | 1 << 63
+            q = (num << e, den) if e > 0 else (num, den << -e)
+            man, exp = round_dyadic(q, 10)
+            want = mp.nstr(to_mpf(q, 10), 6)
+            assert exponent_string(Fraction(man) * Fraction(2) ** exp) == want, q
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(9999995, 10**18), "1.0e-11"),  # carry into the exponent
+            (Fraction(9999994999, 10**21), "9.99999e-12"),
+            (Fraction(1999995, 10**16), "2.0e-10"),
+            (Fraction(5, 10**10), "5.0e-10"),  # trailing zeros
+            (Fraction(125, 10**12), "1.25e-10"),
+            (Fraction(1234565, 10**16), "1.23457e-10"),  # exact half: up, not to even
+            (Fraction(12345649999, 10**20), "1.23456e-10"),
+            (Fraction(1234565000), "1.23457e+9"),
+            (Fraction(3, 2**200), "1.8669e-60"),
+        ],
+    )
+    def test_rounds_half_up_and_strips_zeros(self, value, text):
+        from mpmath import mp
+
+        assert exponent_string(value) == text
+        if value.denominator & (value.denominator - 1) == 0:  # exact in binary
+            assert mp.nstr(to_mpf(value, 10), 6) == text
