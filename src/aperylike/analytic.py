@@ -5,12 +5,11 @@ representation of the catalan linear forms, and the derivative series for the
 zeta4 family, summed in closed form from the exact pole table of its inner
 function (`hypergeom.zeta4_decomposition`) up to its stop index.
 
-Reference constants are computed by routes independent of the recurrences:
-Catalan's constant by Chebyshev acceleration of its defining alternating
-series, and zeta(4) as pi^4/90 from mpmath's pi, within one ulp.  The
-digit-extraction routines then certify the recurrence ratios against an
-a posteriori bound built from consecutive convergents, never against the
-reference values, so the two paths stay independent cross-checks.
+Reference constants, by routes independent of the recurrences (G by Chebyshev
+acceleration of its alternating series, zeta(4) as pi^4/90 from mpmath's pi,
+within one ulp), serve linear_form for the `integral` and `series` checks.
+Digit extraction and sequences.asymptotic_report rest on a posteriori bounds
+from consecutive convergents instead, so the two paths are independent checks.
 """
 
 from __future__ import annotations
@@ -24,22 +23,18 @@ from .errors import PrecisionError, QuadratureError
 from .exact import _integer_ratio, decimal_string, round_dyadic, to_mpf
 from .hypergeom import factor_runs, zeta4_decomposition
 from .sequences import (
+    DIGITS_PER_STEP,
     RECURRENCES,
     _check_index,
     _carried,
     _scaled_pairs,
+    _step_until,
     _values,  # noqa: F401  (clibench/tracer.py rebinds analytic._values)
     recurrence_coefficients,
 )
 
 if TYPE_CHECKING:
     from mpmath import mpf
-
-#: Decimal digits gained per step by v_n/u_n: log10(lambda_1/|lambda_2|) for the
-#: leading terms lambda^2 - (mid/lead) lambda - back/lead of RECURRENCES, i.e.
-#: lambda^2 - 11 lambda - 1 (2.0898...) and lambda^2 - 270 lambda - 27 (3.4317...),
-#: rounded down so that the start index errs high.
-DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
 
 #: The largest stop index of the zeta4 derivative series; PrecisionError past it.
 _MAX_TERMS = 1_000_000
@@ -127,25 +122,13 @@ def _digits_via_recurrence(family: str, digits: int) -> DigitsResult:
     if digits < 1:
         raise ValueError("digits must be positive")
     n = math.ceil(digits / DIGITS_PER_STEP[family]) + 5
-    threshold = 10 ** (digits + 1)
-    # one product tree gives both pairs, a longer run extends them step by
-    # step; 10 |r_n - r_{n+1}| < 10^-(digits+1) is one cross-multiplication
-    rows, _ = _scaled_pairs(family, n + 1)
-    while True:
-        (u_next, v_next), (u_n, v_n) = rows
-        bound = 10 * abs(v_n * u_next - v_next * u_n), u_n * u_next  # 10 d_n
-        if bound[0] * threshold < bound[1]:
-            break
-        n += 1
-        rows, _ = _carried(family, n, n + 1, rows)
-    man, exp = round_dyadic(bound, 10)
-    return DigitsResult(
-        constant=family,
-        digits=digits,
-        value=decimal_string((v_n, u_n), digits),
-        n_used=n,
-        error_bound=Fraction(2) ** exp * man,
-    )
+
+    def holds(u1: int, v1: int, u0: int, v0: int) -> bool:  # 10 d_n < 10^-(digits+1)
+        return 10 * abs(v0 * u1 - v1 * u0) * 10 ** (digits + 1) < u0 * u1
+
+    n, ((u1, v1), (u, v)) = _step_until(family, n, _scaled_pairs(family, n + 1)[0], holds)
+    man, exp = round_dyadic((10 * abs(v * u1 - v1 * u), u * u1), 10)
+    return DigitsResult(family, digits, decimal_string((v, u), digits), n, Fraction(2) ** exp * man)
 
 
 def linear_form(family: str, n: int, digits: int) -> mpf:
@@ -165,12 +148,10 @@ def linear_form(family: str, n: int, digits: int) -> mpf:
     come from one product tree as integers over a common scale S, the pair
     at n+2 from one integer step, and u_n and v_n are rounded from their
     integers over S, so no value is reduced.  At n = 0 the form is C itself.
+
+    The `integral` and `series` checks call it: its C is the reference
+    constant, so the form they compare with does not rest on the convergents.
     """
-    return _linear_form(family, n, digits)[1]
-
-
-def _linear_form(family: str, n: int, digits: int) -> tuple[tuple[int, int], mpf]:
-    """u_n as a ratio (num, den), and linear_form(family, n, digits)."""
     from mpmath import mp
 
     _check_index(family, n)
@@ -185,7 +166,7 @@ def _linear_form(family: str, n: int, digits: int) -> tuple[tuple[int, int], mpf
     with mp.workdps(working):
         form = to_mpf((u, scale), working) * reference(working) - to_mpf((v, scale), working)
     with mp.workdps(digits):
-        return (u, scale), +form
+        return +form
 
 
 def catalan_digits(digits: int) -> DigitsResult:

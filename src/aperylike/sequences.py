@@ -148,6 +148,11 @@ RECURRENCES = {
 
 FAMILIES = tuple(RECURRENCES)
 
+#: Decimal digits gained per step by v_n/u_n, log10(lambda_1/|lambda_2|) for the roots of
+#: the leading terms of RECURRENCES, lambda^2 - 11 lambda - 1 (2.0898...) and
+#: lambda^2 - 270 lambda - 27 (3.4317...), rounded down so that start indices err high.
+DIGITS_PER_STEP = {"catalan": 2.089, "zeta4": 3.43}
+
 
 def recurrence_coefficients(family: str, k: int) -> tuple[int, int, int]:
     """(lead(k), mid(k), back(k)) of the family's recurrence."""
@@ -319,6 +324,15 @@ def _carried(family: str, m: int, n: int, rows: _Rows, top: bool = False) -> tup
     return tuple(tuple(a * x + b * y for x, y in pairs) for a, b in matrix), divisor
 
 
+def _step_until(family: str, n: int, rows: _Rows, holds: Callable[..., bool]) -> tuple[int, _Rows]:
+    """m and the pairs at m+1 and m for the first m >= n with holds(u_{m+1},
+    v_{m+1}, u_m, v_m), stepped from `rows` at n+1 and n one leaf at a time."""
+    while not holds(*rows[0], *rows[1]):
+        n += 1
+        rows, _ = _carried(family, n, n + 1, rows)
+    return n, rows
+
+
 def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
     """The pairs at n and n-1 (n >= 1), only n when `top`, as integers over
     one common scale S > 0, and S, from (family, n) alone: the initial rows 1
@@ -451,22 +465,27 @@ def witness_texts(report: InclusionReport) -> tuple[str, str]:
 def asymptotic_report(family: str, n: int, digits: int) -> AsymptoticRates:
     """Per-n log growth of u_n and of the linear form u_n C - v_n, to `digits`.
 
-    The form comes from analytic.linear_form with relative error below
-    10^-(digits+5), so its logarithm is within about 10^-(digits+5) and both
-    rates are right to `digits` digits; the working precision it needs is
-    fixed in advance by the Casoratian bound on the cancellation.
+    No C is needed: with r_k = v_k/u_k and d_k = |r_{k+1} - r_k|, the Casoratian
+    bracket |C - r_N| < d_N of analytic.linear_form puts u_n (r_N - r_n) within
+    u_n d_N of the form, for any N > n.  N steps on from the DIGITS_PER_STEP
+    estimate until d_N < 10^-(digits+5) |r_N - r_n|, tested on unreduced
+    integers, so one rounding at digits+5 leaves both rates right to `digits`.
     """
     from mpmath import mp
 
-    if n < 2:
-        raise ValueError("growth rates need n >= 2")
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    from . import analytic  # local import: analytic depends on this module
+    _check_index(family, n)
+    if n < 2 or digits < 1:
+        raise ValueError("growth rates need n >= 2 and digits >= 1")
+    rows, scale = _scaled_pairs(family, n + 1)
+    (u_n, v_n), precision = rows[1], digits + 5
 
-    u, form = analytic._linear_form(family, n, digits + 5)
-    with mp.workdps(digits + 5):
-        rate_u = mp.log(to_mpf(u, digits + 5)) / n
-        rate_form = mp.log(abs(form)) / n
+    def holds(u1: int, v1: int, u0: int, v0: int) -> bool:  # d_N < 10^-(digits+5) |r_N - r_n|
+        return abs(v0 * u1 - v1 * u0) * u_n * 10**precision < abs(u_n * v0 - v_n * u0) * u1
+
+    start = n + math.ceil(precision / DIGITS_PER_STEP[family])
+    _, (_, (u, v)) = _step_until(family, start, _carried(family, n + 1, start + 1, rows)[0], holds)
+    with mp.workdps(precision):
+        rate_u = mp.log(to_mpf((u_n, scale), precision)) / n
+        rate_form = mp.log(to_mpf((abs(u_n * v - v_n * u), scale * u), precision)) / n
     with mp.workdps(digits):
         return AsymptoticRates(rate_u=+rate_u, rate_form=+rate_form)

@@ -365,6 +365,22 @@ class TestAsymptotics:
         assert result.status == "ok"
         assert "rate_u" in record and "rate_form" in record
 
+    @pytest.mark.parametrize("family, n", [("catalan", 1000), ("zeta4", 600)])
+    def test_needs_no_reference_constant(self, capsys, monkeypatch, family, n):
+        # the rates come from the convergents, so the benchmark's commands
+        # run with both reference constants out of reach
+        from aperylike import analytic
+
+        def unreachable(digits):
+            raise AssertionError("asymptotics evaluated a reference constant")
+
+        monkeypatch.setattr(analytic, "reference_catalan", unreachable)
+        monkeypatch.setattr(analytic, "reference_zeta4", unreachable)
+        argv = ["asymptotics", "--family", family, "--n", str(n), "--digits", "30"]
+        result, lines = run_lines(capsys, argv)
+        assert result.exit_code == 0
+        assert set(json.loads(lines[0])) == {"family", "n", "digits", "rate_u", "rate_form"}
+
 
 class TestErrorPaths:
     def test_unknown_command_is_usage_error(self, capsys):

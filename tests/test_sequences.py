@@ -491,6 +491,7 @@ class TestNoReduction:
         monkeypatch.setattr(sequences, "_matrix_product", counted_product)
         monkeypatch.setattr(sequences, "_content_free", counted_gcd)
         analytic.catalan_digits(600)
+        sequences.asymptotic_report("catalan", 150, 10)
         assert cli.run(["cf", "--family", "catalan", "--n", "300"]).status == "ok"
         capsys.readouterr()
         assert nodes and len(gcds) == len(nodes)
@@ -881,10 +882,18 @@ class TestAsymptotics:
         assert abs(r600.rate_u - 5.59879212) < 0.035
         assert abs(r600.rate_form - (-2.30295525)) < 0.035
 
-    @pytest.mark.parametrize("family, n", [("catalan", 500), ("zeta4", 300)])
-    def test_rates_right_to_the_reporting_precision(self, family, n):
+    @pytest.mark.parametrize(
+        "family, n, digits",
+        [
+            ("catalan", 500, 700),
+            ("zeta4", 300, 700),
+            ("catalan", 2, 50),
+            ("zeta4", 2, 50),
+            ("catalan", 1000, 30),
+        ],
+    )
+    def test_rates_right_to_the_reporting_precision(self, family, n, digits):
         # every reported digit counts, not only those left after cancellation
-        digits = 700
         rates = asymptotic_report(family, n, digits)
         u, v = stepped_pairs(family, n)[n]
         with mp.workdps(2500):
@@ -895,6 +904,31 @@ class TestAsymptotics:
             assert abs(rates.rate_form - rate_form) < tolerance
             assert abs(rates.rate_u - rate_u) < tolerance
 
+    @pytest.mark.parametrize("family, n, digits", [("catalan", 300, 30), ("zeta4", 2, 50)])
+    def test_steps_on_from_an_early_start(self, monkeypatch, family, n, digits):
+        # an overstated rate starts N at n + 1, so the stop loop has to step
+        # N on by single leaves until the convergent bracket is tight enough
+        expected = asymptotic_report(family, n, digits)
+        monkeypatch.setitem(sequences.DIGITS_PER_STEP, family, 60.0)
+        steps = []
+        carried = sequences._carried
+
+        def counted(family, m, stop, rows, top=False):
+            steps.append(stop - m)
+            return carried(family, m, stop, rows, top)
+
+        monkeypatch.setattr(sequences, "_carried", counted)
+        assert asymptotic_report(family, n, digits) == expected
+        assert steps[-1] == 1 and len(steps) > 5
+
     def test_rates_need_n_at_least_two(self):
         with pytest.raises(ValueError):
             asymptotic_report("catalan", 1, 50)
+
+    @pytest.mark.parametrize(
+        "family, n, digits",
+        [("zeta5", 10, 30), ("catalan", -1, 30), ("zeta4", 0, 30), ("catalan", 10, 0)],
+    )
+    def test_bad_arguments_are_value_errors(self, family, n, digits):
+        with pytest.raises(ValueError):
+            asymptotic_report(family, n, digits)
