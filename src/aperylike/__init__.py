@@ -1,7 +1,7 @@
 """Exact arithmetic and arbitrary-precision evaluation for the Apery-like
 second-order difference equations behind Catalan's constant and zeta(4).
 
-Subpackages by responsibility:
+Modules by responsibility:
 
 * :mod:`aperylike.exact` - rationals, polynomials, rational functions,
   truncated series, the lcm table, decimal helpers;

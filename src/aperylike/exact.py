@@ -14,20 +14,21 @@ Representations:
 * a truncated series at center c keeps ``order`` coefficients of (t - c)^j;
   the pole jets multiply it.
 
-Polynomial products, sums, products of linear factors
-(``Polynomial.from_roots``), Taylor shifts (synthetic division) and
-divisions work on the integers directly and reduce once by the gcd with the
-denominator; evaluation is integer Horner, forming one Fraction.  Division
-has one routine, the integer pseudo-division ``_pseudo_division``, behind
-``divmod`` and ``poly_gcd``; their one library caller is the denominator
-clearing in ``certificate.verify_telescoping``.
+Operands are not coerced: polynomials combine with polynomials and rational
+functions with rational functions; the one mixed operation is a polynomial
+times an int or Fraction scalar.  Any other operand is a ``TypeError``.
 
-Everything in this module is exact; nothing rounds.  The only floating-point
-code is the small group of helpers at the bottom that round exact rationals
-to binary floats (``round_dyadic``, an integer (man, exp) pair, and
-``to_mpf``, its mpmath value) or print them as decimal strings, at a
-caller-stated number of digits, each rounding once.  mpmath is imported
-inside ``to_mpf``, so the exact paths of the package never load it.
+Polynomial products, sums, products of linear factors (``from_roots``),
+Taylor shifts (synthetic division) and divisions work on the integers and
+reduce once by the gcd with the denominator; evaluation is integer Horner,
+forming one Fraction.  One routine, the integer pseudo-division
+``_pseudo_division``, serves ``divmod`` and ``poly_gcd``; their one library
+caller is the denominator clearing in ``certificate.verify_telescoping``.
+
+Only the helpers at the bottom round, each once, at a caller-stated number of
+digits: to binary floats (``round_dyadic``, an integer (man, exp) pair, and
+``to_mpf``, its mpmath value; mpmath is imported there and nowhere else here)
+or to decimal strings.  Everything else in this module is exact.
 """
 
 from __future__ import annotations
@@ -44,15 +45,9 @@ if TYPE_CHECKING:
 RationalLike = Union[int, Fraction]
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 def format_rational(value: RationalLike) -> str:
     """Serialize a rational as ``"p"`` or ``"p/q"`` (never a float)."""
-    return str(as_fraction(value))
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +98,7 @@ class Polynomial:
     @classmethod
     def linear(cls, root: RationalLike) -> "Polynomial":
         """The monic linear factor (t - root)."""
-        return cls([-as_fraction(root), 1])
+        return cls([-root, 1])
 
     @classmethod
     def from_roots(
@@ -135,13 +130,10 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Polynomial):
             return NotImplemented
         [a, b], den = integer_coefficients(self, other)
         return Polynomial._reduced([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
-
-    __radd__ = __add__
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -166,8 +158,9 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         return math.prod([self] * exponent, start=Polynomial.constant(1))
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        other = self._coerce(other)
+    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         # self = a / da, other = b / db; after e steps of the pseudo-division
@@ -185,15 +178,7 @@ class Polynomial:
         return Polynomial._reduced(quotient, den), Polynomial._reduced(r, den)
 
     def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, self._coerce(other))[0]
-
-    @staticmethod
-    def _coerce(value) -> "Polynomial":
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Polynomial.constant(value)
-        return NotImplemented
+        return divmod(self, other)[0] if isinstance(other, Polynomial) else NotImplemented
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -210,15 +195,15 @@ class Polynomial:
     def shift(self, offset: RationalLike) -> "Polynomial":
         """Compose with a translation: returns f(t + offset), whose
         coefficients are the Taylor coefficients of f at the offset."""
-        a = as_fraction(offset)
-        if a == 0 or not self.ints:
+        p, q = offset.as_integer_ratio()
+        if p == 0 or not self.ints:
             return self
-        # f = sum_i F_i t^i / L and a = p/q.  G_i = F_i q^(d-i) are the integer
-        # coefficients of g(x) = L q^d f(x/q), and g(p + y) = sum H_j y^j with
-        # y = q t, so f(t + a) = sum_j H_j q^j t^j / (L q^d).  Each pass of
+        # f = sum_i F_i t^i / L and a = offset = p/q.  G_i = F_i q^(d-i) are the
+        # integer coefficients of g(x) = L q^d f(x/q), and g(p + y) = sum H_j y^j
+        # with y = q t, so f(t + a) = sum_j H_j q^j t^j / (L q^d).  Each pass of
         # synthetic division by (x - p) fixes the next H_j in O(d) integer
         # steps, O(d^2) in all.
-        d, p, q = len(self.ints) - 1, a.numerator, a.denominator
+        d = len(self.ints) - 1
         g = [c * q ** (d - i) for i, c in enumerate(self.ints)]
         for j in range(d):
             for i in range(d - 1, j - 1, -1):
@@ -311,10 +296,8 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=Polynomial.constant(1)):
-        num = Polynomial._coerce(num)
-        den = Polynomial._coerce(den)
-        if num is NotImplemented or den is NotImplemented:
+    def __init__(self, num: Polynomial, den: Polynomial = Polynomial.constant(1)):
+        if not isinstance(num, Polynomial) or not isinstance(den, Polynomial):
             raise TypeError("a rational function needs polynomial parts")
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -325,8 +308,7 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
@@ -336,28 +318,16 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    @classmethod
-    def _coerce(cls, value):
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, (int, Fraction, Polynomial)):
-            return cls(value)
-        return NotImplemented
-
     def __call__(self, point: RationalLike) -> Fraction:
         """Exact evaluation; raises ZeroDivisionError where den vanishes."""
-        x = as_fraction(point)
-        d = self.den(x)
+        d = self.den(point)
         if d == 0:
-            raise ZeroDivisionError(f"evaluation at pole t = {x}")
-        return self.num(x) / d
+            raise ZeroDivisionError(f"evaluation at pole t = {point}")
+        return self.num(point) / d
 
     def shift(self, offset: RationalLike) -> "RationalFunction":
         """Return f(t + offset)."""
@@ -377,8 +347,8 @@ class TruncatedSeries:
     def __init__(self, center: RationalLike, coeffs: Sequence[RationalLike]):
         if not coeffs:
             raise ValueError("series order must be at least 1")
-        object.__setattr__(self, "center", as_fraction(center))
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in coeffs))
+        object.__setattr__(self, "center", Fraction(center))
+        object.__setattr__(self, "coeffs", tuple(map(Fraction, coeffs)))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TruncatedSeries is immutable")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: may be where the interpreter finds mpmath.
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.getenv("PYTHONPATH"))))}
 DIGESTS = Path(__file__).resolve().parents[1] / "clibench" / "digests.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_lines(capsys, argv):
@@ -669,3 +671,27 @@ class TestRecordedOutput:
         ).stdout
         recorded = json.loads(DIGESTS.read_text())[command]
         assert hashlib.sha256(stdout).hexdigest() == recorded
+
+
+def readme_code(section: str) -> str:
+    """The fenced code blocks of one `## section` of the README, joined."""
+    body = README.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return "\n".join(re.findall(r"```\w*\n(.*?)```", body, re.S))
+
+
+class TestReadmeExamples:
+    def test_library_and_cli_examples_run(self, capsys):
+        library = readme_code("Library use")
+        exec(compile(library, "README.md", "exec"), {})
+        digits = re.search(r"print\(catalan_digits\(50\)\.value\)\s*# (\S+)", library)[1]
+        assert capsys.readouterr().out == digits + "\n"
+        lines = readme_code("CLI examples").splitlines()
+        examples = [(line.split("#")[0].split()[1:], after)
+                    for line, after in zip(lines, [*lines[1:], ""])
+                    if line.startswith("aperylike ")]
+        assert len(examples) == 11
+        for argv, after in examples:
+            result, out = run_lines(capsys, argv)
+            assert result.status == "ok", argv
+            if after.startswith("# {"):  # a documented record
+                assert json.loads(out[0]) == json.loads(after[2:]), argv

@@ -280,6 +280,8 @@ class TestStoredForm:
             assert_stored_form(f.monic())
             for scalar in (0, -3, Fraction(-9, 4), Fraction(10**9 + 7, 6)):
                 assert_stored_form(f * scalar)
+                scaled = Polynomial([scalar * c for c in coefficients(f)])
+                assert scalar * f == f * scalar == scaled
             for g in operands[::5]:
                 assert_stored_form(f + g)
                 assert_stored_form(f * g)
@@ -318,7 +320,7 @@ class TestRationalFunction:
         t_minus_1 = Polynomial([-1, 1])
         f = RationalFunction(t2_minus_1, t_minus_1)  # (t^2-1)/(t-1)
         assert f.num == t2_minus_1 and f.den == t_minus_1
-        assert f == Polynomial([1, 1])
+        assert f == RationalFunction(Polynomial([1, 1]))
 
     def test_equality_is_exact(self):
         r = build_kernel(4).R
@@ -335,6 +337,12 @@ class TestRationalFunction:
         assert RationalFunction(t2_minus_1, t_minus_1) == RationalFunction(
             Polynomial([1, 1])
         )
+
+    def test_never_equal_to_a_polynomial(self):
+        one = Polynomial([1])
+        assert (RationalFunction(one) == one) is False
+        assert (one == RationalFunction(one)) is False
+        assert RationalFunction(one) != one
 
     def test_distinct_poles_not_equal(self):
         one_over_t = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
@@ -472,6 +480,28 @@ class TestEdgeCases:
     def test_decimal_string_rejects_negative_places(self):
         with pytest.raises(ValueError):
             decimal_string(Fraction(1, 3), -1)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: Polynomial([1]) + 1,
+            lambda: Fraction(1, 2) + Polynomial([1]),
+            lambda: divmod(Polynomial([1, 1]), 2),
+            lambda: Polynomial([1, 1]) // Fraction(1, 2),
+            lambda: RationalFunction(1),
+            lambda: RationalFunction(Polynomial([1]), 2),
+            lambda: RationalFunction(Polynomial([1])) * Polynomial([1]),
+            lambda: 2 * RationalFunction(Polynomial([1])),
+        ],
+        ids=[
+            "poly+int", "fraction+poly", "divmod-int", "floordiv-fraction",
+            "ratfun-int", "ratfun-den-int", "ratfun*poly", "int*ratfun",
+        ],
+    )
+    def test_number_operands_rejected(self, operation):
+        # polynomial operands only; a scalar enters nothing but Polynomial *
+        with pytest.raises(TypeError):
+            operation()
 
     def test_polynomial_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):

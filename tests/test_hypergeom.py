@@ -62,7 +62,9 @@ def kernel_parts(n: int) -> tuple[Polynomial, Polynomial, RationalFunction]:
     fact = math.factorial(n)
     p1 = linear_product(range(n)) * Fraction(1, fact)
     p2 = linear_product(range(-2 * n, -n)) * Fraction(1, fact)
-    q = RationalFunction(fact, linear_product(Fraction(-(2 * k + 1), 2) for k in range(n + 1)))
+    q = RationalFunction(
+        Polynomial.constant(fact), linear_product(Fraction(-(2 * k + 1), 2) for k in range(n + 1))
+    )
     return p1, p2, q
 
 
