@@ -99,7 +99,10 @@ def _cmd_decompose(args):
     if args.family == "catalan":
         table = hypergeom.partial_fractions(n)
         quad = hypergeom.coefficient_quadruple(n)
-        yield {**table._asdict(), **quad._asdict()}, True
+        item = sequences.catalan_pair(n)
+        # F_n = U' G - V: the table meets the recurrence, U' = 8 u_n, V = 8 v_n
+        holds = (quad.U, quad.Udoubleprime, quad.Uprime, quad.V) == (0, 0, 8 * item.u, 8 * item.v)
+        yield {**table._asdict(), **quad._asdict()}, holds
         return
     parts = hypergeom.zeta4_decomposition(n)
     item = sequences.zeta4_pair(n)

@@ -18,8 +18,8 @@ value, jet and poles (`FactorRuns`), the ratios in n and in t
 (`kernel_ratio`), R_n (`build_kernel`), the integrality windows
 (`check_arith_lemmas`) and the pole table (`pole_table`): each column is
 the jet at a pole of a product of linear factors, which `exp_jet` gives
-from the power sums of the factors' offsets from the pole, and prefix
-tables over the runs give those in integers.
+from the power sums of the factors' offsets from the pole, and one window
+of the runs' factors, walked from pole to pole, keeps those in integers.
 
 Alternating sums of the columns of A_jk produce the coefficients
 (U, U', U'', V) for which F_n = sum_t (-1)^t R_n(t) equals U' G - V with
@@ -243,70 +243,58 @@ def kernel_ratio(kernel: str, n: int, dn: int = 0, dt: int = 0) -> RationalFunct
     )
 
 
-def _grid_count(v: int) -> int:
-    """How many of 1, 3, 5, ... (v odd) or 2, 4, 6, ... (v even) are <= v."""
-    return (v + 1) // 2 if v > 0 else 0
-
-
 def pole_table(kernel: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
     """The exact pole table of a kernel: row j, column k holds the
     coefficient of 1/(t-p_k)^(order-j), where the run (r0, L, -order) gives
     the poles p_k = r0+L-1-k.
 
-    Column k is the jet of K(t) (t-p_k)^order at p_k.  In doubled units,
-    the offsets 2(p_k-r0-i) of a run are a step-2 stretch of the odd or the
-    even integers, so prefix products and prefix sums of (2/x)^j (integers
-    over one common denominator) give each run's value and power sums in
-    O(1) per pole.  Factors that vanish at p_k enter as the monomial x^z, z
-    the order plus their multiplicities (the pole's own among them), so
-    z > 0 only where the numerator vanishes too.
+    Column k is the jet of K(t) (t-p_k)^order at p_k.  One window walks the
+    poles: in doubled units a run's offsets from p_k are x = 2(p_k-r0-i),
+    i < L, and each step lowers them by 2, so one factor leaves at the near
+    end of every run and one enters at its far end.  So in O(1) per pole the
+    window keeps the value of the factors that do not vanish, the count z of
+    those that do (the monomial x^z), and the power sums sum m/(x/2)^j as
+    integers over common^j, common = lcm(1..reach), reach the largest |x|
+    at the run ends at the first and the last pole.  z is the order plus the
+    vanishing factors' multiplicities, the pole's own (-order) among them,
+    so z > 0 only where the numerator vanishes too.
     """
-    description = factor_runs(kernel, n)
-    scale, runs = description
-    first, count, mult = next(run for run in runs if run[2] < 0)
-    order, depth = -mult, -mult - 1
-    # doubled offset 2(p_k - r0) of each run: start - 2k
-    starts = [int(2 * (first + count - 1 - r0)) for r0, _, _ in runs]
-    extents = [0, 0]
-    for start, (_, length, _) in zip(starts, runs):
-        low = start - 2 * (count - 1) - 2 * (length - 1)
-        extents[start % 2] = max(extents[start % 2], abs(start), abs(low))
-    grids = [range(2, extents[0] + 1, 2), range(1, extents[1] + 1, 2)]
-    common = math.lcm(*grids[0], *grids[1])
+    scale, runs = description = factor_runs(kernel, n)
+    poles = description.poles
+    order = -next(m for _, _, m in runs if m < 0)
+    starts = [int(2 * (poles[0] - r0)) for r0, _, _ in runs]  # x at p_0, i = 0
+    last = 2 * len(poles) - 2  # x = start - 2k - 2i spans start - last - 2(L-1)..start
+    reach = max(abs(x) for s, (_, L, _) in zip(starts, runs) for x in (s, s - last - 2 * L + 2))
+    common = math.lcm(*range(1, reach + 1))
     denominators = [common**j for j in range(1, order)]  # of the power sums
-    tables = []
-    for grid in grids:
-        prod, sums = [1], [[0] for _ in range(depth)]
-        for x in grid:
-            prod.append(prod[-1] * x)
-            base, power = 2 * common // x, 1  # 1/(x/2)^j = base^j / common^j
-            for row in sums:
-                power *= base
-                row.append(row[-1] + power)
-        tables.append((prod, sums))
-    jets = []
-    for k, pole in enumerate(description.poles):
-        num, den, twos, zeros = scale, 1, 0, order
-        power_sums = [0] * depth
-        for start, (_, length, m) in zip(starts, runs):
-            high = start - 2 * k
-            low = high - 2 * (length - 1)
-            prod, sums = tables[high % 2]
-            a, b = _grid_count(low - 2), _grid_count(high)  # positive offsets
-            c, d = _grid_count(-high - 2), _grid_count(-low)  # negative offsets
-            if low <= 0 <= high and high % 2 == 0:
-                zeros += m
-            part = (prod[b] // prod[a]) * (prod[d] // prod[c]) * (-1) ** (d - c)
-            if m > 0:
-                num *= part**m
+
+    def changes(k):  # (x, m) of each factor entering the window at p_k, (x, -m) leaving it
+        for s, (_, length, m) in zip(starts, runs):
+            if k == 0:
+                yield from ((x, m) for x in range(s, s - 2 * length, -2))
             else:
-                den *= part**-m
-            twos += m * (b - a + d - c)
-            for j, row in enumerate(sums, 1):
-                power_sums[j - 1] += m * (row[b] - row[a] + (-1) ** j * (row[d] - row[c]))
-        value = Fraction(num, den << twos) if twos >= 0 else Fraction(num << -twos, den)
+                yield from ((s - 2 * k + 2, -m), (s - 2 * (k + length - 1), m))
+
+    # each factor counts x/2 in the value, a vanishing one (counted in z) 2/2 = 1
+    value = Fraction(scale) / Fraction(2) ** sum(length * m for _, length, m in runs)
+    zeros, sums, jets = order, [0] * (order - 1), []
+    for k, pole in enumerate(poles):
+        num, den = 1, 1
+        for x, m in changes(k):
+            if m > 0:
+                num *= (x or 2) ** m
+            else:
+                den *= (x or 2) ** -m
+            if x == 0:
+                zeros += m
+                continue
+            base, power = 2 * common // x, m  # 1/(x/2)^j = base^j / common^j
+            for j in range(order - 1):
+                power *= base
+                sums[j] += power
+        value *= Fraction(num, den)
         monomial = TruncatedSeries(pole, [int(i == zeros) for i in range(order)])
-        sums_at_pole = [Fraction(p, q) for p, q in zip(power_sums, denominators)]
+        sums_at_pole = [Fraction(p, q) for p, q in zip(sums, denominators)]
         jets.append(monomial * exp_jet(pole, value, sums_at_pole, order))
     return tuple(tuple(jet.coeffs[j] for jet in jets) for j in range(order))
 

@@ -570,6 +570,17 @@ class TestDecompose:
         assert json.loads(lines[0])["identity"] is False
         assert result.status == "verification_failed" and result.exit_code == 1
 
+    def test_catalan_failed_identity_exits_1(self, capsys, monkeypatch):
+        from aperylike import hypergeom
+
+        exact = hypergeom.coefficient_quadruple
+        monkeypatch.setattr(
+            hypergeom, "coefficient_quadruple", lambda n: exact(n)._replace(V=exact(n).V + 1)
+        )
+        result, lines = run_lines(capsys, ["decompose", "--n", "2"])
+        assert json.loads(lines[0])["V"] == "10843/144"  # 10699/144 + 1
+        assert result.status == "verification_failed" and result.exit_code == 1
+
     def test_default_family_is_catalan(self, capsys):
         _, default = run_lines(capsys, ["decompose", "--n", "4"])
         _, catalan = run_lines(capsys, ["decompose", "--family", "catalan", "--n", "4"])

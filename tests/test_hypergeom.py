@@ -333,7 +333,7 @@ class TestZeta4Decomposition:
     def test_table_equals_the_series_reference(self, n):
         assert zeta4_decomposition(n).B == reference_table(series_zeta4_pole_jets(n))
 
-    @pytest.mark.parametrize("n", range(61))
+    @pytest.mark.parametrize("n", [*range(61), 300])
     def test_series_identity_is_exact(self, n):
         # (-1)^(n+1)/6 sum_{t>=1} H_n'(t) = u_n zeta(4) - v_n, coefficient
         # by coefficient, with no tolerance
@@ -432,13 +432,14 @@ class TestFactorRuns:
             assert partial_fractions(n).A == pole_table("catalan", n)
             assert zeta4_decomposition(n).B == pole_table("zeta4", n)
 
+    # at even n a numerator factor vanishes at the middle catalan pole, at odd n none does
+    @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("change", ["multiplicity", "first root"])
     @pytest.mark.parametrize("run", range(4))
     @pytest.mark.parametrize(
         "kernel, reference", [("catalan", series_pole_jets), ("zeta4", series_zeta4_pole_jets)]
     )
-    def test_a_changed_run_changes_the_table(self, monkeypatch, kernel, reference, run, change):
-        n = 6
+    def test_a_changed_run_changes_the_table(self, monkeypatch, kernel, reference, run, change, n):
         expected = reference_table(reference(n))
         assert pole_table(kernel, n) == expected
         describe = KERNELS[kernel]
@@ -455,6 +456,25 @@ class TestFactorRuns:
 
         monkeypatch.setitem(KERNELS, kernel, changed)
         assert pole_table(kernel, n) != expected
+
+    @pytest.mark.parametrize("place", [0, 2, 5])
+    @pytest.mark.parametrize(
+        "kernel, reference", [("catalan", series_pole_jets), ("zeta4", series_zeta4_pole_jets)]
+    )
+    def test_an_empty_run_leaves_the_table(self, monkeypatch, kernel, reference, place):
+        # a run of length 0 holds no factor: the factor that would leave the
+        # window and the one that would enter it coincide, and, the run being
+        # rooted at a pole, at one step both vanish
+        n = 6
+        describe = KERNELS[kernel]
+
+        def with_empty_run(m: int) -> FactorRuns:
+            description = describe(m)
+            runs = (*description.runs, (description.poles[place], 0, 2))
+            return FactorRuns(description.scale, runs)
+
+        monkeypatch.setitem(KERNELS, kernel, with_empty_run)
+        assert pole_table(kernel, n) == reference_table(reference(n))
 
     def test_rejects_unknown_kernels_and_negative_indices(self):
         with pytest.raises(ValueError):
@@ -582,6 +602,12 @@ class TestQuadruple:
             item = catalan_pair(n)
             assert q.Uprime == 8 * item.u
             assert q.V == 8 * item.v
+
+    @pytest.mark.parametrize("n", [300])
+    def test_cross_path_identity_deep(self, n):
+        # the pole table's window slides across n+1 poles
+        q, item = coefficient_quadruple(n), catalan_pair(n)
+        assert (q.U, q.Udoubleprime, q.Uprime, q.V) == (0, 0, 8 * item.u, 8 * item.v)
 
     def test_linear_form_denominator_inclusions_to_fifty(self):
         from aperylike.exact import lcm_upto
