@@ -13,10 +13,10 @@ arithmetic (`exact.exponent_string`), so `digits` loads no mpmath.  `pair`,
 str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
-printed by one rule from the decimal twins of one row type, stepped by one
-rule: rows of the memo at factor 1 (`sequences.row_texts`) and of the carry
-at the clearing factors (`witness_texts`), so both print in linear time and
-at any size.
+from the decimal twins of one row type stepped by one rule: `range` builds
+its records from the memo's rows at factor 1 (`sequences.row_texts`) alone,
+and `check` its witnesses from the carry's rows at the clearing factors
+(`witness_texts`), so both print in linear time and at any size.
 `pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
 int->str limit they exit 2.
 
@@ -80,9 +80,8 @@ def _cmd_pair(args):
 
 def _cmd_range(args):
     for n in range(_n_max(args) + 1):
-        record = sequences.pair(args.family, n)._asdict()
-        record["u"], record["v"] = sequences.row_texts(args.family, n)
-        yield record, True
+        u, v = sequences.row_texts(args.family, n)
+        yield {"family": args.family, "n": n, "u": u, "v": v}, True
 
 
 def _cmd_check(args):

@@ -21,12 +21,13 @@ back(n) and its initial pairs; stepping, the telescoping certificate's
 weights and the continued fractions all read it.  Everything is exact.
 
 One row type, one step and two stores serve `range` and `check`.  A row is
-(u, v) as cleared values F x: num/den in lowest terms, the factor F, and
-num and den as `decimal.Decimal` integers, the twins from which the row
-prints with no int->str conversion, which CPython does in quadratic time and
-refuses past 4,300 digits.  The step, `_stepped`, is the one-leaf product
-tree of the 2x2 step matrices: small weights, one gcd per value, its power
-of 2 read from the bits, and the twins weighted and divided alike.  The
+(u, v) as cleared values F x = P / (2^e A) in lowest terms, A odd: P as its
+quotient q and remainder r by A, and P and 2^e A as `decimal.Decimal`
+integers, the twins from which the row prints with no int->str conversion,
+which CPython does in quadratic time and refuses past 4,300 digits.  The
+step, `_stepped`, is the one-leaf product tree of the 2x2 step matrices:
+small weights on q and r, one gcd per value of r against A, no wider than A,
+the twos taken out 2-adically, the twins weighted and divided alike.  The
 memo `_pairs` keeps every row at F = 1 and grows one step at a time, so
 walking n upwards (`row_texts`) streams; the carry `_carries` keeps the last
 two rows at the clearing factors per (family, mode), so `check_inclusions`
@@ -171,15 +172,23 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 
 
 class _Cleared(NamedTuple):
-    """W = F x for a value x and its factor F: num/den in lowest terms, den 1
-    exactly when F clears x, and num and den as decimal integers, the twins
-    from which W prints with no int->str conversion."""
+    """W = F x for a value x and its factor F, in lowest terms P / (2^e A), A
+    odd and P odd if e > 0; P as its quotient and remainder by A, P = q A + r,
+    0 <= r < A, gcd(r, A) = 1, so that a step's gcd reads nothing wider than
+    A; P and 2^e A also as decimal integers, the twins from which W prints
+    with no int->str conversion.  `whole`: F clears x, and W is the int q."""
 
-    num: int
-    den: int
+    quotient: int
+    remainder: int
+    odd: int
+    twos: int
     num_text: Decimal
     den_text: Decimal
     factor: int
+
+    @property
+    def whole(self) -> bool:
+        return self.odd == 1 and not self.twos
 
 
 #: (u, v) at one index, each a cleared value: a memo row at F = 1, or a
@@ -191,17 +200,6 @@ _Values = tuple[_Cleared, ...]
 _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(
     Fraction, _normalize=False
 )
-
-
-def _common_divisor(num: int, den: int) -> int:
-    """gcd(num, den) for den > 0, by one split as in the first step of Stein's
-    binary gcd (Knuth, TAOCP vol. 2, 4.5.2): gcd(num, den) = 2^min(v2 num,
-    v2 den) gcd(odd num, odd den), each v2 read from the lowest set bit.  A
-    catalan den is mostly a power of 2, so this is mostly a shift."""
-    if not num:
-        return den
-    v_num, v_den = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
-    return math.gcd(num >> v_num, den >> v_den) << min(v_num, v_den)
 
 
 def _lowest_terms(num: int, den: int) -> tuple[int, int, int]:
@@ -217,7 +215,9 @@ def _lowest_terms(num: int, den: int) -> tuple[int, int, int]:
 def _converted(x: int, scale: int, factor: int) -> _Cleared:
     """F x / scale as a cleared value, in lowest terms, its twins converted."""
     num, den, _ = _lowest_terms(factor * x, scale)
-    return _Cleared(num, den, Decimal(num), Decimal(den), factor)
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    return _Cleared(*divmod(num, odd), odd, twos, Decimal(num), Decimal(den), factor)
 
 
 _cache_lock = threading.Lock()
@@ -228,41 +228,66 @@ _pairs: dict[str, list[_Values]] = {
 
 
 def _exact_quotient(x: Decimal, g: int) -> Decimal:
+    if g == 1:
+        return x
     quotient, remainder = _EXACT.divmod(x, Decimal(g))
     if remainder:
         raise ArithmeticError("a decimal twin is not divisible by its step's gcd")
     return quotient
 
 
-def _clear(
-    row: tuple[int, int], divisor: int, cur: _Cleared, prev: _Cleared, factor: int
-) -> _Cleared:
-    """W = F (alpha x_k + beta x_{k-1}) / divisor for a row (alpha, beta) of a
-    step matrix, W_k = `cur`, W_{k-1} = `prev` and F = `factor`: each W_i
-    weighted by its coefficient times F/F_i over one denominator, then one
-    gcd.  The twins get the same weights and gcd, in linear time, the den
-    twin only where den is not 1; a twin's remainder raises ArithmeticError."""
-    (p_cur, q_cur, _), (p_prev, q_prev, _) = (_lowest_terms(factor, w.factor) for w in (cur, prev))
-    den_cur, den_prev = q_cur * cur.den, q_prev * prev.den
-    common = math.lcm(den_cur, den_prev)
-    w_cur, w_prev = row[0] * p_cur * (common // den_cur), row[1] * p_prev * (common // den_prev)
-    num, den = w_cur * cur.num + w_prev * prev.num, divisor * common
-    g = _common_divisor(num, den)
-    text = _EXACT.fma(cur.num_text, Decimal(w_cur), _EXACT.multiply(prev.num_text, Decimal(w_prev)))
-    if den == g:
-        return _Cleared(num // g, 1, _exact_quotient(text, g), Decimal(1), factor)
-    den_text = _EXACT.multiply(cur.den_text, Decimal(divisor * q_cur * (common // den_cur)))
-    return _Cleared(num // g, den // g, *(_exact_quotient(x, g) for x in (text, den_text)), factor)
+def _reduced(quotient: int, remainder: int, odd: int, twos: int) -> tuple[int, ...]:
+    """(q, r, A, e) of P / (2^e A) in lowest terms, given those of P = q A + r,
+    0 <= r < A odd, and the divisor g 2^j taken out.  One gcd, g = gcd(r, A),
+    no wider than A: P/g = q (A/g) + r/g.  Then j = min(v2 P, e), from P's low
+    bits: with t = -r/A mod 2^j, P = (q - t) A + (r + A t), 2^j dividing both."""
+    g = math.gcd(remainder, odd)
+    remainder, odd = remainder // g, odd // g
+    mask = (1 << min(twos, 64)) - 1  # P's low bits; all e of them only if these are 0
+    low = ((quotient & mask) * (odd & mask) + (remainder & mask)) & mask
+    if twos > 64 and not low:
+        low = (quotient * odd + remainder) & (1 << twos) - 1
+    j = (low & -low).bit_length() - 1 if low else twos
+    if j:
+        t = -remainder * pow(odd, -1, 1 << j) & (1 << j) - 1
+        quotient, remainder = (quotient - t) >> j, (remainder + odd * t) >> j
+    return quotient, remainder, odd, twos - j, g << j
 
 
 def _stepped(
     family: str, k: int, before: _Values, last: _Values, factors: tuple[int, int]
 ) -> _Values:
-    """Row k+1 from rows k-1 and k (k >= 1) by the top row of the leaf M_k,
-    each value by its factor: (1, 1) in the memo, the clearing factors in a
-    carry."""
+    """Row k+1 from rows k-1 and k (k >= 1) by the top row (alpha, beta) of the
+    leaf M_k, each value by its factor F: (1, 1) in the memo, the clearing
+    factors in a carry.  W = (alpha (F/F_k) W_k + beta (F/F_{k-1}) W_{k-1}) / D,
+    D the lead times the ratios' denominators, is (Q + R/C) / (2^E D) over the
+    rows' common 2^E and odd lcm C: Q the weighted quotients plus R // C, R the
+    weighted remainders times C/A, mod C.  D's odd part D_o splits Q, A = C D_o
+    and r = C (Q mod D_o) + R, for `_reduced`.  Only its gcd is not linear in
+    the digits.  The twins take the same weights and divisor; a twin's
+    remainder raises ArithmeticError."""
     (row,), lead = _matrix_product(family, k, k + 1, top=True)
-    return tuple(_clear(row, lead, *values) for values in zip(last, before, factors))
+    values = []
+    for cur, prev, factor in zip(last, before, factors):
+        (p_cur, q_cur, _), (p_prev, q_prev, _) = (_lowest_terms(factor, w.factor) for w in (cur, prev))
+        scale = math.lcm(q_cur, q_prev)
+        twos, odd = max(cur.twos, prev.twos), math.lcm(cur.odd, prev.odd)
+        w_cur = row[0] * p_cur * (scale // q_cur) << twos - cur.twos
+        w_prev = row[1] * p_prev * (scale // q_prev) << twos - prev.twos
+        c_cur, c_prev = w_cur * (odd // cur.odd), w_prev * (odd // prev.odd)
+        carry, rest = divmod(c_cur * cur.remainder + c_prev * prev.remainder, odd)
+        divisor = lead * scale
+        d2 = (divisor & -divisor).bit_length() - 1
+        quotient, q_rem = divmod(w_cur * cur.quotient + w_prev * prev.quotient + carry, divisor >> d2)
+        *value, g = _reduced(quotient, odd * q_rem + rest, odd * (divisor >> d2), twos + d2)
+        text = _EXACT.multiply(prev.num_text, Decimal(c_prev))
+        text = _exact_quotient(_EXACT.fma(cur.num_text, Decimal(c_cur), text), g)
+        den_text = Decimal(1)
+        if value[2:] != [1, 0]:  # (A, e) not (1, 0): the twin of 2^E C D, over g 2^j
+            ratio = (odd // cur.odd << twos - cur.twos) * divisor
+            den_text = _exact_quotient(_EXACT.multiply(cur.den_text, Decimal(ratio)), g)
+        values.append(_Cleared(*value, text, den_text, factor))
+    return tuple(values)
 
 
 def _row(family: str, n: int) -> _Values:
@@ -351,15 +376,16 @@ def _scaled_pairs(family: str, n: int, top: bool = False) -> tuple[_Rows, int]:
 
 
 def _values(family: str, n: int) -> _Pair:
-    """The exact pair (u_n, v_n), Fractions of the num/den of memo row n.
-    The index just past the memo's end is one step, which is appended, so
-    that walking n upwards streams; an index further on is one `top` product
-    tree, whose nodes drop their content, reduced once per value, not stored."""
+    """The exact pair (u_n, v_n): of memo row n, (q A + r) / (2^e A), one
+    multiplication per value.  The index just past the memo's end is one step,
+    appended, so that walking n upwards streams; an index further on is one
+    `top` product tree, nodes without content, reduced once per value, not stored."""
     _check_index(family, n)
     if n > len(_pairs[family]):
         ((u, v),), scale = _scaled_pairs(family, n, top=True)
         return tuple(_coprime_fraction(*_lowest_terms(x, scale)[:2]) for x in (u, v))
-    return tuple(_coprime_fraction(x.num, x.den) for x in _row(family, n))
+    row = _row(family, n)
+    return tuple(_coprime_fraction(x.quotient * x.odd + x.remainder, x.odd << x.twos) for x in row)
 
 
 def catalan_pair(n: int) -> SequencePair:
@@ -432,21 +458,21 @@ def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionRepo
     it.  No reduced pair is formed, and the memo does not grow."""
     _check_index(family, n)
     u, v = _carry(family, n, mode)
-    witness_u, witness_v = (w.num if w.den == 1 else None for w in (u, v))
-    return InclusionReport(family, n, mode, u.den == 1, v.den == 1, witness_u, witness_v)
+    witness_u, witness_v = (w.quotient if w.whole else None for w in (u, v))
+    return InclusionReport(family, n, mode, u.whole, v.whole, witness_u, witness_v)
 
 
 # -- printing rows and witnesses ---------------------------------------------
 
 
 def _text(w: _Cleared) -> str:
-    return str(w.num_text) if w.den == 1 else f"{w.num_text}/{w.den_text}"
+    return str(w.num_text) if w.whole else f"{w.num_text}/{w.den_text}"
 
 
 def row_texts(family: str, n: int) -> tuple[str, str]:
-    """str(u_n) and str(v_n), from memo row n, the memo first walked up to n
-    if it is short: in time linear in the digits, and past CPython's int->str
-    limit."""
+    """str(u_n) and str(v_n), from the twins of memo row n, the memo first
+    walked up to n if it is short: in time linear in the digits, and past
+    CPython's int->str limit.  No Fraction is formed."""
     _check_index(family, n)
     return tuple(map(_text, _row(family, n)))
 
@@ -456,7 +482,7 @@ def witness_texts(report: InclusionReport) -> tuple[str, str]:
     the decimal twins of the carry, moved first to the report's index if it
     holds another: no int->str conversion, at any size."""
     cur = _carry(report.family, report.n, report.mode)
-    return tuple(_text(w) if w.den == 1 else "" for w in cur)
+    return tuple(_text(w) if w.whole else "" for w in cur)
 
 
 # -- measured growth rates -----------------------------------------------------

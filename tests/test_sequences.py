@@ -61,16 +61,27 @@ def twin_texts(family, n):
     return tuple(map(sequences._text, sequences._pairs[family][n]))
 
 
+def twos_and_odd(den):
+    """(e, A) with den = 2^e A, A odd, for den > 0."""
+    twos = (den & -den).bit_length() - 1
+    return twos, den >> twos
+
+
 def decimal_row(pair):
     """A memo row built from the exact pair (u, v): each value at factor 1,
-    its twins read off by Decimal()."""
-    ratios = ((x.numerator, x.denominator) for x in pair)
-    return tuple(sequences._Cleared(p, q, Decimal(p), Decimal(q), 1) for p, q in ratios)
+    split by hand as P = q A + r over 2^e A, its twins read off by Decimal()."""
+    row = []
+    for x in pair:
+        twos, odd = twos_and_odd(x.denominator)
+        quotient, remainder = divmod(x.numerator, odd)
+        texts = Decimal(x.numerator), Decimal(x.denominator)
+        row.append(sequences._Cleared(quotient, remainder, odd, twos, *texts, factor=1))
+    return tuple(row)
 
 
 def terms(row):
-    """(numerator, denominator) of each value of a memo row."""
-    return tuple((x.num, x.den) for x in row)
+    """(numerator, denominator) of each value of a memo row: (q A + r, 2^e A)."""
+    return tuple((x.quotient * x.odd + x.remainder, x.odd << x.twos) for x in row)
 
 
 def fraction_terms(pair):
@@ -86,12 +97,38 @@ def reduced(num, den):
     return sequences._coprime_fraction(p, q)
 
 
-def assert_twins(value):
-    """The twins of a cleared value are its num and den as decimal integers."""
-    assert math.gcd(value.num, value.den) == 1 and value.den > 0
+def step_reduced(num, den):
+    """num/den (den > 0) as a step reduces it: split as P = q A + r over 2^e A
+    for `_reduced`, whose result must keep the row invariants; the Fraction it
+    stands for, and the divisor it took out."""
+    twos, odd = twos_and_odd(den)
+    *row, divisor = sequences._reduced(*divmod(num, odd), odd, twos)
+    quotient, remainder, odd, twos = row
+    assert_row_invariants(quotient, remainder, odd, twos)
+    p, q = quotient * odd + remainder, odd << twos
+    assert (p * divisor, q * divisor) == (num, den)
+    return Fraction(p, q), divisor
+
+
+def assert_row_invariants(quotient, remainder, odd, twos):
+    """P / (2^e A) in lowest terms, P = q A + r: A odd, 0 <= r < A,
+    gcd(r, A) = 1, and P odd when e > 0."""
+    assert odd > 0 and odd % 2 == 1 and twos >= 0
+    assert 0 <= remainder < odd and math.gcd(remainder, odd) == 1
+    assert twos == 0 or (quotient * odd + remainder) % 2 == 1
+
+
+def assert_twins(value, x=None):
+    """A cleared value keeps the row invariants, its twins are P and 2^e A as
+    decimal integers, and it is F x when x is given."""
+    assert_row_invariants(value.quotient, value.remainder, value.odd, value.twos)
+    num, den = value.quotient * value.odd + value.remainder, value.odd << value.twos
     twins = (value.num_text, value.den_text)
-    assert twins == (Decimal(value.num), Decimal(value.den))
+    assert twins == (Decimal(num), Decimal(den))
     assert all(twin.as_tuple().exponent == 0 for twin in twins)
+    assert value.whole is (den == 1)
+    if x is not None:
+        assert Fraction(num, den) == value.factor * x
 
 
 class TestCoefficientPolynomials:
@@ -251,7 +288,7 @@ class TestStep:
             got, want = reduced(num, den), Fraction(num, den)
             assert type(got) is Fraction
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-            assert sequences._common_divisor(num, den) == math.gcd(num, den)
+            assert step_reduced(num, den) == (want, math.gcd(num, den))
 
     def test_reduction_on_random_pairs(self):
         rng = random.Random(2)
@@ -260,18 +297,46 @@ class TestStep:
             den = rng.randint(1, 10**20) << rng.randint(0, 90)
             got, want = reduced(num, den), Fraction(num, den)
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-            assert sequences._common_divisor(num, den) == math.gcd(num, den)
+            assert step_reduced(num, den) == (want, math.gcd(num, den))
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_memo_equals_the_fraction_step_to_1200(self, family, cold_memo):
         reference = stepped_pairs(family, 1200)
         for n in range(1201):
-            _values(family, n)
+            item = sequences.pair(family, n)
+            assert fraction_terms((item.u, item.v)) == fraction_terms(reference[n]), n
         memo = sequences._pairs[family]
         assert len(memo) == 1201
         for n, (got, want) in enumerate(zip(memo, reference)):
             assert terms(got) == fraction_terms(want), n
             assert [x.factor for x in got] == [1, 1], n
+            for value in got:
+                assert_row_invariants(value.quotient, value.remainder, value.odd, value.twos)
+
+    @pytest.mark.parametrize("family", ["catalan", "zeta4"])
+    def test_no_gcd_operand_is_wider_than_the_odd_denominators_times_the_lead(
+        self, family, cold_memo, monkeypatch
+    ):
+        # each step's one gcd reads r < A' = lcm(A_k, A_{k-1}) D_o, D_o the
+        # lead's odd part: never the numerator, and under half the widest one
+        operands = []
+        original = sequences._reduced
+
+        def counted(quotient, remainder, odd, twos):
+            operands.append((remainder, odd, quotient * odd + remainder))
+            return original(quotient, remainder, odd, twos)
+
+        monkeypatch.setattr(sequences, "_reduced", counted)
+        sequences.row_texts(family, 1000)
+        reference = stepped_pairs(family, 1000)
+        assert len(operands) == 2 * 999
+        for i, (remainder, odd, num) in enumerate(operands):
+            k, which = 1 + i // 2, i % 2
+            lead = recurrence_coefficients(family, k)[0]
+            odds = (twos_and_odd(reference[m][which].denominator)[1] for m in (k - 1, k))
+            assert 0 <= remainder < odd <= math.lcm(*odds) * twos_and_odd(lead)[1], (k, which)
+        widest = max(odd.bit_length() for _, odd, _ in operands)
+        assert 2 * widest < max(num.bit_length() for _, _, num in operands)
 
 
 class TestProductTree:
@@ -500,13 +565,13 @@ class TestNoReduction:
         from aperylike import cli
 
         gcds = []
-        common_divisor = sequences._common_divisor
+        original = sequences._reduced
 
-        def counted(num, den):
-            gcds.append((num, den))
-            return common_divisor(num, den)
+        def counted(quotient, remainder, odd, twos):
+            gcds.append((remainder, odd))
+            return original(quotient, remainder, odd, twos)
 
-        monkeypatch.setattr(sequences, "_common_divisor", counted)
+        monkeypatch.setattr(sequences, "_reduced", counted)
         for family in RECURRENCES:
             for mode in sequences.MODES:
                 argv = ["check", "--family", family, "--n-max", "1000", "--mode", mode]
@@ -514,9 +579,9 @@ class TestNoReduction:
                 capsys.readouterr()
             assert check_inclusions(family, 1500, "strong").ok
             assert len(sequences._pairs[family]) == 2
-        # each step's gcd is against its lead: no full-width gcd
+        # each step's gcd is against its lead's odd part: no full-width gcd
         assert reductions == [] and gcds
-        assert max(den.bit_length() for _, den in gcds) < 128
+        assert max(x.bit_length() for operands in gcds for x in operands) < 128
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_a_deep_pair_reduces_twice(self, reductions, family):
@@ -572,7 +637,7 @@ class TestDecimalTwins:
             assert last == n and tuple(x.factor for x in cur) == factors(family, n, mode)
             for value in (*cur, *(prev or ())):
                 assert_twins(value)
-                dens.add(value.den)
+                dens.add(value.odd << value.twos)
         assert (dens == {1}) is not ones
         assert len(sequences._pairs[family]) == 2
 
@@ -793,6 +858,17 @@ class TestCheckCarry:
         for n in range(401):
             assert checked(family, mode, n) == expected(family, mode, n), n
         assert len(sequences._pairs[family]) == 2
+
+    @pytest.mark.parametrize("family, mode", KEYS)
+    def test_carry_rows_keep_the_row_invariants_to_1000(self, family, mode, cold_memo):
+        reference = stepped_pairs(family, 1000)
+        for n in range(1001):
+            check_inclusions(family, n, mode)
+            last, cur, _ = sequences._carries[family, mode]
+            assert last == n
+            assert tuple(value.factor for value in cur) == sequences._clearing_factors(family, n, mode)
+            for value, x in zip(cur, reference[n]):
+                assert_twins(value, x)
 
     @pytest.mark.parametrize("family, mode", KEYS)
     def test_descending(self, family, mode, cold_memo):
