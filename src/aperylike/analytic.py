@@ -149,6 +149,25 @@ def linear_form(family: str, n: int, digits: int) -> mpf:
     at n+2 from one integer step, and u_n and v_n are rounded from their
     integers over S, so no value is reduced.  At n = 0 the form is C itself.
 
+    For catalan the limit of the r_k is G.  F_n = sum_{t>=0} (-1)^t R_n(t)
+    is 8(u_n G - v_n) (`hypergeom`; `decompose` checks it exactly per n), and
+
+        R_n(t) = n! (2t+n+1) prod_{i<n} (t-i) prod_{i=1..n} (t+n+i)
+                 / prod_{k<=n} (t+k+1/2)^3
+
+    is 0 at t = 0..n-1 and positive at t >= n.  For t >= n >= 1, pair its
+    factors with the poles: (t-i)/(t+i+1/2) <= 1, (t+n+i)/(t+i+1/2) < 2 and
+    (2t+n+1)/(t+n+1/2) <= 2, and each of the n+2 pole factors left is at
+    least t+1/2.  So R_n(t) <= 2^(n+1) n! / (t+1/2)^(n+2), and as x^-(n+2)
+    decreases, its sum over x = t+1/2, t >= n, is at most its integral from
+    x = n-1/2:
+
+        |F_n| <= sum_{t>=n} R_n(t) <= 2^(n+1) n! / ((n+1) (n-1/2)^(n+1)),
+
+    about (2/e)^n.  In k-1, mid_k - lead_k and back_k have only positive
+    coefficients, so u_n increases from u_0 = 1, and |G - r_n| =
+    |F_n| / (8 u_n) tends to 0.  The zeta4 bound is not written yet.
+
     The `integral` and `series` checks call it: its C is the reference
     constant, so the form they compare with does not rest on the convergents.
     """

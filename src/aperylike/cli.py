@@ -22,13 +22,19 @@ int->str limit they exit 2.
 
 Exit codes: 0 ok (also after --help), 1 verification failed, 2 usage error,
 3 precision error.
+
+As the process entry point (`main()` with no argv: the `aperylike` script
+and `python -m aperylike.cli`), the CLI flushes stdout and stderr and ends
+by `os._exit`, skipping the interpreter's teardown, which costs more than
+most commands' own work: no atexit handler runs in the CLI process.
+Library callers, `run` and `main(argv)` with a list are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,6 +65,8 @@ def _emit(record: dict, fmt: str, first: bool) -> None:
     """Print one record as JSON, every Fraction in it as "p" or "p/q", or as
     a CSV row of str() values, after a header of its keys when `first`."""
     if fmt == "csv":
+        import csv  # only here: it costs every JSON command's start-up
+
         writer = csv.writer(sys.stdout)
         if first:
             writer.writerow(record.keys())
@@ -280,8 +288,23 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main(argv: list[str] | None = None) -> None:
-    result = run(sys.argv[1:] if argv is None else argv)
-    sys.exit(result.exit_code)
+    """Run `argv` and raise SystemExit with the exit code.
+
+    With no `argv`, as the process entry point, the arguments are
+    `sys.argv[1:]`, and once stdout and stderr are flushed the process ends
+    by `os._exit`, without the interpreter's teardown: no atexit handler
+    runs.  A flush that raises (a closed pipe, say) falls back to
+    `sys.exit`, whose teardown reports it as it always did."""
+    code = run(sys.argv[1:] if argv is None else argv).exit_code
+    if argv is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):  # a closed pipe or a full disk; a closed file
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

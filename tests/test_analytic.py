@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from aperylike.analytic import (
     zeta4_digits,
     zeta4_series,
 )
+from aperylike import hypergeom
 from aperylike.errors import PrecisionError
 from aperylike.sequences import catalan_pair, pair, recurrence_coefficients, zeta4_pair
 from aperylike.exact import decimal_string, exponent_string, to_mpf
@@ -190,6 +192,60 @@ class TestLinearForm:
             linear_form("catalan", -1, 10)
         with pytest.raises(ValueError):
             linear_form("catalan", 3, 0)
+
+
+def assert_catalan_form_bound(n):
+    """Each step of the bound on F_n = 8(u_n G - v_n) in `linear_form`'s
+    docstring, exactly at n >= 1, against the kernel of `factor_runs`.
+
+    Every factor is written over 2, so that t + k + 1/2 is (2t+2k+1)/2:
+    R_n(t) = n! (2t+n+1) prod_{i<n} (t-i) prod_{i=1..n} (t+n+i) 8^(n+1)
+    / prod_{k<=n} (2t+2k+1)^3.  The pairing takes pole k = i for t-i, k = i
+    for t+n+i and k = n for 2t+n+1, and leaves n+2 pole factors."""
+    kernel = hypergeom.factor_runs("catalan", n)
+    for t in {0, *range(max(n - 6, 0), n)}:
+        assert kernel.value(t) == 0, (n, t)
+    used = [*range(n), *range(1, n + 1), n]
+    left = Counter({k: 3 for k in range(n + 1)}) - Counter(used)
+    assert left.total() == n + 2
+    for t in (n, n + 1, n + 2, n + 3, 2 * n + 1, 6 * n + 19):
+        pole = [2 * t + 2 * k + 1 for k in range(n + 1)]
+        # (t-i)/(t+i+1/2) in [0, 1]; (t+n+i)/(t+i+1/2) < 2;
+        # (2t+n+1)/(t+n+1/2) <= 2; each factor left is at least t+1/2
+        assert all(0 <= 2 * (t - i) <= pole[i] for i in range(n)), (n, t)
+        assert all(2 * (t + n + i) < 2 * pole[i] for i in range(1, n + 1)), (n, t)
+        assert 2 * t + n + 1 <= pole[n], (n, t)
+        assert all(pole[k] >= 2 * t + 1 for k in left), (n, t)
+        top = math.factorial(n) * (2 * t + n + 1) * 8 ** (n + 1)
+        top *= math.prod(range(t - n + 1, t + 1)) * math.prod(range(t + n + 1, t + 2 * n + 1))
+        value = Fraction(top, math.prod(pole) ** 3)
+        assert kernel.value(t) == value, (n, t)
+        # so R_n(t) <= 2^(n+1) n! / (t+1/2)^(n+2)
+        assert value * (2 * t + 1) ** (n + 2) <= 2 ** (2 * n + 3) * math.factorial(n), (n, t)
+    # sum_{t>=n} (t+1/2)^-(n+2) <= integral from n-1/2 of x^-(n+2) dx
+    bound = Fraction(2 ** (2 * n + 2) * math.factorial(n), (n + 1) * (2 * n - 1) ** (n + 1))
+    form = 8 * linear_form("catalan", n, 10)
+    with mp.workdps(20):
+        assert 0 < abs(form) < mpf_frac(bound, 20), n
+
+
+class TestCatalanFormBound:
+    def test_every_step_to_200(self):
+        for n in range(1, 201):
+            assert_catalan_form_bound(n)
+
+    def test_kernel_one_factor_short_fails(self, monkeypatch):
+        # t(t-1)...(t-n+2): R_n(n-1) is then not 0
+        full = hypergeom.KERNELS["catalan"]
+
+        def short(n):
+            scale, (middle, _, *rest) = full(n)
+            return hypergeom.FactorRuns(scale, (middle, (0, n - 1, 1), *rest))
+
+        monkeypatch.setitem(hypergeom.KERNELS, "catalan", short)
+        for n in (1, 2, 5):
+            with pytest.raises(AssertionError, match=rf"\({n}, {n - 1}\)"):
+                assert_catalan_form_bound(n)
 
 
 def digits_by_stepping(family, digits):

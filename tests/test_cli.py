@@ -452,6 +452,79 @@ class TestErrorPaths:
         }
 
 
+class TestEntryPoint:
+    # As the process entry point, main() flushes stdout and stderr and ends
+    # by os._exit.  The child's stdout is block-buffered here (no
+    # PYTHONUNBUFFERED), so bytes still in the buffer at the exit would be
+    # lost.
+    BUFFERED = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+
+    def child(self, argv, **kwargs):
+        return subprocess.run(
+            [sys.executable, "-m", "aperylike.cli", *argv],
+            capture_output=True, env=self.BUFFERED, **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            ("pair --family catalan --n 3", 0),
+            ("series --constant zeta4 --n 12 --digits 8", 1),
+            ("cf --family zeta4", 2),               # an argparse error
+            ("pair --family zeta4 --n 1500", 2),    # past the int->str limit
+            ("series --constant zeta4 --n 200000 --digits 8", 3),
+        ],
+    )
+    def test_process_prints_what_run_prints(self, capsys, command, code):
+        result = run(command.split())
+        captured = capsys.readouterr()
+        proc = self.child(command.split())
+        assert result.exit_code == proc.returncode == code
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr.decode() == captured.err
+        assert proc.stdout if code < 2 else proc.stderr
+
+    def test_long_stream_survives_the_exit(self, capsys):
+        argv = ["range", "--family", "catalan", "--n-max", "1200"]
+        assert run(argv).exit_code == 0
+        in_process = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        proc = self.child(argv, check=True)
+        assert len(proc.stdout) > 2**20
+        assert hashlib.sha256(proc.stdout).hexdigest() == in_process
+
+    def test_failed_flush_exits_through_the_interpreter(self):
+        # no reader: the buffered record fails to flush, so the process
+        # ends through CPython's teardown, which reports it and exits 120
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "aperylike.cli", "pair", "--family", "catalan", "--n", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self.BUFFERED,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert b"BrokenPipeError" in proc.stderr
+
+    @pytest.mark.parametrize("argv, code", [("pair --family catalan --n 3", 0), ("frobnicate", 2)])
+    def test_main_with_argv_raises_system_exit(self, argv, code):
+        # in a child, so that a main(argv) that ended the process would not
+        # end the test run with it
+        script = (
+            "import sys\n"
+            "from aperylike.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as stop:\n"
+            "    print('SystemExit', stop.code, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *argv.split()],
+                              capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 0
+        assert proc.stderr.endswith(f"SystemExit {code}\n")
+
+
 class TestFailingRowMidStream:
     # a failing row neither stops the stream nor passes the rows after it;
     # only the status, set once the stream ends, records the failure

@@ -273,14 +273,19 @@ def print_package_reach() -> None:
     print(json.dumps(sorted(reached_functions(run, PACKAGE))))
 
 
-def test_cli_and_acceptance_api_reach_every_function():
-    # a fresh process, so that no memo warmed by other tests skips a path
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh process that imports the package from src."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.getenv("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, __file__],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,
     )
+
+
+def test_cli_and_acceptance_api_reach_every_function():
+    # a fresh process, so that no memo warmed by other tests skips a path
+    proc = run_child(__file__)
     assert proc.returncode == 0, proc.stderr[-2000:]
     reached = {tuple(key) for key in json.loads(proc.stdout)}
     sources = {path.stem: path.read_text() for path in SOURCES}
@@ -367,6 +372,22 @@ def test_module_defers_mpmath_and_skips_dataclasses(path):
     source = path.read_text()
     assert startup_imports(source, "mpmath") == []
     assert imports_anywhere(source, "dataclasses") == []
+
+
+def test_cli_startup_loads_no_csv():
+    # csv is imported in `_emit`'s CSV branch, as csv and _csv cost every
+    # JSON command about 0.5 ms of start-up; a CSV record shows that the check
+    # sees the import when it happens
+    code = (
+        "import contextlib, io, sys\n"
+        "import aperylike.cli\n"
+        "print(sorted({'csv', '_csv'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    aperylike.cli.run(['pair', '--family', 'catalan', '--n', '1', '--format', 'csv'])\n"
+        "print(sorted({'csv', '_csv'} & set(sys.modules)))\n"
+    )
+    proc = run_child("-c", code)
+    assert proc.stdout.splitlines() == ["[]", "['_csv', 'csv']"], proc.stderr
 
 
 def test_startup_import_detection():
