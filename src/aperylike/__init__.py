@@ -10,8 +10,8 @@ Modules by responsibility:
 * :mod:`aperylike.sequences` - the two recurrence families, integrality
   reports, measured growth rates;
 * :mod:`aperylike.hypergeom` - the two rational kernels as factor runs,
-  their pole tables, linear-form coefficients, numerical kernel sums, and
-  the zeta4 family's exact derivative sum;
+  their pole tables, one reader of their lattice sums (the linear-form
+  coefficients of both families), and numerical kernel sums;
 * :mod:`aperylike.certificate` - the telescoping certificate and its exact
   verification;
 * :mod:`aperylike.analytic` - reference constants, certified digits, the

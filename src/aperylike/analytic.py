@@ -166,7 +166,24 @@ def linear_form(family: str, n: int, digits: int) -> mpf:
 
     about (2/e)^n.  In k-1, mid_k - lead_k and back_k have only positive
     coefficients, so u_n increases from u_0 = 1, and |G - r_n| =
-    |F_n| / (8 u_n) tends to 0.  The zeta4 bound is not written yet.
+    |F_n| / (8 u_n) tends to 0.
+
+    For zeta4, sum_{t>=1} H_n'(t) = 6 (-1)^(n+1) (u_n zeta(4) - v_n), and
+
+        H_n(t) = (2t+n) prod_{i=1..n} (t-i)^2 (t+n+i)^2 / prod_{i<=n} (t+i)^4
+
+    has a double zero at each t = 1..n, so H_n and H_n' vanish there.  For
+    t >= n+1, pair (t-i)^2 and (t+n+i)^2 with the two (t+i)^2:
+    (t-i)/(t+i) <= 1 and (t+n+i)/(t+i) <= 2, and t^4 is left, so
+    0 < H_n(t) <= (2t+n) 4^n / t^4.  H_n'/H_n is 2/(2t+n) + sum 2/(t-i)
+    + sum 2/(t+n+i), at most 2 h_n + 2 as 1/(t-i) <= 1/(n+1-i) with
+    h_n = sum_{i<=n} 1/i, less sum_{i<=n} 4/(t+i), at most 4, so
+    |H_n'/H_n| <= 2 h_n + 4.  With 2t+n <= 3t and sum_{t>n} t^-3 <= 1/(2n^2),
+
+        |u_n zeta(4) - v_n| <= (2 h_n + 4) 4^n / (4 n^2).
+
+    In k-1, mid_k - 60 lead_k has only positive coefficients and back_k none
+    negative, so u_n >= 12 * 60^(n-1) and |zeta(4) - r_n| tends to 0.
 
     The `integral` and `series` checks call it: its C is the reference
     constant, so the form they compare with does not rest on the convergents.

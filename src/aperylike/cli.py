@@ -36,7 +36,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import analytic, certificate, hypergeom, sequences
@@ -102,32 +101,25 @@ def _cmd_check(args):
 
 
 def _cmd_decompose(args):
-    n = args.n
-    if args.family == "catalan":
+    n, family = args.n, args.family
+    if family == "catalan":
         table = hypergeom.partial_fractions(n)
         quad = hypergeom.coefficient_quadruple(n)
-        item = sequences.catalan_pair(n)
-        # F_n = U' G - V: the table meets the recurrence, U' = 8 u_n, V = 8 v_n
-        holds = (quad.U, quad.Udoubleprime, quad.Uprime, quad.V) == (0, 0, 8 * item.u, 8 * item.v)
-        yield {**table._asdict(), **quad._asdict()}, holds
-        return
-    parts = hypergeom.zeta4_decomposition(n)
-    item = sequences.zeta4_pair(n)
-    sign = Fraction((-1) ** (n + 1), 6)
-    # sum_t H_n'(t) = 6 (-1)^(n+1) (u_n zeta(4) - v_n), so only zeta(4) appears
-    holds = (
-        parts.zeta[0] == parts.zeta[1] == parts.zeta[3] == 0
-        and sign * parts.zeta[2] == item.u
-        and sign * parts.rational == -item.v
+        record = {**table._asdict(), **quad._asdict()}
+        coefficients, rational = {1: quad.Udoubleprime, 2: quad.Uprime, 3: quad.U}, -quad.V
+    else:
+        parts = hypergeom.zeta4_decomposition(n)
+        coefficients, rational = dict(enumerate(parts.zeta, start=2)), parts.rational
+        zeta = {f"zeta{s}": c for s, c in coefficients.items()}
+        record = {"family": family, "n": n, "B": parts.B, **zeta, "rational": rational}
+    # the lattice sum is kappa_n (u_n C - v_n): C's coefficient alone is not 0
+    lattice, item = hypergeom.LATTICES[family], sequences.pair(family, n)
+    kappa = lattice.kappa(n)
+    holds = (coefficients, rational) == (
+        {s: kappa * item.u if s == lattice.s else 0 for s in coefficients}, -kappa * item.v
     )
-    record = {
-        "family": "zeta4",
-        "n": n,
-        "B": parts.B,
-        **{f"zeta{s}": coefficient for s, coefficient in enumerate(parts.zeta, start=2)},
-        "rational": parts.rational,
-        "identity": holds,
-    }
+    if family == "zeta4":
+        record["identity"] = holds
     yield record, holds
 
 

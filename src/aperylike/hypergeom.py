@@ -21,14 +21,13 @@ the jet at a pole of a product of linear factors, which `exp_jet` gives
 from the power sums of the factors' offsets from the pole, and one window
 of the runs' factors, walked from pole to pole, keeps those in integers.
 
-Alternating sums of the columns of A_jk produce the coefficients
-(U, U', U'', V) for which F_n = sum_t (-1)^t R_n(t) equals U' G - V with
-U = U'' = 0, G being Catalan's constant: the cross-check with the
-recurrence is U'_n = 8 u_n and V_n = 8 v_n.  F_n has one numerical route,
-`f_numeric`, whose accelerated term count is proved from the table.
-`zeta4_decomposition` sums sum_{t>=1} H_n'(t) from B_jk into exact
-coefficients of zeta(2..5) and a rational part: the exact second route to
-u_n zeta(4) - v_n.
+One reader, `lattice_sum`, sums a pole table over the kernel's lattice
+(`LATTICES`) into coefficients of L-values and a rational part:
+F_n = sum_t (-1)^t R_n(t) = U' G - V in beta values, G = beta(2) being
+Catalan's constant (`coefficient_quadruple`), and sum_{t>=1} H_n'(t) in zeta
+values (`zeta4_decomposition`).  Each is kappa_n (u_n C - v_n) against the
+recurrence.  F_n has one numerical route, `f_numeric`, whose accelerated
+term count is proved from the table.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import math
 import threading
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .acceleration import alternating_sum, terms_for_bound
 from .exact import Polynomial, RationalFunction, TruncatedSeries, lcm_upto, to_mpf
@@ -205,6 +204,27 @@ KERNELS = {
 }
 
 
+class Lattice(NamedTuple):
+    """sum_{t>=start} sign^t K_n(t), of K_n' if `derivative` is 1, for poles
+    at t = -(k + r/q): kappa(n) (u_n C - v_n), C the L-value at `s`."""
+
+    q: int
+    r: int
+    sign: int
+    start: int
+    derivative: int
+    s: int
+    kappa: Callable[[int], int]
+
+
+#: Each kernel's lattice: sum_{t>=0} (-1)^t R_n(t) = 8 (u_n G - v_n) with
+#: G = beta(2), and sum_{t>=1} H_n'(t) = 6 (-1)^(n+1) (u_n zeta(4) - v_n).
+LATTICES = {
+    "catalan": Lattice(2, 1, -1, 0, 0, 2, lambda n: 8),
+    "zeta4": Lattice(1, 0, 1, 1, 1, 4, lambda n: 6 * (-1) ** (n + 1)),
+}
+
+
 def factor_runs(kernel: str, n: int) -> FactorRuns:
     """The description of R_n (kernel "catalan") or H_n ("zeta4")."""
     if kernel not in KERNELS:
@@ -322,51 +342,52 @@ def reconstruction(table: PartialFractionTable) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def coefficient_quadruple(n: int) -> CoefficientQuadruple:
-    """Alternating column sums of the table, with the exact beta partial
-    sums b_s(k) = sum_{l<k} (-1)^l/(2l+1)^s carried along k in one pass.
+def lattice_sum(kernel: str, n: int, table: Sequence) -> tuple[dict[int, Fraction], Fraction]:
+    """(L, rational): the kernel's sum over its `LATTICES` entry is
+    sum_s L[s] L(s) + rational, read from its pole table.
 
-    U  = 8 sum (-1)^k A_0k        (coefficient that multiplies beta(3))
-    U' = 4 sum (-1)^k A_1k        (coefficient of beta(2) = G)
-    U''= 2 sum (-1)^k A_2k        (coefficient of beta(1))
-    V  = sum_j 2^(3-j) sum_k (-1)^k A_jk b_(3-j)(k)
+    Row j holds T_jk at 1/(t+k+r/q)^e, e = order - j, or -e T_jk at
+    1/(t+k+r/q)^(e+1) after a derivative: the power s.  With m = q(t+k) + r
+    and psi(m) = sign^((m-r)/q) where q divides m - r, 0 elsewhere,
+
+        sum_{t>=t0} sign^t / (t+k+r/q)^s
+            = q^s sign^k (L(s) - sum_{1<=m<q(t0+k)+r} psi(m)/m^s),
+
+    L(s) = sum_{m>=1} psi(m)/m^s: beta(s) for catalan, zeta(s) for zeta4.
+    By columns, m = q(t0+k-1)+r weighs the tail sum_{k'>=k} sign^k' T_jk',
+    carried from k = n down in integers over the row's common denominator.
     """
-    table = partial_fractions(n)
-    sums = [Fraction(0)] * 3    # sum_k (-1)^k A_jk
-    inner = [Fraction(0)] * 3   # sum_k (-1)^k A_jk b_(3-j)(k)
-    beta = [Fraction(0)] * 3    # b_(3-j)(k), carried along k
-    for k in range(n + 1):
-        sign = 1 if k % 2 == 0 else -1
-        for j in range(3):
-            term = sign * table.A[j][k]
-            sums[j] += term
-            inner[j] += term * beta[j]
-            beta[j] += Fraction(sign, (2 * k + 1) ** (3 - j))
-    return CoefficientQuadruple(
-        n=n,
-        U=8 * sums[0],
-        Uprime=4 * sums[1],
-        Udoubleprime=2 * sums[2],
-        V=sum(2 ** (3 - j) * inner[j] for j in range(3)),
-    )
+    q, r, sign, start, derivative, _, _ = LATTICES[kernel]
+    L, rational = {}, Fraction(0)
+    for j, row in enumerate(table):
+        e = len(table) - j
+        s = e + derivative
+        common = math.lcm(*(x.denominator for x in row))
+        tail, weighted = 0, Fraction(0)
+        for k in range(n, -1, -1):
+            tail += sign**k * row[k].numerator * (common // row[k].denominator)
+            m = q * (start + k - 1) + r
+            if m > 0:
+                weighted += Fraction(tail, sign ** (start + k - 1) * m**s)
+        weight = (-e) ** derivative * q**s
+        L[s] = Fraction(weight * tail, common)
+        rational -= weight * weighted / common
+    return L, rational
+
+
+def coefficient_quadruple(n: int) -> CoefficientQuadruple:
+    """F_n = U' G - V from `lattice_sum` over the table: U, U' and U'' are
+    the coefficients of beta(3), beta(2) = G and beta(1)."""
+    L, rational = lattice_sum("catalan", n, partial_fractions(n).A)
+    return CoefficientQuadruple(n=n, U=L[3], Uprime=L[2], Udoubleprime=L[1], V=-rational)
 
 
 # -- the zeta4 family: the inner function H_n -----------------------------------
 
 
 class Zeta4Decomposition(NamedTuple):
-    """The pole expansion of the zeta4 family's inner function and the exact
-    sum of its derivative over t >= 1.
-
-    B[j][k] (j = 0..3, k = 0..n) is the coefficient of 1/(t+k)^(4-j).  With
-    c_jk = -(4-j) B[j][k] and s = 5-j,
-
-        sum_{t>=1} H_n'(t) = sum_{j,k} c_jk (zeta(s) - H_k^(s))
-                           = sum_s zeta[s-2] zeta(s) + rational,
-
-    where zeta[s-2] = sum_k c_jk is the coefficient of zeta(s), s = 2..5, and
-    rational = -sum_{j,k} c_jk H_k^(s), H_k^(s) = sum_{m<=k} 1/m^s.
-    """
+    """B[j][k] (j = 0..3, k = 0..n), the coefficient of 1/(t+k)^(4-j) in H_n,
+    and sum_{t>=1} H_n'(t) = sum_s zeta[s-2] zeta(s) + rational, s = 2..5."""
 
     n: int
     B: tuple[tuple[Fraction, ...], ...]
@@ -375,29 +396,13 @@ class Zeta4Decomposition(NamedTuple):
 
 
 def zeta4_decomposition(n: int) -> Zeta4Decomposition:
-    """The exact 4 x (n+1) pole table `pole_table("zeta4", n)` of the zeta4
-    family's inner function H_n, and the zeta and rational coefficients of
-    sum_{t>=1} H_n'(t).
-
-    H_n is proper (degree gap 3) with poles of order 4 at t = -k, k = 0..n,
-    except the middle pole of even n, of order 3, where 2t+n vanishes.  The
-    rational part is summed by columns, -sum_k c_jk H_k^(s) =
-    -sum_{m>=1} m^-s sum_{k>=m} c_jk.  The identity (-1)^(n+1)/6 sum_t H_n'(t) = u_n zeta(4) - v_n of the zeta4
-    family means zeta[0], zeta[1] and zeta[3] vanish,
-    (-1)^(n+1) zeta[2]/6 = u_n and (-1)^(n+1) rational/6 = -v_n; tests
-    assert it exactly.
-    """
+    """The pole table of H_n (`pole_table("zeta4", n)`: order 4 at t = -k,
+    but 3 at the middle pole of even n, where 2t+n vanishes) and, from
+    `lattice_sum`, sum_{t>=1} H_n'(t) = 6 (-1)^(n+1) (u_n zeta(4) - v_n):
+    zeta[0], zeta[1] and zeta[3] vanish; tests assert it exactly."""
     table = pole_table("zeta4", n)
-    zeta = [Fraction(0)] * 4
-    rational = Fraction(0)
-    for j, row in enumerate(table):
-        tail, weighted = Fraction(0), Fraction(0)  # sum_{k>=m} B_jk, its m^-s sum
-        for m in range(n, 0, -1):
-            tail += row[m]
-            weighted += tail / m ** (5 - j)
-        zeta[3 - j] = -(4 - j) * (tail + row[0])
-        rational += (4 - j) * weighted
-    return Zeta4Decomposition(n=n, B=table, zeta=tuple(zeta), rational=rational)
+    L, rational = lattice_sum("zeta4", n, table)
+    return Zeta4Decomposition(n, table, tuple(L[s] for s in range(2, 6)), rational)
 
 
 # -- auxiliary integrality checks ---------------------------------------------

@@ -16,7 +16,7 @@ from aperylike.exact import (
     horner_int,
     integer_coefficients,
 )
-from aperylike.hypergeom import factor_runs
+from aperylike.hypergeom import FactorRuns, Lattice, factor_runs
 from aperylike.sequences import RECURRENCES, recurrence_coefficients
 
 
@@ -245,6 +245,29 @@ def termwise_zeta4_series(n: int, digits: int) -> tuple[int, mpf]:
                 if tail < tolerance:
                     return t, +((1 if n % 2 else -1) * total / 6)
             t += 1
+
+
+# Apery's zeta(3) kernel, a third kernel with published answers (Apery 1979;
+# van der Poorten, "A proof that Euler missed", 1979), held here only:
+# R_n(t) = ((t-1)...(t-n))^2 / (t(t+1)...(t+n))^2, and over its lattice
+# sum_{t>=1} R_n'(t) = -2 (u_n zeta(3) - v_n).
+def apery_kernel(n: int) -> FactorRuns:
+    return FactorRuns(1, ((1, n, 2), (-n, n + 1, -2)))
+
+
+APERY_LATTICE = Lattice(1, 0, 1, 1, 1, 3, lambda n: -2)
+
+
+def apery_pairs(n_max: int) -> list[tuple[Fraction, Fraction]]:
+    """(u_k, v_k) for k = 0..n_max by Apery's recurrence
+    (n+1)^3 x_{n+1} = (34n^3+51n^2+27n+5) x_n - n^3 x_{n-1},
+    from (u_0, v_0) = (1, 0) and (u_1, v_1) = (5, 6)."""
+    rows = [(Fraction(1), Fraction(0)), (Fraction(5), Fraction(6))]
+    for n in range(1, n_max):
+        mid, back, lead = 34 * n**3 + 51 * n**2 + 27 * n + 5, -(n**3), (n + 1) ** 3
+        (u_prev, v_prev), (u_cur, v_cur) = rows[-2:]
+        rows.append(((mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead))
+    return rows[: n_max + 1]
 
 
 @pytest.fixture(scope="session")

@@ -27,8 +27,9 @@ from aperylike.analytic import (
 from aperylike import hypergeom
 from aperylike.errors import PrecisionError
 from aperylike.sequences import catalan_pair, pair, recurrence_coefficients, zeta4_pair
-from aperylike.exact import decimal_string, exponent_string, to_mpf
+from aperylike.exact import Polynomial, decimal_string, exponent_string, to_mpf
 from tests.conftest import (
+    coefficients,
     mpf_frac,
     sequential_alternating_sum,
     stepped_pairs,
@@ -246,6 +247,90 @@ class TestCatalanFormBound:
         for n in (1, 2, 5):
             with pytest.raises(AssertionError, match=rf"\({n}, {n - 1}\)"):
                 assert_catalan_form_bound(n)
+
+
+def assert_zeta4_form_bound(n, harmonic):
+    """Each step of the bound on u_n zeta(4) - v_n in `linear_form`'s
+    docstring, exactly at n >= 1, against the kernel of `factor_runs`:
+    H_n(t) = (2t+n) prod_{i=1..n} (t-i)^2 (t+n+i)^2 / prod_{i<=n} (t+i)^4,
+    with `harmonic[m]` = 1 + 1/2 + ... + 1/m."""
+    kernel = hypergeom.factor_runs("zeta4", n)
+    # H_n and H_n' vanish at t = 1..n: each is a root of multiplicity 2
+    multiplicity = Counter()
+    for first, length, mult in kernel.runs:
+        for i in range(length):
+            multiplicity[first + i] += mult
+    for t in range(1, n + 1):
+        assert multiplicity[t] >= 2, (n, t)
+    for t in {1, *range(max(n - 5, 1), n + 1)}:
+        assert kernel.value(t) == 0, (n, t)
+    h = harmonic[n]
+    for t in (n + 1, n + 2, n + 3, n + 4, 2 * n + 1, 6 * n + 19):
+        # (t-i)/(t+i) in (0, 1]; (t+n+i)/(t+i) <= 2, both for i = 1..n
+        assert all(0 < t - i <= t + i for i in range(1, n + 1)), (n, t)
+        assert all(t + n + i <= 2 * (t + i) for i in range(1, n + 1)), (n, t)
+        paired = math.prod(range(t - n, t)) * math.prod(range(t + n + 1, t + 2 * n + 1))
+        top = (2 * t + n) * paired**2
+        value = Fraction(top, math.prod(range(t, t + n + 1)) ** 4)
+        assert kernel.value(t) == value, (n, t)
+        # so 0 < H_n(t) <= (2t+n) 4^n / t^4
+        assert 0 < value and value * t**4 <= (2 * t + n) * 4**n, (n, t)
+        # H_n'/H_n = up - down: up = 2/(2t+n) + sum 2/(t-i) + sum 2/(t+n+i)
+        # <= 2 h_n + 2, down = sum_{i<=n} 4/(t+i) <= 4
+        near = harmonic[t - 1] - harmonic[t - n - 1]  # sum 1/(t-i) <= h_n
+        up = Fraction(2, 2 * t + n) + 2 * near + 2 * (harmonic[t + 2 * n] - harmonic[t + n])
+        down = 4 * (harmonic[t + n] - harmonic[t - 1])
+        assert near <= h and up <= 2 * h + 2 and down <= 4, (n, t)
+        assert abs(up - down) <= 2 * h + 4, (n, t)
+        if t == n + 1:  # the written log-derivative is the kernel's
+            jet = kernel.jet(t, 2).coeffs
+            assert jet[1] / jet[0] == up - down, (n, t)
+    # |sum_{t>n} H_n'(t)| / 6 with (2t+n) <= 3t and sum_{t>n} t^-3 <= 1/(2n^2)
+    bound = (2 * h + 4) * Fraction(4**n, 4 * n**2)
+    form = linear_form("zeta4", n, 10)
+    with mp.workdps(20):
+        assert 0 < abs(form) < mpf_frac(bound, 20), n
+
+
+class TestZeta4FormBound:
+    @staticmethod
+    def harmonic(m_max):
+        sums = [Fraction(0)]
+        for m in range(1, m_max + 1):
+            sums.append(sums[-1] + Fraction(1, m))
+        return sums
+
+    def test_every_step_to_200(self):
+        harmonic = self.harmonic(6 * 200 + 19 + 2 * 200)
+        for n in range(1, 201):
+            assert_zeta4_form_bound(n, harmonic)
+
+    def test_u_n_grows_at_least_sixtyfold(self):
+        # in k-1, mid_k - 60 lead_k has positive coefficients and back_k none
+        # negative, so u_{k+1} >= 60 u_k from u_1 = 12
+        lead = Polynomial([1, 1]) ** 5
+        mid = Polynomial([3, 6]) * Polynomial([1, 3, 3]) * Polynomial([4, 15, 15])
+        back = Polynomial([0, 0, 0, 3]) * Polynomial([-1, 3]) * Polynomial([1, 3])
+        for k in range(8):  # degree 5: six points fix each polynomial
+            assert recurrence_coefficients("zeta4", k) == (lead(k), mid(k), back(k))
+        assert all(c > 0 for c in coefficients((mid + lead * -60).shift(1)))
+        assert all(c >= 0 for c in coefficients(back.shift(1)))
+        for n in range(1, 201):
+            assert zeta4_pair(n).u >= 12 * 60 ** (n - 1), n
+
+    def test_kernel_one_factor_short_fails(self, monkeypatch):
+        # ((t-1)...(t-n+1))^2: H_n(n) is then not 0
+        full = hypergeom.KERNELS["zeta4"]
+
+        def short(n):
+            scale, (middle, _, *rest) = full(n)
+            return hypergeom.FactorRuns(scale, (middle, (1, n - 1, 2), *rest))
+
+        monkeypatch.setitem(hypergeom.KERNELS, "zeta4", short)
+        harmonic = TestZeta4FormBound.harmonic(100)
+        for n in (1, 2, 5):
+            with pytest.raises(AssertionError, match=rf"\({n}, {n}\)"):
+                assert_zeta4_form_bound(n, harmonic)
 
 
 def digits_by_stepping(family, digits):

@@ -630,29 +630,57 @@ class TestDecompose:
         assert record["B"] == [["4", "-4"], ["-12", "-12"], ["13", "-13"], ["0", "0"]]
         assert (record["zeta4"], record["rational"]) == ("72", "-78")
 
-    def test_zeta4_failed_identity_exits_1(self, capsys, monkeypatch):
+    # a changed rational part, or a coefficient that must be 0 made 1
+    @pytest.mark.parametrize(
+        "change, key, printed",
+        [
+            (lambda p: p._replace(rational=p.rational + 1), "rational", "41777/8"),  # 41769/8 + 1
+            (lambda p: p._replace(zeta=(p.zeta[0], p.zeta[1] + 1, *p.zeta[2:])), "zeta3", "1"),
+        ],
+        ids=["rational+1", "zeta3+1"],
+    )
+    def test_zeta4_failed_identity_exits_1(self, capsys, monkeypatch, change, key, printed):
         from aperylike import hypergeom
 
         exact = hypergeom.zeta4_decomposition
-        monkeypatch.setattr(
-            hypergeom,
-            "zeta4_decomposition",
-            lambda n: exact(n)._replace(rational=exact(n).rational + 1),
-        )
+        monkeypatch.setattr(hypergeom, "zeta4_decomposition", lambda n: change(exact(n)))
         result, lines = run_lines(capsys, ["decompose", "--family", "zeta4", "--n", "2"])
-        assert json.loads(lines[0])["identity"] is False
+        record = json.loads(lines[0])
+        assert record[key] == printed and record["identity"] is False
         assert result.status == "verification_failed" and result.exit_code == 1
 
-    def test_catalan_failed_identity_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "field, printed", [("V", "10843/144"), ("Udoubleprime", "1")]  # 10699/144 + 1, 0 + 1
+    )
+    def test_catalan_failed_identity_exits_1(self, capsys, monkeypatch, field, printed):
         from aperylike import hypergeom
 
         exact = hypergeom.coefficient_quadruple
         monkeypatch.setattr(
-            hypergeom, "coefficient_quadruple", lambda n: exact(n)._replace(V=exact(n).V + 1)
+            hypergeom,
+            "coefficient_quadruple",
+            lambda n: exact(n)._replace(**{field: getattr(exact(n), field) + 1}),
         )
         result, lines = run_lines(capsys, ["decompose", "--n", "2"])
-        assert json.loads(lines[0])["V"] == "10843/144"  # 10699/144 + 1
+        assert json.loads(lines[0])[field] == printed
         assert result.status == "verification_failed" and result.exit_code == 1
+
+    # SHA-256 of stdout for inputs that no benchmark digest covers
+    PINNED = {
+        "decompose --family zeta4 --n 60":
+            "3cc1472347b8bd8ea52747a1c774a6775c3880001afafc69c08877897b1686d7",
+        "decompose --family zeta4 --n 300":
+            "fac1be13d44ff9044baa67aacbb8d7e9c01929676c012795c1e08ef5d0e30420",
+        "decompose --family catalan --n 300":
+            "4ce4e91223ed5ebd5dd7586133d818050bb4043bbe4231333d3103de8f9e2798",
+    }
+
+    @pytest.mark.parametrize("command", list(PINNED))
+    def test_pinned_stdout(self, capsys, command):
+        result = run(command.split())
+        out = capsys.readouterr().out
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[command]
 
     def test_default_family_is_catalan(self, capsys):
         _, default = run_lines(capsys, ["decompose", "--n", "4"])

@@ -20,6 +20,7 @@ from aperylike.exact import (
 )
 from aperylike.hypergeom import (
     KERNELS,
+    LATTICES,
     FactorRuns,
     PartialFractionTable,
     build_kernel,
@@ -29,14 +30,18 @@ from aperylike.hypergeom import (
     f_numeric,
     factor_runs,
     kernel_ratio,
+    lattice_sum,
     partial_fractions,
     pole_table,
     q_residues,
     reconstruction,
     zeta4_decomposition,
 )
-from aperylike.sequences import catalan_pair, zeta4_pair
+from aperylike.sequences import catalan_pair, pair, zeta4_pair
 from tests.conftest import (
+    APERY_LATTICE,
+    apery_kernel,
+    apery_pairs,
     coefficients,
     kernel_ratio_by_walk,
     mpf_frac,
@@ -617,6 +622,64 @@ class TestQuadruple:
             scale = 2 ** (4 * n)
             assert (scale * lcm_upto(n) * q.Uprime).denominator == 1
             assert (scale * lcm_upto(max(2 * n - 1, 0)) ** 3 * q.V).denominator == 1
+
+
+def lattice_sum_by_columns(kernel: str, n: int) -> tuple[dict[int, Fraction], Fraction]:
+    """The reference for `lattice_sum`: each pole term's sum written out,
+    q^s sign^k (L(s) - sum_{1<=m<q(t0+k)+r} psi(m)/m^s), with the finite sum
+    taken afresh for every column instead of as running tails."""
+    q, r, sign, start, derivative, _, _ = LATTICES[kernel]
+    table = pole_table(kernel, n)
+    coefficients, rational = {}, Fraction(0)
+    for j, row in enumerate(table):
+        e = len(table) - j
+        s = e + derivative
+        coefficients[s] = Fraction(0)
+        for k, entry in enumerate(row):
+            c = (-e) ** derivative * q**s * sign**k * entry
+            coefficients[s] += c
+            ms = [m for m in range(1, q * (start + k) + r) if (m - r) % q == 0]
+            rational -= c * sum(Fraction(sign ** ((m - r) // q), m**s) for m in ms)
+    return coefficients, rational
+
+
+def lattice_identity_holds(kernel: str, n: int, u: Fraction, v: Fraction) -> bool:
+    """The lattice sum is kappa_n (u C - v): of its L-value coefficients only
+    C's is not 0, and the rational part is -kappa_n v."""
+    lattice = LATTICES[kernel]
+    kappa = lattice.kappa(n)
+    coefficients, rational = lattice_sum(kernel, n, pole_table(kernel, n))
+    expected = {s: kappa * u if s == lattice.s else 0 for s in coefficients}
+    return coefficients == expected and rational == -kappa * v
+
+
+class TestLatticeSum:
+    @pytest.mark.parametrize("kernel", ["catalan", "zeta4"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+    def test_equals_the_sums_by_columns(self, kernel, n):
+        assert lattice_sum(kernel, n, pole_table(kernel, n)) == lattice_sum_by_columns(kernel, n)
+
+    @pytest.mark.parametrize(
+        "kernel, change",
+        [("catalan", {"sign": 1}), ("catalan", {"r": 0}), ("zeta4", {"start": 0}),
+         ("zeta4", {"derivative": 0})],
+        ids=["catalan-sign+1", "catalan-r0", "zeta4-start0", "zeta4-no-derivative"],
+    )
+    def test_a_changed_lattice_fails_at_every_n(self, monkeypatch, kernel, change):
+        items = [pair(kernel, n) for n in range(1, 11)]
+        for item in items:
+            assert lattice_identity_holds(kernel, item.n, item.u, item.v), item.n
+        monkeypatch.setitem(LATTICES, kernel, LATTICES[kernel]._replace(**change))
+        for item in items:
+            assert not lattice_identity_holds(kernel, item.n, item.u, item.v), item.n
+
+    def test_apery_kernel_needs_no_branch(self, monkeypatch):
+        # a third kernel, from tests/conftest.py only, read by the same code
+        monkeypatch.setitem(KERNELS, "apery", apery_kernel)
+        monkeypatch.setitem(LATTICES, "apery", APERY_LATTICE)
+        for n, (u, v) in enumerate(apery_pairs(29)):
+            assert lattice_sum("apery", n, pole_table("apery", n)) == ({3: -2 * u, 2: 0}, 2 * v), n
+            assert lattice_identity_holds("apery", n, u, v), n
 
 
 class TestArithLemmas:
