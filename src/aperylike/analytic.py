@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .acceleration import alternating_sum, terms_for_bound
 from .errors import PrecisionError, QuadratureError
 from .exact import _integer_ratio, decimal_string, round_dyadic, to_mpf
-from .hypergeom import factor_runs, zeta4_decomposition
+from .hypergeom import factor_runs, lattice_rows, zeta4_decomposition
 from .sequences import (
     DIGITS_PER_STEP,
     RECURRENCES,
@@ -352,8 +352,9 @@ def zeta4_series(n: int, digits: int) -> mpf:
     fewer relative digits as n grows.
 
     S_T is summed in closed form from the exact pole table B_jk of H_n
-    (`hypergeom.zeta4_decomposition`), not term by term.  With
-    c_jk = -(4-j) B_jk and s = 5-j,
+    (`hypergeom.zeta4_decomposition`), not term by term.  With each row's
+    power s and weight w_j as the lattice sum takes them
+    (`hypergeom.lattice_rows`), and c_jk = w_j B_jk,
 
         S_T = sum_{j,k} c_jk (H_(T+k)^(s) - H_k^(s))
             = sum_s zeta[s-2] zeta(s) + rational - sum_{j,k} c_jk zeta(s, T+k+1),
@@ -372,16 +373,15 @@ def zeta4_series(n: int, digits: int) -> mpf:
         raise ValueError("digits must lie in 1..10 (terms decay only like t^-4)")
     stop = _zeta4_stop_index(n, digits)
     parts = zeta4_decomposition(n)
-    weights = [[-(4 - j) * b for b in row] for j, row in enumerate(parts.B)]
-    mass = 2 * sum(abs(c) for row in weights for c in row)
+    weighted = [(s, [w * b for b in row]) for s, w, row in lattice_rows("zeta4", parts.B)]
+    mass = 2 * sum(abs(c) for _, row in weighted for c in row)
     working = digits + 20 + _log10_above(mass)
     with mp.workdps(working):
         full = to_mpf(parts.rational, working) + sum(
             to_mpf(c, working) * mp.zeta(s) for s, c in enumerate(parts.zeta, 2)
         )
         tail = mpf(0)
-        for j, row in enumerate(weights):
-            s = 5 - j
+        for s, row in weighted:
             hurwitz = mp.zeta(s, stop + 1)  # zeta(s, T+k+1), k = 0, 1, ...
             for k, c in enumerate(row):
                 tail += to_mpf(c, working) * hurwitz

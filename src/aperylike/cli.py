@@ -8,15 +8,18 @@ rule, in `_emit`, turns a record into text: rationals print as "p" or "p/q"
 strings, in nested tables too; integer witnesses print as decimal strings;
 floats appear only as `mp.nstr` strings at the stated digits, and the exact
 error bound of `digits` as `mp.nstr(bound, 6)` prints it, by integer
-arithmetic (`exact.exponent_string`), so `digits` loads no mpmath.  `pair`,
-`range` and `check` also write CSV: the record's keys as a header, then
-str() of each value.
+arithmetic (`exact.exponent_string`), so `digits` loads no mpmath.  Each
+JSON line is what `json.dumps(record, default=format_rational)` writes, but
+in one pass that writes a numeral (digits, "-" and "/") between quotes as it
+is, with no second escaping pass.  `pair`, `range` and `check` also write
+CSV: the record's keys as a header, then str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
 from the decimal twins of one row type stepped by one rule: `range` builds
 its records from the memo's rows at factor 1 (`sequences.row_texts`) alone,
 and `check` its witnesses from the carry's rows at the clearing factors
-(`witness_texts`), so both print in linear time and at any size.
+(`witness_texts`), so both print in linear time and at any size, and
+`_emit` writes those numerals as the twins print them.
 `pair`, `cf` and `digits` convert ints, and past CPython's 4,300-digit
 int->str limit they exit 2.
 
@@ -36,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import analytic, certificate, hypergeom, sequences
@@ -60,9 +64,25 @@ class CommandResult(NamedTuple):
         return EXIT_CODES[self.status]
 
 
+#: json.dumps's encoder, looking `format_rational` up in this module at each
+#: call, so that a name rebound here (as a tracer does) is the one called
+_ENCODER = json.JSONEncoder(default=lambda value: format_rational(value))
+
+
+def _numeral(value) -> bool:
+    """Whether `value` is a str of ASCII digits, "-" and "/" alone, which
+    JSON writes between quotes as it is; tested in bytes, in linear time."""
+    if type(value) is not str or not value.isascii():
+        return False
+    return value.encode().replace(b"/", b"").replace(b"-", b"").isdigit()
+
+
 def _emit(record: dict, fmt: str, first: bool) -> None:
-    """Print one record as JSON, every Fraction in it as "p" or "p/q", or as
-    a CSV row of str() values, after a header of its keys when `first`."""
+    """Print one record as a CSV row of str() values, after a header of its
+    keys when `first`, or as the line json.dumps(record, default=
+    format_rational) writes, byte for byte: every Fraction in it as "p" or
+    "p/q".  The keys are str.  A numeral goes between quotes as it is, with
+    no escaping pass, and every other value as json.dumps writes it."""
     if fmt == "csv":
         import csv  # only here: it costs every JSON command's start-up
 
@@ -70,8 +90,14 @@ def _emit(record: dict, fmt: str, first: bool) -> None:
         if first:
             writer.writerow(record.keys())
         writer.writerow(record.values())
-    else:
-        sys.stdout.write(json.dumps(record, default=format_rational) + "\n")
+        return
+    parts, separator = ["{"], ""
+    for key, value in record.items():
+        parts += separator, encode_basestring_ascii(key), ": "
+        parts += ('"', value, '"') if _numeral(value) else (_ENCODER.encode(value),)
+        separator = ", "
+    parts.append("}\n")
+    sys.stdout.write("".join(parts))
 
 
 def _n_max(args, least: int = 0) -> int:

@@ -37,7 +37,7 @@ import math
 import threading
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .acceleration import alternating_sum, terms_for_bound
 from .exact import Polynomial, RationalFunction, TruncatedSeries, lcm_upto, to_mpf
@@ -342,13 +342,24 @@ def reconstruction(table: PartialFractionTable) -> RationalFunction:
     return RationalFunction(num, den)
 
 
+def lattice_rows(kernel: str, table: Sequence) -> Iterator[tuple[int, int, Sequence]]:
+    """(s, weight, row) for each row j of the kernel's pole table, by its
+    `LATTICES` entry: row j holds T_jk at 1/(t+k+r/q)^e, e = order - j, which
+    the lattice sum takes at the power s = e + derivative with the weight
+    (-e)^derivative q^s."""
+    q, _, _, _, derivative, _, _ = LATTICES[kernel]
+    for j, row in enumerate(table):
+        e = len(table) - j
+        yield e + derivative, (-e) ** derivative * q ** (e + derivative), row
+
+
 def lattice_sum(kernel: str, n: int, table: Sequence) -> tuple[dict[int, Fraction], Fraction]:
     """(L, rational): the kernel's sum over its `LATTICES` entry is
     sum_s L[s] L(s) + rational, read from its pole table.
 
     Row j holds T_jk at 1/(t+k+r/q)^e, e = order - j, or -e T_jk at
-    1/(t+k+r/q)^(e+1) after a derivative: the power s.  With m = q(t+k) + r
-    and psi(m) = sign^((m-r)/q) where q divides m - r, 0 elsewhere,
+    1/(t+k+r/q)^(e+1) after a derivative: the power s and weight of
+    `lattice_rows`.  With m = q(t+k) + r and psi(m) = sign^((m-r)/q) where q divides m - r, 0 elsewhere,
 
         sum_{t>=t0} sign^t / (t+k+r/q)^s
             = q^s sign^k (L(s) - sum_{1<=m<q(t0+k)+r} psi(m)/m^s),
@@ -357,11 +368,9 @@ def lattice_sum(kernel: str, n: int, table: Sequence) -> tuple[dict[int, Fractio
     By columns, m = q(t0+k-1)+r weighs the tail sum_{k'>=k} sign^k' T_jk',
     carried from k = n down in integers over the row's common denominator.
     """
-    q, r, sign, start, derivative, _, _ = LATTICES[kernel]
+    q, r, sign, start, _, _, _ = LATTICES[kernel]
     L, rational = {}, Fraction(0)
-    for j, row in enumerate(table):
-        e = len(table) - j
-        s = e + derivative
+    for s, weight, row in lattice_rows(kernel, table):
         common = math.lcm(*(x.denominator for x in row))
         tail, weighted = 0, Fraction(0)
         for k in range(n, -1, -1):
@@ -369,7 +378,6 @@ def lattice_sum(kernel: str, n: int, table: Sequence) -> tuple[dict[int, Fractio
             m = q * (start + k - 1) + r
             if m > 0:
                 weighted += Fraction(tail, sign ** (start + k - 1) * m**s)
-        weight = (-e) ** derivative * q**s
         L[s] = Fraction(weight * tail, common)
         rational -= weight * weighted / common
     return L, rational

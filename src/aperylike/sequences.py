@@ -184,7 +184,6 @@ class _Cleared(NamedTuple):
     twos: int
     num_text: Decimal
     den_text: Decimal
-    factor: int
 
     @property
     def whole(self) -> bool:
@@ -217,7 +216,7 @@ def _converted(x: int, scale: int, factor: int) -> _Cleared:
     num, den, _ = _lowest_terms(factor * x, scale)
     twos = (den & -den).bit_length() - 1
     odd = den >> twos
-    return _Cleared(*divmod(num, odd), odd, twos, Decimal(num), Decimal(den), factor)
+    return _Cleared(*divmod(num, odd), odd, twos, Decimal(num), Decimal(den))
 
 
 _cache_lock = threading.Lock()
@@ -255,38 +254,35 @@ def _reduced(quotient: int, remainder: int, odd: int, twos: int) -> tuple[int, .
 
 
 def _stepped(
-    family: str, k: int, before: _Values, last: _Values, factors: tuple[int, int]
+    family: str, k: int, before: _Values, last: _Values, ratios: tuple[tuple[int, int], ...]
 ) -> _Values:
     """Row k+1 from rows k-1 and k (k >= 1) by the top row (alpha, beta) of the
-    leaf M_k, each value by its factor F: (1, 1) in the memo, the clearing
-    factors in a carry.  W = (alpha (F/F_k) W_k + beta (F/F_{k-1}) W_{k-1}) / D,
-    D the lead times the ratios' denominators, is (Q + R/C) / (2^E D) over the
-    rows' common 2^E and odd lcm C: Q the weighted quotients plus R // C, R the
-    weighted remainders times C/A, mod C.  D's odd part D_o splits Q, A = C D_o
-    and r = C (Q mod D_o) + R, for `_reduced`.  Only its gcd is not linear in
-    the digits.  The twins take the same weights and divisor; a twin's
-    remainder raises ArithmeticError."""
+    leaf M_k, each value at factor F by its integer ratios (F/F_k, F/F_{k-1})
+    to the rows' factors: (1, 1) in the memo, closed forms in a carry.
+    W = (alpha (F/F_k) W_k + beta (F/F_{k-1}) W_{k-1}) / D, D the lead, is
+    (Q + R/C) / (2^E D) over the rows' common 2^E and odd lcm C: Q the
+    weighted quotients plus R // C, R the weighted remainders times C/A, mod C.
+    D's odd part D_o splits Q, A = C D_o and r = C (Q mod D_o) + R, for
+    `_reduced`.  Only its gcd is not linear in the digits.  The twins take the
+    same weights and divisor; a twin's remainder raises ArithmeticError."""
     (row,), lead = _matrix_product(family, k, k + 1, top=True)
+    d2 = (lead & -lead).bit_length() - 1
     values = []
-    for cur, prev, factor in zip(last, before, factors):
-        (p_cur, q_cur, _), (p_prev, q_prev, _) = (_lowest_terms(factor, w.factor) for w in (cur, prev))
-        scale = math.lcm(q_cur, q_prev)
+    for cur, prev, (r_cur, r_prev) in zip(last, before, ratios):
         twos, odd = max(cur.twos, prev.twos), math.lcm(cur.odd, prev.odd)
-        w_cur = row[0] * p_cur * (scale // q_cur) << twos - cur.twos
-        w_prev = row[1] * p_prev * (scale // q_prev) << twos - prev.twos
+        w_cur = row[0] * r_cur << twos - cur.twos
+        w_prev = row[1] * r_prev << twos - prev.twos
         c_cur, c_prev = w_cur * (odd // cur.odd), w_prev * (odd // prev.odd)
         carry, rest = divmod(c_cur * cur.remainder + c_prev * prev.remainder, odd)
-        divisor = lead * scale
-        d2 = (divisor & -divisor).bit_length() - 1
-        quotient, q_rem = divmod(w_cur * cur.quotient + w_prev * prev.quotient + carry, divisor >> d2)
-        *value, g = _reduced(quotient, odd * q_rem + rest, odd * (divisor >> d2), twos + d2)
+        quotient, q_rem = divmod(w_cur * cur.quotient + w_prev * prev.quotient + carry, lead >> d2)
+        *value, g = _reduced(quotient, odd * q_rem + rest, odd * (lead >> d2), twos + d2)
         text = _EXACT.multiply(prev.num_text, Decimal(c_prev))
         text = _exact_quotient(_EXACT.fma(cur.num_text, Decimal(c_cur), text), g)
         den_text = Decimal(1)
         if value[2:] != [1, 0]:  # (A, e) not (1, 0): the twin of 2^E C D, over g 2^j
-            ratio = (odd // cur.odd << twos - cur.twos) * divisor
+            ratio = (odd // cur.odd << twos - cur.twos) * lead
             den_text = _exact_quotient(_EXACT.multiply(cur.den_text, Decimal(ratio)), g)
-        values.append(_Cleared(*value, text, den_text, factor))
+        values.append(_Cleared(*value, text, den_text))
     return tuple(values)
 
 
@@ -296,7 +292,7 @@ def _row(family: str, n: int) -> _Values:
     if n >= len(table):
         with _cache_lock:
             while len(table) <= n:
-                table.append(_stepped(family, len(table) - 1, *table[-2:], (1, 1)))
+                table.append(_stepped(family, len(table) - 1, *table[-2:], ((1, 1), (1, 1))))
     return table[n]
 
 
@@ -422,32 +418,46 @@ def _clearing_factors(family: str, n: int, mode: str) -> tuple[int, int]:
     return 1, d_n**4
 
 
-#: Per (family, mode), n and the cleared (u, v) at n and at n-1 (or None),
-#: each by its own F; replaced whole under `_cache_lock`: a lost race costs a restart.
-_carries: dict[tuple[str, str], tuple[int, _Values, _Values | None]] = {}
+def _factor_ratios(family: str, n: int, mode: str) -> tuple[int, int]:
+    """F_n / F_{n-1} of `_clearing_factors` (n >= 1), in closed form from
+    D_n / D_{n-1} and D_{2n-1} / D_{2n-3}: integers of at most 50 bits to n = 1000."""
+    d = lcm_upto(n) // lcm_upto(n - 1)
+    if family == "catalan":
+        d_odd = lcm_upto(2 * n - 1) // lcm_upto(max(2 * n - 3, 0))
+        return (16 * d, 16 * d_odd**3) if mode == "proved" else (16, 16 * d_odd**2)
+    return (d, d**5) if mode == "proved" else (1, d**4)
+
+
+#: Per (family, mode), n, the cleared (u, v) at n and at n-1 (or None), and
+#: per value the ratio of their factors, F_n/F_{n-1}, or 1 after a restart;
+#: replaced whole under `_cache_lock`: a lost race costs a restart.
+_carries: dict[tuple[str, str], tuple[int, _Values, _Values | None, tuple[int, int]]] = {}
 
 
 def _carry(family: str, n: int, mode: str) -> _Values:
     """The cleared (u, v) at n, the carry of (family, mode) moved there (if
-    not already at n, the mode checked first) and stored under the lock.
-    From n-1 >= 1 it takes the memo's step with the clearing factors, in
-    time linear in the digits, W_n = (mid (F_n/F_{n-1}) W_{n-1} +
-    back (F_n/F_{n-2}) W_{n-2}) / lead.  Any other n restarts it at rows n
-    and n-1 (row 0 alone at n = 0) from the integers of `_scaled_pairs`, which
-    reads no memo row: one divmod per value, no gcd when F clears it, its
-    twins converted once."""
-    last, cur, prev = _carries.get((family, mode), (-1, None, None))
+    not already at n) and stored under the lock.  From n-1 >= 1 it takes the
+    memo's step with the ratios of the factors, in time linear in the digits,
+    W_n = (mid (F_n/F_{n-1}) W_{n-1} + back (F_n/F_{n-1}) h W_{n-2}) / lead,
+    h the ratio held between rows n-1 and n-2.  Any other n restarts it, the
+    mode checked first, at rows n and n-1 (row 0 alone at n = 0) from the
+    integers of `_scaled_pairs`, which reads no memo row: one divmod per value,
+    no gcd when F clears it, its twins converted once."""
+    last, cur, prev, held = _carries.get((family, mode), (-1, None, None, None))
     if last == n:
         return cur
-    factors = _clearing_factors(family, n, mode)
     if prev is not None and last == n - 1:
-        cur, prev = _stepped(family, n - 1, prev, cur, factors), cur
+        step = _factor_ratios(family, n, mode)
+        ratios = tuple((r, r * h) for r, h in zip(step, held))
+        cur, prev, held = _stepped(family, n - 1, prev, cur, ratios), cur, step
     else:  # a restart, row n-1 by F_n too; at n = 0 row 0 alone, without row 1
+        factors = _clearing_factors(family, n, mode)
         ints, scale = _scaled_pairs(family, max(n, 1))
         rows = [tuple(_converted(x, scale, f) for x, f in zip(xs, factors)) for xs in ints[not n :]]
         cur, prev = (*rows, None)[:2]
+        held = (1, 1)
     with _cache_lock:
-        _carries[family, mode] = n, cur, prev
+        _carries[family, mode] = n, cur, prev, held
     return cur
 
 

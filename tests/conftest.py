@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from aperylike import sequences
 from aperylike.acceleration import chebyshev_scale
 from aperylike.exact import (
     Polynomial,
@@ -47,6 +48,25 @@ def stepped_pairs(family: str, n_max: int) -> list[tuple[Fraction, Fraction]]:
             ((mid * u_cur + back * u_prev) / lead, (mid * v_cur + back * v_prev) / lead)
         )
     return rows[: n_max + 1]
+
+
+def hold_back(monkeypatch, held):
+    """Clear each row n with held(n) by F_{n-1} in place of F_n, in the check
+    carry's restarts and steps alike, so that some of those rows fail, the
+    rest cleared as before; no two consecutive n may be held, so that every
+    step's ratio stays an integer.  Returns the factors used."""
+    clearing = sequences._clearing_factors
+
+    def factors(family, n, mode):
+        return clearing(family, n - 1 if held(n) else n, mode)
+
+    def ratios(family, n, mode):
+        now, before = factors(family, n, mode), factors(family, n - 1, mode)
+        return tuple(a // b for a, b in zip(now, before))
+
+    monkeypatch.setattr(sequences, "_clearing_factors", factors)
+    monkeypatch.setattr(sequences, "_factor_ratios", ratios)
+    return factors
 
 
 def sequential_alternating_sum(terms) -> Fraction:

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 from aperylike.cli import COMMANDS, EXIT_CODES, run
-from tests.conftest import mpf_frac
+from tests.conftest import hold_back, mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: A child's environment: `src` first, then any inherited PYTHONPATH, which
@@ -85,6 +85,7 @@ class TestRowsPastTheIntStrLimit:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 1101
+        assert all(line == json.dumps(json.loads(line)) for line in lines)
         from aperylike.sequences import catalan_pair
 
         item = catalan_pair(1100)
@@ -97,6 +98,7 @@ class TestRowsPastTheIntStrLimit:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 1101
+        assert all(line == json.dumps(json.loads(line)) for line in lines)
         from aperylike.sequences import zeta4_pair
 
         item = zeta4_pair(1100)
@@ -113,6 +115,7 @@ class TestRowsPastTheIntStrLimit:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 1201
+        assert all(line == json.dumps(json.loads(line)) for line in lines)
         from aperylike.sequences import _clearing_factors, catalan_pair
 
         item = catalan_pair(1200)
@@ -530,20 +533,14 @@ class TestFailingRowMidStream:
     # only the status, set once the stream ends, records the failure
 
     def test_check(self, capsys, monkeypatch):
-        from aperylike import sequences
-
-        factors = sequences._clearing_factors
-        monkeypatch.setattr(
-            sequences,
-            "_clearing_factors",
-            lambda family, n, mode: (1, 1) if n == 3 else factors(family, n, mode),
-        )
+        # row 3 cleared by F_2 in place of F_3: v_3 fails, u_3 passes
+        hold_back(monkeypatch, lambda n: n == 3)
         result, lines = run_lines(
             capsys, ["check", "--family", "catalan", "--n-max", "5", "--mode", "proved"]
         )
         rows = [json.loads(line) for line in lines]
         assert [row["n"] for row in rows] == list(range(6))
-        assert (rows[3]["pass_u"], rows[3]["witness_u"]) == (False, "")
+        assert (rows[3]["pass_v"], rows[3]["witness_v"]) == (False, "")
         assert all(row["pass_u"] and row["pass_v"] for row in rows[:3] + rows[4:])
         assert result.status == "verification_failed" and result.exit_code == 1
 
@@ -736,10 +733,12 @@ class TestSerialization:
     )
     def test_json_leaves_are_strings_bools_or_sizes(self, capsys, command):
         # rationals and witnesses print as strings, so no exact value is
-        # ever a JSON number; only the size fields are ints
+        # ever a JSON number; only the size fields are ints.  Each line is
+        # what json.dumps writes, separators and escapes alike.
         result, lines = run_lines(capsys, command.split())
         assert result.exit_code == 0 and lines
         for line in lines:
+            assert line == json.dumps(json.loads(line)), command
             for key, leaf in _leaves(json.loads(line)):
                 if isinstance(leaf, bool):
                     continue
@@ -770,6 +769,29 @@ class TestSerialization:
             record = json.loads(line)
             assert header == list(record)
             assert row == [str(value) for value in record.values()]
+
+
+class TestEmit:
+    # numerals are written as they are; every other value as json.dumps
+    # writes it, escapes included
+    RECORDS = [
+        {"quote": 'a"b', "backslash": "a\\b", "newline": "a\nb", "control": "\x01",
+         "accent": "\u00e9", "u": "-12/35", "v": "987654321", "empty": ""},
+        {"rational": Fraction(-7, 4), "whole": Fraction(3), "pass": True, "fail": False,
+         "n": 12, "witness": None, "slash": "/", "dash": "-"},
+        {"table": ((Fraction(1, 2), 0), [Fraction(-3)]), "nested": {"k": "x\ty", "2": "5/6"}},
+        {},
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_writes_what_json_dumps_writes(self, capsys, record):
+        from aperylike.cli import _emit
+        from aperylike.exact import format_rational
+
+        _emit(record, "json", first=True)
+        line = capsys.readouterr().out
+        assert line == json.dumps(record, default=format_rational) + "\n"
+        assert line[:-1] == json.dumps(json.loads(line))
 
 
 class TestRecordedOutput:

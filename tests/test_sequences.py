@@ -24,7 +24,7 @@ from aperylike.sequences import (
     recurrence_coefficients,
     zeta4_pair,
 )
-from tests.conftest import mpf_frac, stepped_pairs
+from tests.conftest import hold_back, mpf_frac, stepped_pairs
 
 
 def recurrence_residual(family, n):
@@ -75,7 +75,7 @@ def decimal_row(pair):
         twos, odd = twos_and_odd(x.denominator)
         quotient, remainder = divmod(x.numerator, odd)
         texts = Decimal(x.numerator), Decimal(x.denominator)
-        row.append(sequences._Cleared(quotient, remainder, odd, twos, *texts, factor=1))
+        row.append(sequences._Cleared(quotient, remainder, odd, twos, *texts))
     return tuple(row)
 
 
@@ -118,17 +118,17 @@ def assert_row_invariants(quotient, remainder, odd, twos):
     assert twos == 0 or (quotient * odd + remainder) % 2 == 1
 
 
-def assert_twins(value, x=None):
+def assert_twins(value, cleared=None):
     """A cleared value keeps the row invariants, its twins are P and 2^e A as
-    decimal integers, and it is F x when x is given."""
+    decimal integers, and it is `cleared`, F x, when that is given."""
     assert_row_invariants(value.quotient, value.remainder, value.odd, value.twos)
     num, den = value.quotient * value.odd + value.remainder, value.odd << value.twos
     twins = (value.num_text, value.den_text)
     assert twins == (Decimal(num), Decimal(den))
     assert all(twin.as_tuple().exponent == 0 for twin in twins)
     assert value.whole is (den == 1)
-    if x is not None:
-        assert Fraction(num, den) == value.factor * x
+    if cleared is not None:
+        assert Fraction(num, den) == cleared
 
 
 class TestCoefficientPolynomials:
@@ -309,7 +309,6 @@ class TestStep:
         assert len(memo) == 1201
         for n, (got, want) in enumerate(zip(memo, reference)):
             assert terms(got) == fraction_terms(want), n
-            assert [x.factor for x in got] == [1, 1], n
             for value in got:
                 assert_row_invariants(value.quotient, value.remainder, value.odd, value.twos)
 
@@ -609,36 +608,33 @@ class TestDecimalTwins:
         sequences.row_texts(family, 1200)
         memo = sequences._pairs[family]
         assert len(memo) == 1201
-        for n, row in enumerate(memo):
-            for value in row:
-                assert_twins(value)
-                assert value.factor == 1, n
+        for row, pair in zip(memo, stepped_pairs(family, 1200)):
+            for value, x in zip(row, pair):
+                assert_twins(value, x)  # at F = 1
 
     # the carry: a walk, a jump (a restart), steps again, and a restart backwards
     CARRY_WALK = (*range(41), *range(200, 301), 120, 121)
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     @pytest.mark.parametrize("mode", ["proved", "strong"])
-    @pytest.mark.parametrize("ones", [False, True], ids=["clearing", "ones-at-odd-n"])
+    @pytest.mark.parametrize("held", [False, True], ids=["clearing", "held-back-at-odd-n"])
     def test_carry_twins_are_the_decimals_of_num_and_den(
-        self, monkeypatch, family, mode, ones, cold_memo
+        self, monkeypatch, family, mode, held, cold_memo
     ):
-        # with the factors replaced by 1 at odd n, those rows fail: den > 1
-        clearing = sequences._clearing_factors
-
-        def factors(fam, n, m):
-            return (1, 1) if ones and n % 2 else clearing(fam, n, m)
-
-        monkeypatch.setattr(sequences, "_clearing_factors", factors)
+        # with rows at odd n cleared by F_{n-1}, some of them fail: den > 1
+        factors = hold_back(monkeypatch, lambda n: n % 2) if held else sequences._clearing_factors
+        reference = stepped_pairs(family, max(self.CARRY_WALK))
         dens = set()
         for n in self.CARRY_WALK:
             check_inclusions(family, n, mode)
-            last, cur, prev = sequences._carries[family, mode]
-            assert last == n and tuple(x.factor for x in cur) == factors(family, n, mode)
+            last, cur, prev, _ = sequences._carries[family, mode]
+            assert last == n
+            for value, x, factor in zip(cur, reference[n], factors(family, n, mode)):
+                assert_twins(value, factor * x)
             for value in (*cur, *(prev or ())):
                 assert_twins(value)
                 dens.add(value.odd << value.twos)
-        assert (dens == {1}) is not ones
+        assert (dens == {1}) is not held
         assert len(sequences._pairs[family]) == 2
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
@@ -654,13 +650,8 @@ class TestDecimalTwins:
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_failing_witnesses_print_empty(self, monkeypatch, family, cold_memo):
-        # at odd n the factors are replaced by 1, so that those rows fail
-        clearing = sequences._clearing_factors
-
-        def factors(fam, n, m):
-            return clearing(fam, n, m) if n % 2 == 0 else (1, 1)
-
-        monkeypatch.setattr(sequences, "_clearing_factors", factors)
+        # rows at odd n are cleared by F_{n-1}, so that some of them fail
+        hold_back(monkeypatch, lambda n: n % 2)
         failed = 0
         for n in range(81):
             report = check_inclusions(family, n, "strong")
@@ -785,13 +776,8 @@ class TestInclusions:
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     @pytest.mark.parametrize("mode", ["proved", "strong"])
     def test_divmod_clearing_equals_the_fraction_route(self, monkeypatch, family, mode):
-        # at odd n the factors are replaced by 1, so that some rows fail
-        clearing = sequences._clearing_factors
-
-        def factors(fam, n, m):
-            return clearing(fam, n, m) if n % 2 == 0 else (1, 1)
-
-        monkeypatch.setattr(sequences, "_clearing_factors", factors)
+        # rows at odd n are cleared by F_{n-1}, so that some of them fail
+        factors = hold_back(monkeypatch, lambda n: n % 2)
         failed = 0
         for n in range(201):
             report = check_inclusions(family, n, mode)
@@ -864,11 +850,11 @@ class TestCheckCarry:
         reference = stepped_pairs(family, 1000)
         for n in range(1001):
             check_inclusions(family, n, mode)
-            last, cur, _ = sequences._carries[family, mode]
+            last, cur, _, _ = sequences._carries[family, mode]
             assert last == n
-            assert tuple(value.factor for value in cur) == sequences._clearing_factors(family, n, mode)
-            for value, x in zip(cur, reference[n]):
-                assert_twins(value, x)
+            factors = sequences._clearing_factors(family, n, mode)
+            for value, x, factor in zip(cur, reference[n], factors):
+                assert_twins(value, factor * x)
 
     @pytest.mark.parametrize("family, mode", KEYS)
     def test_descending(self, family, mode, cold_memo):
@@ -877,7 +863,8 @@ class TestCheckCarry:
 
     @pytest.mark.parametrize("family, mode", KEYS)
     def test_a_jump_then_steps(self, family, mode, cold_memo):
-        for n in (0, 300, 301, 302):
+        # the steps after the jump cross the primes 307 and 311, where D_n grows
+        for n in (0, 300, *range(301, 312)):
             assert checked(family, mode, n) == expected(family, mode, n), n
 
     @pytest.mark.parametrize("family, mode", KEYS)
