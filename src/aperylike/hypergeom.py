@@ -359,7 +359,8 @@ def lattice_sum(kernel: str, n: int, table: Sequence) -> tuple[dict[int, Fractio
 
     Row j holds T_jk at 1/(t+k+r/q)^e, e = order - j, or -e T_jk at
     1/(t+k+r/q)^(e+1) after a derivative: the power s and weight of
-    `lattice_rows`.  With m = q(t+k) + r and psi(m) = sign^((m-r)/q) where q divides m - r, 0 elsewhere,
+    `lattice_rows`.  With m = q(t+k) + r and psi(m) = sign^((m-r)/q) where
+    q divides m - r, 0 elsewhere,
 
         sum_{t>=t0} sign^t / (t+k+r/q)^s
             = q^s sign^k (L(s) - sum_{1<=m<q(t0+k)+r} psi(m)/m^s),
