@@ -10,9 +10,10 @@ floats appear only as `mp.nstr` strings at the stated digits, and the exact
 error bound of `digits` as `mp.nstr(bound, 6)` prints it, by integer
 arithmetic (`exact.exponent_string`), so `digits` loads no mpmath.  Each
 JSON line is what `json.dumps(record, default=format_rational)` writes, but
-in one pass that writes a numeral (digits, "-" and "/") between quotes as it
-is, with no second escaping pass.  `pair`, `range` and `check` also write
-CSV: the record's keys as a header, then str() of each value.
+in one pass that writes a numeral the twins print (`sequences.Numeral`, "p"
+or "p/q") between quotes as it is, with no second escaping pass, and a str,
+int or bool without building an encoder.  `pair`, `range` and `check`
+also write CSV: the record's keys as a header, then str() of each value.
 
 `range` and `check` hand `_emit` their values already as those strings,
 from the decimal twins of one row type stepped by one rule: `range` builds
@@ -68,21 +69,23 @@ class CommandResult(NamedTuple):
 #: call, so that a name rebound here (as a tracer does) is the one called
 _ENCODER = json.JSONEncoder(default=lambda value: format_rational(value))
 
-
-def _numeral(value) -> bool:
-    """Whether `value` is a str of ASCII digits, "-" and "/" alone, which
-    JSON writes between quotes as it is; tested in bytes, in linear time."""
-    if type(value) is not str or not value.isascii():
-        return False
-    return value.encode().replace(b"/", b"").replace(b"-", b"").isdigit()
+#: What json.dumps writes for a value of each of these exact types, the
+#: other fields of `range` and `check` records, without building an encoder;
+#: any other value goes through `_ENCODER`
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
 
 
 def _emit(record: dict, fmt: str, first: bool) -> None:
     """Print one record as a CSV row of str() values, after a header of its
     keys when `first`, or as the line json.dumps(record, default=
     format_rational) writes, byte for byte: every Fraction in it as "p" or
-    "p/q".  The keys are str.  A numeral goes between quotes as it is, with
-    no escaping pass, and every other value as json.dumps writes it."""
+    "p/q".  The keys are str.  A `sequences.Numeral` goes between quotes as
+    it is, with no escaping pass, and every other value as json.dumps
+    writes it."""
     if fmt == "csv":
         import csv  # only here: it costs every JSON command's start-up
 
@@ -94,7 +97,10 @@ def _emit(record: dict, fmt: str, first: bool) -> None:
     parts, separator = ["{"], ""
     for key, value in record.items():
         parts += separator, encode_basestring_ascii(key), ": "
-        parts += ('"', value, '"') if _numeral(value) else (_ENCODER.encode(value),)
+        if type(value) is sequences.Numeral:
+            parts += '"', value, '"'
+        else:
+            parts.append(_LEAVES.get(type(value), _ENCODER.encode)(value))
         separator = ", "
     parts.append("}\n")
     sys.stdout.write("".join(parts))

@@ -475,14 +475,21 @@ def check_inclusions(family: str, n: int, mode: str = "proved") -> InclusionRepo
 # -- printing rows and witnesses ---------------------------------------------
 
 
-def _text(w: _Cleared) -> str:
-    return str(w.num_text) if w.whole else f"{w.num_text}/{w.den_text}"
+class Numeral(str):
+    """A str the twins print: "p" or "p/q", ASCII digits, "-" and "/" alone,
+    so JSON writes it between quotes as it is, with no escaping pass."""
+
+    __slots__ = ()
+
+
+def _text(w: _Cleared) -> Numeral:
+    return Numeral(w.num_text if w.whole else f"{w.num_text}/{w.den_text}")
 
 
 def row_texts(family: str, n: int) -> tuple[str, str]:
-    """str(u_n) and str(v_n), from the twins of memo row n, the memo first
-    walked up to n if it is short: in time linear in the digits, and past
-    CPython's int->str limit.  No Fraction is formed."""
+    """str(u_n) and str(v_n), as Numerals, from the twins of memo row n, the
+    memo first walked up to n if it is short: in time linear in the digits,
+    and past CPython's int->str limit.  No Fraction is formed."""
     _check_index(family, n)
     return tuple(map(_text, _row(family, n)))
 

@@ -15,6 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 from aperylike.cli import COMMANDS, EXIT_CODES, run
+from aperylike.sequences import Numeral
 from tests.conftest import hold_back, mpf_frac
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -772,14 +773,16 @@ class TestSerialization:
 
 
 class TestEmit:
-    # numerals are written as they are; every other value as json.dumps
-    # writes it, escapes included
+    # a Numeral is written as it is; every other value as json.dumps writes
+    # it, escapes included
     RECORDS = [
         {"quote": 'a"b', "backslash": "a\\b", "newline": "a\nb", "control": "\x01",
-         "accent": "\u00e9", "u": "-12/35", "v": "987654321", "empty": ""},
+         "accent": "\u00e9", "u": Numeral("-12/35"), "v": Numeral("987654321"),
+         "text": "-12/35", "empty": ""},
         {"rational": Fraction(-7, 4), "whole": Fraction(3), "pass": True, "fail": False,
-         "n": 12, "witness": None, "slash": "/", "dash": "-"},
-        {"table": ((Fraction(1, 2), 0), [Fraction(-3)]), "nested": {"k": "x\ty", "2": "5/6"}},
+         "n": 12, "big": -10**30, "float": 0.1, "witness": None, "slash": "/", "dash": "-"},
+        {"table": ((Fraction(1, 2), 0), [Fraction(-3)]), "nested": {"k": "x\ty", "2": "5/6"},
+         "rows": [Numeral("1/2"), "3"]},
         {},
     ]
 

@@ -602,6 +602,8 @@ class TestDecimalTwins:
             assert sequences.row_texts(family, n) == texts, n
         # the last rows are past the 4,300-digit limit on int->str
         assert max(len(text) for text in texts) > 4300
+        # Numerals, which the CLI writes between quotes as they are
+        assert {type(text) for text in sequences.row_texts(family, 1200)} == {sequences.Numeral}
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_memo_twins_are_the_decimals_of_num_and_den_to_1200(self, family, cold_memo):
@@ -647,6 +649,7 @@ class TestDecimalTwins:
                 str(report.witness_u),
                 str(report.witness_v),
             ), n
+        assert {type(text) for text in sequences.witness_texts(report)} == {sequences.Numeral}
 
     @pytest.mark.parametrize("family", ["catalan", "zeta4"])
     def test_failing_witnesses_print_empty(self, monkeypatch, family, cold_memo):
